@@ -172,11 +172,10 @@ void print_table() {
   std::vector<Row> rows;
   for (const std::uint32_t n : {32u, 128u}) {
     const EngineRun serial = run_engine(duty_scenario(n, 0));
-    // static pins the configured shard count; balance re-sizes every
+    // static pins the configured shard count; steal re-sizes every
     // stabilization segment from the previous segment's event rate (and
-    // repartitions inside segments) — same parity gate on both.
-    for (const ShardSched sched :
-         {ShardSched::kStatic, ShardSched::kBalance}) {
+    // steals inside segments) — same parity gate on both.
+    for (const ShardSched sched : {ShardSched::kStatic, ShardSched::kSteal}) {
       Row row;
       row.n = n;
       row.sched = sched;

@@ -6,13 +6,13 @@
 // This bench deploys the agreement stack at n ∈ {32, 128, 512} with a
 // 100 µs delay floor (the lookahead λ) and measures events/sec through the
 // serial engine and through S = 4 shards under each shard_sched policy
-// (static blocks, cost-aware balance, deterministic work stealing, lax
-// windows), verifying on every row that the two engines produced
+// (static blocks, deterministic work stealing), verifying on every row
+// that the two engines produced
 // bit-identical run digests — parity is the hard gate, speedup is reported
 // per-machine (single-core containers show ≈ 1×; the multi-core CI runners
 // demonstrate the scaling). Each sharded row also reports the scheduler's
-// own health metrics: per-window imbalance (max/min worker dispatches),
-// repartition count, and steal count. A post-chaos stabilization row per
+// own health metrics: per-window imbalance (max/min worker dispatches)
+// and steal count. A post-chaos stabilization row per
 // policy exercises the alternating engine (serial chaos window → windowed
 // suffix, sim/duty_world.hpp) on the scramble + chaos + agreement-storm
 // workload, splitting its wall time into migration (export/adopt) vs
@@ -44,8 +44,7 @@ constexpr std::uint32_t kShards = 4;
 
 /// Every scheduling policy of the windowed engine, benched side by side on
 /// identical scenarios — the digests must agree across the whole column.
-constexpr ShardSched kModes[] = {ShardSched::kStatic, ShardSched::kBalance,
-                                 ShardSched::kSteal, ShardSched::kLax};
+constexpr ShardSched kModes[] = {ShardSched::kStatic, ShardSched::kSteal};
 
 /// Simulated horizon per n. One agreement costs Θ(n²·f) relay messages
 /// (~3M at n = 128, ~10⁸ at n = 512), so the big rows measure the engine's
@@ -199,7 +198,7 @@ void print_table() {
               "shard_sched policy (lookahead 100 us, %u hardware threads)\n",
               kShards, std::thread::hardware_concurrency());
   Table table({"n", "sched", "events", "serial Mev/s", "sharded Mev/s",
-               "speedup", "imb mean", "repart", "steals", "digest parity"});
+               "speedup", "imb mean", "steals", "digest parity"});
   std::vector<Row> rows;
   for (const std::uint32_t n : {32u, 128u, 512u}) {
     const EngineRun serial =
@@ -216,7 +215,6 @@ void print_table() {
                      fmt2(row.sharded.events_per_sec / 1e6),
                      fmt2(row.speedup()) + "x",
                      fmt2(row.sharded.sched.imbalance_mean()),
-                     std::to_string(row.sharded.sched.repartitions),
                      std::to_string(row.sharded.sched.steals),
                      row.parity() ? "yes" : "NO — BUG"});
       rows.push_back(row);
@@ -237,7 +235,7 @@ void print_table() {
               "both engines; the alternating engine shards the suffix)\n",
               static_cast<long long>(kChaosMs));
   Table chaos_table({"n", "sched", "events", "serial Mev/s", "two-phase Mev/s",
-                     "speedup", "migration us", "imb mean", "repart",
+                     "speedup", "migration us", "imb mean",
                      "digest parity"});
   std::vector<Row> chaos_rows;
   const std::uint32_t chaos_n = 128;
@@ -256,7 +254,6 @@ void print_table() {
                          fmt2(row.speedup()) + "x",
                          fmt2(double(row.sharded.migration_ns) * 1e-3),
                          fmt2(row.sharded.sched.imbalance_mean()),
-                         std::to_string(row.sharded.sched.repartitions),
                          row.parity() ? "yes" : "NO — BUG"});
     chaos_rows.push_back(row);
   }
@@ -307,15 +304,13 @@ void print_table() {
                    "\"serial_events_per_sec\": %.0f, "
                    "\"sharded_events_per_sec\": %.0f, "
                    "\"speedup\": %.3f, \"imbalance_mean\": %.3f, "
-                   "\"imbalance_max\": %.3f, \"repartitions\": %llu, "
+                   "\"imbalance_max\": %.3f, "
                    "\"steals\": %llu, \"parity\": %s}%s\n",
                    row.n, to_string(row.mode),
                    static_cast<unsigned long long>(row.serial.events),
                    row.serial.events_per_sec, row.sharded.events_per_sec,
                    row.speedup(), row.sharded.sched.imbalance_mean(),
                    row.sharded.sched.imbalance_max,
-                   static_cast<unsigned long long>(
-                       row.sharded.sched.repartitions),
                    static_cast<unsigned long long>(row.sharded.sched.steals),
                    row.parity() ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
@@ -331,7 +326,7 @@ void print_table() {
                    "\"sharded_events_per_sec\": %.0f, "
                    "\"speedup\": %.3f, \"migration_ns\": %llu, "
                    "\"dispatch_ns\": %llu, \"imbalance_mean\": %.3f, "
-                   "\"repartitions\": %llu, \"parity\": %s}%s\n",
+                   "\"parity\": %s}%s\n",
                    row.n, to_string(row.mode),
                    static_cast<long long>(kChaosMs),
                    static_cast<unsigned long long>(row.serial.events),
@@ -340,8 +335,6 @@ void print_table() {
                    static_cast<unsigned long long>(row.sharded.migration_ns),
                    static_cast<unsigned long long>(row.sharded.dispatch_ns()),
                    row.sharded.sched.imbalance_mean(),
-                   static_cast<unsigned long long>(
-                       row.sharded.sched.repartitions),
                    row.parity() ? "true" : "false",
                    i + 1 < chaos_rows.size() ? "," : "");
     }
@@ -394,7 +387,6 @@ BENCHMARK(BM_ShardEngine)
     ->Args({32, 0, std::int64_t(ShardSched::kStatic)})
     ->Args({32, kShards, std::int64_t(ShardSched::kStatic)})
     ->Args({32, kShards, std::int64_t(ShardSched::kSteal)})
-    ->Args({32, kShards, std::int64_t(ShardSched::kLax)})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

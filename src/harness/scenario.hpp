@@ -198,10 +198,10 @@ struct Scenario {
   /// engine, with a full state migration at every boundary
   /// (sim/duty_world.hpp) — still bit-identical to an all-serial run.
   std::uint32_t shards = 0;
-  /// Shard scheduling policy: static blocks, cost-aware repartitioning,
-  /// deterministic work stealing, or lax (slack-barrier) windows — see
-  /// ShardSched in sim/world.hpp. Bit-identical results either way; the
-  /// policy only changes how work spreads across shard workers.
+  /// Shard scheduling policy: static blocks or deterministic work
+  /// stealing — see ShardSched in sim/world.hpp. Bit-identical results
+  /// either way; the policy only changes how work spreads across shard
+  /// workers.
   ShardSched shard_sched = ShardSched::kStatic;
   /// Node timers ride the hierarchical timer wheel (WorldConfig doc).
   /// false ⇒ legacy heap-resident timers; observable histories identical.

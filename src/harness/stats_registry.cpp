@@ -51,8 +51,6 @@ void add_sched_stats(StatsRegistry& reg, const ShardSchedStats& st) {
           "windows with at least one dispatch");
   reg.add("sched.window_events", double(st.window_events), "events",
           "dispatches summed over measured windows");
-  reg.add("sched.repartitions", double(st.repartitions), "count",
-          "cost-aware boundary recomputations");
   reg.add("sched.steals", double(st.steals), "count",
           "foreign-shard node claims");
   reg.add("sched.stolen_events", double(st.stolen_events), "events",
@@ -62,8 +60,8 @@ void add_sched_stats(StatsRegistry& reg, const ShardSchedStats& st) {
   reg.add("sched.imbalance_max", st.imbalance_max, "ratio",
           "worst per-window executor imbalance");
   reg.add("sched.owner_imbalance_mean", st.owner_imbalance_mean(), "ratio",
-          "mean per-window max/min OWNER-shard dispatch ratio (feeds the "
-          "repartitioner under kSteal)");
+          "mean per-window max/min OWNER-shard dispatch ratio (the skew "
+          "of the static blocks, before stealing)");
   reg.add("sched.owner_imbalance_max", st.owner_imbalance_max, "ratio",
           "worst per-window owner-shard imbalance");
 }

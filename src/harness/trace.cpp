@@ -31,9 +31,7 @@ const char* to_string(TraceName name) {
     case TraceName::kWindow: return "window";
     case TraceName::kWindowEvents: return "window_events";
     case TraceName::kOwnerImbalance: return "owner_imbalance_x1000";
-    case TraceName::kRepartition: return "repartition";
     case TraceName::kSteal: return "steal";
-    case TraceName::kLaxPublish: return "lax_publish";
     case TraceName::kChaosWindow: return "chaos_window";
     case TraceName::kMigrateToSerial: return "migrate_to_serial";
     case TraceName::kMigrateToSharded: return "migrate_to_sharded";

@@ -6,9 +6,9 @@
 //   protocol — agreement round spans (anchor → return) with quorum-progress
 //              instants, pulse cycles, clock-sync snaps, log commit spans
 //              (propose → first commit);
-//   engine   — ShardWorld lookahead windows, repartitions, steals,
-//              lax-frontier publishes; DutyWorld chaos windows and both
-//              migration directions with export/adopt sub-spans;
+//   engine   — ShardWorld lookahead windows and steals; DutyWorld chaos
+//              windows and both migration directions with export/adopt
+//              sub-spans;
 //   workload — injections, chaos drops/corruptions/delays/duplicates, and
 //              forged deliveries on the reserved channel.
 //
@@ -82,9 +82,7 @@ enum class TraceName : std::uint16_t {
   kWindow,          // sync span, lane kLaneWindows: one lookahead window
   kWindowEvents,    // counter: dispatches in the window just accounted
   kOwnerImbalance,  // counter: per-window owner-attributed max/min ×1000
-  kRepartition,     // instant: cost-aware boundary recomputation
   kSteal,           // instant: a worker claimed a foreign node (arg = events)
-  kLaxPublish,      // instant: a shard published its lax frontier
   kChaosWindow,     // sync span, lane kLaneDuty: network behaves arbitrarily
   kMigrateToSerial,   // sync span, lane kLaneDuty (arg = wall ns)
   kMigrateToSharded,  // sync span, lane kLaneDuty (arg = wall ns)

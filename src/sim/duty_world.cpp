@@ -80,9 +80,14 @@ NodeBehavior* DutyWorld::behavior(NodeId id) { return active().behavior(id); }
 void DutyWorld::start() { active().start(); }
 
 void DutyWorld::fire_action(std::uint64_t seq) {
-  auto node = actions_.extract(seq);
-  SSBFT_ASSERT(!node.empty());
-  node.mapped().action();
+  std::function<void()> action;
+  {
+    const std::lock_guard<std::mutex> lock(actions_mutex_);
+    auto node = actions_.extract(seq);
+    SSBFT_ASSERT(!node.empty());
+    action = std::move(node.mapped().action);
+  }
+  action();
 }
 
 void DutyWorld::migrate_to(RealTime cut) {
@@ -108,8 +113,8 @@ void DutyWorld::migrate_to(RealTime cut) {
     WorldMigration m = serial_->export_migration();
     serial_.reset();
     wall_export = std::chrono::steady_clock::now();
-    // Adaptive policies size the stabilization segment's shard count from
-    // the chaos segment's event rate; static keeps the configured count.
+    // Under steal the stabilization segment's shard count follows the
+    // chaos segment's event rate; static keeps the configured count.
     WorldConfig wc = config_;
     wc.shards = segment_shard_count(cut, m.dispatched);
     sharded_ = std::make_unique<ShardWorld>(std::move(wc), std::move(m), more);
@@ -239,10 +244,13 @@ void DutyWorld::schedule(RealTime when, NodeId target,
   // identical key — invisible to an all-serial run.
   const std::uint64_t seq =
       serial_ ? serial_->queue().global_seq() : sharded_->world_seq();
-  auto [it, inserted] = actions_.emplace(
-      seq, WorldMigration::PendingAction{when, EventKey{kGlobalCreator, seq},
-                                         target, std::move(action)});
-  SSBFT_ASSERT(inserted);
+  {
+    const std::lock_guard<std::mutex> lock(actions_mutex_);
+    auto [it, inserted] = actions_.emplace(
+        seq, WorldMigration::PendingAction{when, EventKey{kGlobalCreator, seq},
+                                           target, std::move(action)});
+    SSBFT_ASSERT(inserted);
+  }
   active().schedule(when, target, [this, seq] { fire_action(seq); });
 }
 

@@ -41,6 +41,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "sim/shard_world.hpp"
@@ -70,9 +71,9 @@ class DutyWorld final : public WorldBase {
   /// action re-registration, run_before (dispatch) excluded. The benches
   /// split alternation cost into migration vs dispatch with this.
   [[nodiscard]] std::uint64_t migration_ns() const { return migration_ns_; }
-  /// Shard count chosen for each sharded segment, in order. Under an
-  /// adaptive shard_sched the count follows the previous segment's event
-  /// rate; static runs always use the configured count.
+  /// Shard count chosen for each sharded segment, in order. Under steal
+  /// the count follows the previous segment's event rate; static runs
+  /// always use the configured count.
   [[nodiscard]] const std::vector<std::uint32_t>& segment_shards() const {
     return segment_shards_;
   }
@@ -118,9 +119,10 @@ class DutyWorld final : public WorldBase {
   [[nodiscard]] EventQueue& queue() override;
 
  private:
-  /// Adaptive segment sizing: aim for about this many dispatched events
-  /// per shard per stabilization segment — fewer and the barrier overhead
-  /// dominates, more and a single segment under-parallelizes.
+  /// Adaptive segment sizing (steal only): aim for about this many
+  /// dispatched events per shard per stabilization segment — fewer and the
+  /// barrier overhead dominates, more and a single segment
+  /// under-parallelizes.
   static constexpr std::uint64_t kEventsPerSegmentShard = 2000;
 
   [[nodiscard]] WorldBase& active();
@@ -160,7 +162,9 @@ class DutyWorld final : public WorldBase {
   // the active engine minted (deterministic iteration order). An action
   // unregisters itself when it runs; whatever remains at a cut is
   // re-registered on the adopting engine under its original key — the map
-  // keeps the original closures because migrations can recur.
+  // keeps the original closures because migrations can recur. Guarded:
+  // during a sharded segment actions fire on the shard worker threads.
+  std::mutex actions_mutex_;
   std::map<std::uint64_t, WorldMigration::PendingAction> actions_;
 };
 

@@ -1,5 +1,7 @@
 #include "sim/payload.hpp"
 
+#include <vector>
+
 #include "util/assert.hpp"
 
 namespace ssbft {
@@ -19,6 +21,12 @@ std::uint64_t payload_fnv(const void* data, std::size_t size) {
   return h;
 }
 
+PayloadPool::~PayloadPool() {
+  for (std::uint32_t c = 0; c < chunk_count_; ++c) {
+    delete chunks_[c].load(std::memory_order_relaxed);
+  }
+}
+
 std::uint32_t PayloadPool::acquire(const void* data, std::uint32_t size) {
   SSBFT_EXPECTS(size > 0);
   std::uint32_t index;
@@ -28,9 +36,9 @@ std::uint32_t PayloadPool::acquire(const void* data, std::uint32_t size) {
       index = free_head_;
       free_head_ = slot(index).next_free;
     } else {
-      chunks_.push_back(std::make_unique<Chunk>());
-      const std::uint32_t base =
-          std::uint32_t(chunks_.size() - 1) * kSlotChunk;
+      SSBFT_EXPECTS(chunk_count_ < kMaxChunks);  // pool directory exhausted
+      chunks_[chunk_count_].store(new Chunk(), std::memory_order_release);
+      const std::uint32_t base = chunk_count_++ * kSlotChunk;
       // Thread slots [base+1, base+kSlotChunk) onto the free list; hand
       // out the first one.
       for (std::uint32_t i = kSlotChunk; i-- > 1;) {
@@ -69,13 +77,16 @@ void PayloadPool::add_ref(std::uint32_t index) {
 void PayloadPool::release(std::uint32_t index) {
   Slot& s = slot(index);
   if (s.refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  // Read the size before free-listing: once the slot is on the list, a
+  // concurrent acquire may refill it.
+  const std::uint32_t size = s.size;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     s.next_free = free_head_;
     free_head_ = index;
   }
   live_.fetch_sub(1, std::memory_order_relaxed);
-  resident_bytes_.fetch_sub(s.size, std::memory_order_relaxed);
+  resident_bytes_.fetch_sub(size, std::memory_order_relaxed);
 }
 
 const std::uint8_t* PayloadPool::data(std::uint32_t index) const {

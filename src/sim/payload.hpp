@@ -14,10 +14,12 @@
 // Thread-safety: slot acquisition/free-listing is mutex-guarded and
 // refcounts are atomic, because shard workers copy and destroy handles
 // concurrently (mailbox pushes, event-closure moves, barrier drains). The
-// bytes themselves are immutable once acquired — corrupting a payload
-// (sim/network.hpp chaos) clones a fresh slot instead of mutating a shared
-// one. Slot indices are an allocation-order artifact and are never
-// observable; everything digest-visible (size, bytes, checksum) is content.
+// chunk directory never moves, so the lock-free readers need no lock while
+// another thread grows the pool. The bytes themselves are immutable once
+// acquired — corrupting a payload (sim/network.hpp chaos) clones a fresh
+// slot instead of mutating a shared one. Slot indices are an
+// allocation-order artifact and are never observable; everything
+// digest-visible (size, bytes, checksum) is content.
 #pragma once
 
 #include <atomic>
@@ -25,7 +27,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 namespace ssbft {
 
@@ -36,6 +37,11 @@ class PayloadPool;
 
 class PayloadPool {
  public:
+  PayloadPool() = default;
+  PayloadPool(const PayloadPool&) = delete;
+  PayloadPool& operator=(const PayloadPool&) = delete;
+  ~PayloadPool();
+
   /// Copy `size` bytes into a pool slot (refs = 1) and return its index.
   /// The only place payload bytes are ever copied into the pool.
   [[nodiscard]] std::uint32_t acquire(const void* data, std::uint32_t size);
@@ -70,7 +76,9 @@ class PayloadPool {
   // Chunked, address-stable slabs recycled through a free list (the same
   // layout as the event queue's closure slab): growth never relocates a
   // live slot, and a warm pool performs no allocation. Slot byte buffers
-  // are kept across reuse when large enough.
+  // are kept across reuse when large enough. The directory of chunk
+  // pointers has a fixed capacity for the same reason: growing it in place
+  // (a std::vector) would move it under a lock-free reader.
   struct Slot {
     std::atomic<std::uint32_t> refs{0};
     std::uint32_t size = 0;
@@ -81,19 +89,25 @@ class PayloadPool {
   };
   static constexpr std::uint32_t kNullSlot = ~std::uint32_t{0};
   static constexpr std::uint32_t kSlotChunk = 64;
+  /// Directory capacity: 2^16 chunks = 4M live slots, each > 64 bytes, so
+  /// at least 272 MB of in-flight bodies. Untouched entries cost no
+  /// resident memory (the pool is a constant-initialized static whose
+  /// pages are mapped on first touch).
+  static constexpr std::uint32_t kMaxChunks = 1u << 16;
   struct Chunk {
     Slot slots[kSlotChunk];
   };
 
-  [[nodiscard]] Slot& slot(std::uint32_t index) {
-    return chunks_[index / kSlotChunk]->slots[index % kSlotChunk];
-  }
-  [[nodiscard]] const Slot& slot(std::uint32_t index) const {
-    return chunks_[index / kSlotChunk]->slots[index % kSlotChunk];
+  [[nodiscard]] Slot& slot(std::uint32_t index) const {
+    // Acquire pairs with the release store that published the chunk; the
+    // caller's index was handed out after that store.
+    return chunks_[index / kSlotChunk].load(std::memory_order_acquire)
+        ->slots[index % kSlotChunk];
   }
 
-  mutable std::mutex mutex_;  // guards chunks_ growth and the free list
-  std::vector<std::unique_ptr<Chunk>> chunks_;
+  mutable std::mutex mutex_;  // guards chunk growth and the free list
+  std::atomic<Chunk*> chunks_[kMaxChunks] = {};
+  std::uint32_t chunk_count_ = 0;  // published chunks; guarded by mutex_
   std::uint32_t free_head_ = kNullSlot;
   std::atomic<std::uint32_t> live_{0};
   std::atomic<std::uint64_t> bytes_copied_{0};

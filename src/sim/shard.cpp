@@ -112,7 +112,6 @@ Shard::Shard(ShardWorld& world, std::uint32_t index, std::uint32_t shard_count,
       end_node_(end_node),
       steal_(world.config().shard_sched == ShardSched::kSteal &&
              shard_count > 1),
-      lax_(world.config().shard_sched == ShardSched::kLax && shard_count > 1),
       topo_(world.config().topology.resolved(world.config().n)),
       logger_(world.config().log_level),
       auth_(world.config().auth, world.config().seed),
@@ -130,8 +129,8 @@ Shard::Shard(ShardWorld& world, std::uint32_t index, std::uint32_t shard_count,
   }
   // Partition the wheel's allocation space from birth: sibling shards must
   // never hand out the same record index, or a later export merge (engine
-  // handoff OR in-place repartition) would fold colliding slabs — two live
-  // timers at one index, mismatched generation tickets. The adoption path
+  // handoff) would fold colliding slabs — two live timers at one index,
+  // mismatched generation tickets. The adoption path
   // re-imports over this with the real snapshot; the index choice itself is
   // unobservable (dispatch order is the keys').
   if (shard_count > 1) {
@@ -267,13 +266,7 @@ void Shard::dispatch_send(NodeId dest, RealTime when, EventKey key,
     // Inside a window: buffer for the barrier. The bounded-delay model is
     // what makes this safe — the delivery cannot precede the next window.
     SSBFT_ASSERT(delay >= world_.lookahead());
-    if (lax_) {
-      // Lax window: hand it to the destination NOW (under its inbox lock)
-      // so the receiver's slack horizon can run ahead past the λ edge.
-      target.push_lax(Pending{when, key, dest, std::move(msg)});
-    } else {
-      outbox_[target.index_].push(Pending{when, key, dest, std::move(msg)});
-    }
+    outbox_[target.index_].push(Pending{when, key, dest, std::move(msg)});
   } else {
     // Serial phase (on_start, piecewise runs): no concurrency, insert
     // straight into the owning shard.
@@ -445,7 +438,6 @@ void Shard::export_node(NodeId id, WorldMigration::NodeState& out) {
 }
 
 void Shard::deliver(NodeId dest, const WireMessage& msg) {
-  world_.note_cost(dest);
   NodeSlot& s = slot(dest);
   if (s.behavior) s.behavior->on_message(*s.context, msg);
 }
@@ -480,7 +472,6 @@ void Shard::fire_timer(TimerHandle handle) {
     ++suppressed_timers_;  // cancelled after hand-over: a no-op pop
     return;
   }
-  world_.note_cost(node);
   NodeSlot& fired = slot(node);
   if (fired.behavior) fired.behavior->on_timer(*fired.context, cookie);
 }
@@ -536,21 +527,6 @@ std::uint64_t Shard::run_node_window(NodeId id, RealTime end, bool inclusive) {
   return queue.dispatched() - before;
 }
 
-void Shard::push_lax(Pending&& p) {
-  std::lock_guard<std::mutex> lock(exec_mutex_);
-  lax_inbox_.push(std::move(p));
-}
-
-void Shard::drain_lax_inbox() {
-  {
-    std::lock_guard<std::mutex> lock(exec_mutex_);
-    lax_scratch_.swap(lax_inbox_);
-  }
-  lax_scratch_.drain([this](Pending&& p) {
-    schedule_delivery(p.when, p.key, p.dest, std::move(p.msg));
-  });
-}
-
 void Shard::adopt_node(NodeId id, WorldMigration::NodeState&& state) {
   NodeSlot& s = slot(id);
   s.clock = state.clock;
@@ -588,11 +564,6 @@ void Shard::drain_inboxes() {
     for (auto& exec : world_.exec_) {
       exec->outbox[index_].drain(sink);
     }
-  }
-  if (lax_) {
-    // Leftovers pushed after this shard finished its window — all at or
-    // after the window edge (the frontier argument in shard_world.cpp).
-    drain_lax_inbox();
   }
 }
 

@@ -16,9 +16,6 @@
 // only a node's own timers can create same-window work), so whole nodes
 // are the unit idle workers steal. Per-node dispatch order is still exact
 // (when, creator, seq) key order, which is all the digest can see.
-// Under ShardSched::kLax cross-shard sends go straight into the
-// destination's mutex-guarded inbox instead of waiting for the barrier,
-// so receivers can run ahead on slack (see ShardWorld::run_windows).
 //
 // Engine-internal: user code deploys through Scenario/Cluster and only ever
 // sees the WorldBase surface.
@@ -60,12 +57,11 @@ class Shard {
   /// under the engine's SPSC discipline: exactly one producer fills it
   /// (the sending shard inside a window, or one worker's private execution
   /// context under kSteal) and exactly one consumer drains it (the owning
-  /// shard at a barrier, or under `exec_mutex_` for the lax inbox). Entries
-  /// are MOVED through, never copied: a Pending's WireMessage holds its
-  /// body as a refcounted pool handle (sim/payload.hpp), so the handoff
-  /// transfers the reference instead of bouncing the slot's refcount — the
-  /// pool slot filled at send() is the same one the destination behavior
-  /// reads.
+  /// shard at a barrier). Entries are MOVED through, never copied: a
+  /// Pending's WireMessage holds its body as a refcounted pool handle
+  /// (sim/payload.hpp), so the handoff transfers the reference instead of
+  /// bouncing the slot's refcount — the pool slot filled at send() is the
+  /// same one the destination behavior reads.
   class Mailbox {
    public:
     void push(Pending&& p) { items_.push_back(std::move(p)); }
@@ -77,9 +73,6 @@ class Shard {
       for (Pending& p : items_) sink(std::move(p));
       items_.clear();
     }
-    /// O(1) handoff of the whole batch (the lax double-buffer swaps under
-    /// the mutex, then drains outside it).
-    void swap(Mailbox& other) noexcept { items_.swap(other.items_); }
 
    private:
     std::vector<Pending> items_;
@@ -92,12 +85,9 @@ class Shard {
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
-  [[nodiscard]] std::uint32_t index() const { return index_; }
   [[nodiscard]] bool owns(NodeId id) const {
     return id >= first_node_ && id < end_node_;
   }
-  [[nodiscard]] NodeId first_node() const { return first_node_; }
-  [[nodiscard]] NodeId end_node() const { return end_node_; }
 
   // --- node surface (delegated from ShardWorld; serial phases only) -------
   void set_behavior(NodeId id, std::unique_ptr<NodeBehavior> behavior,
@@ -129,7 +119,7 @@ class Shard {
   /// Dispatch this shard's events with `when < end` (or `<= end` when
   /// `inclusive`); the window loop's per-shard work item. Due wheel timers
   /// are handed to the queue between dispatches, inside the window.
-  /// Central-queue modes only (static/balance/lax).
+  /// Central-queue mode only (kStatic).
   void process_until(RealTime end, bool inclusive);
 
   /// Lower bound on this shard's earliest pending wheel timer (max() when
@@ -140,7 +130,7 @@ class Shard {
   /// Move every peer shard's mailbox addressed here into the local queue.
   /// Caller (the window barrier) guarantees the producers are parked.
   /// Under kSteal this also merges the per-worker execution outboxes, in
-  /// worker order; under kLax it drains the mutex inbox's leftovers.
+  /// worker order.
   void drain_inboxes();
 
   /// Schedule a delivery on THIS shard (dest must be owned). Used by the
@@ -175,15 +165,6 @@ class Shard {
   /// the gate. Returns events dispatched. Caller owns the exec context.
   std::uint64_t run_node_window(NodeId id, RealTime end, bool inclusive);
 
-  // --- kLax window machinery ----------------------------------------------
-
-  /// Drain the mutex-guarded lax inbox into the local queue. Safe to call
-  /// from this shard's worker mid-window (senders push under the mutex).
-  void drain_lax_inbox();
-  /// Push a delivery into this shard's lax inbox (called by PEER workers
-  /// mid-window, under the mutex). Moves the pool reference in.
-  void push_lax(Pending&& p);
-
   // --- engine-migration surface (serial segment ⇄ windowed segment) -------
 
   /// Install one migrated node: clock, behavior, RNG stream positions, and
@@ -202,10 +183,9 @@ class Shard {
                      RealTime now);
 
   /// Track every scheduled delivery in a side slab so in-flight messages
-  /// can be exported at the next cut (reverse migration) or repartition,
-  /// mirroring Network::enable_handoff_export. Must precede all traffic on
-  /// this shard; bit-identical to the untracked path. Idempotent (the
-  /// adaptive scheduler pre-enables it; a DutyWorld may enable it again).
+  /// can be exported at the next cut (reverse migration), mirroring
+  /// Network::enable_handoff_export. Must precede all traffic on this
+  /// shard; bit-identical to the untracked path. Idempotent.
   void enable_handoff_export() {
     SSBFT_EXPECTS(stats_.sent == 0);
     handoff_export_ = true;
@@ -262,9 +242,8 @@ class Shard {
   /// send() (kRouteDirect) and the topology fan-out (see Network::admit).
   void admit(NodeId from, NodeId dest, WireMessage msg, std::uint8_t route);
   /// Park one keyed delivery where it belongs: the steal-window outbox, the
-  /// local queue, a peer's mailbox/lax inbox, or (serial phases) straight
-  /// into the owning shard — the routing tail shared by admit() and
-  /// relay().
+  /// local queue, a peer's mailbox, or (serial phases) straight into the
+  /// owning shard — the routing tail shared by admit() and relay().
   void dispatch_send(NodeId dest, RealTime when, EventKey key,
                      WireMessage msg);
   /// Relay duty at the delivery instant (mirrors Network::relay): forward a
@@ -295,7 +274,6 @@ class Shard {
   NodeId first_node_;
   NodeId end_node_;
   bool steal_ = false;  // ShardSched::kSteal with >1 shard
-  bool lax_ = false;    // ShardSched::kLax with >1 shard
   TopologyConfig topo_{};  // resolved dissemination overlay (default: flat)
 
   EventQueue queue_;
@@ -316,11 +294,8 @@ class Shard {
 
   /// kSteal: serializes wheel arm/cancel/claim and tracking-slab untrack —
   /// a thief executing this shard's node touches them concurrently with
-  /// the owner. kLax: guards lax_inbox_. Uncontended in other modes (never
-  /// taken).
+  /// the owner. Never taken under kStatic.
   std::mutex exec_mutex_;
-  Mailbox lax_inbox_;   // kLax: mid-window cross-shard arrivals
-  Mailbox lax_scratch_;  // drain double-buffer (keeps capacity)
 
   // Handoff-export tracking slab, mirroring Network's: `pending_live_`
   // marks occupied slots, dead slots wait on `pending_free_` for reuse,

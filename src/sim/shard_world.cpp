@@ -33,18 +33,26 @@ ShardWorld::ShardWorld(WorldConfig config)
   const std::uint32_t shards = effective_shards(config_);
   SSBFT_EXPECTS(shards == 1 || lookahead_ > Duration::zero());
   sched_ = shards > 1 ? config_.shard_sched : ShardSched::kStatic;
-  cost_tracking_ = sched_ != ShardSched::kStatic;
-  // A repartition tears shards down through the migration machinery, so the
-  // adaptive policies need every in-flight delivery exportable from the
-  // first send on.
-  track_handoff_ = cost_tracking_;
-  node_cost_.assign(config_.n, 0);
-  node_cost_base_.assign(config_.n, 0);
-  std::vector<NodeId> bounds(shards + 1);
-  for (std::uint32_t s = 0; s <= shards; ++s) {
-    bounds[s] = NodeId(std::size_t(s) * config_.n / shards);
+  // Contiguous equal blocks [floor(s·n/S), floor((s+1)·n/S)), fixed for the
+  // engine's lifetime.
+  shards_.reserve(shards);
+  shard_index_.assign(config_.n, 0);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const NodeId first = NodeId(std::size_t(s) * config_.n / shards);
+    const NodeId end = NodeId(std::size_t(s + 1) * config_.n / shards);
+    SSBFT_EXPECTS(first < end);
+    for (NodeId id = first; id < end; ++id) shard_index_[id] = s;
+    shards_.push_back(std::make_unique<Shard>(*this, s, shards, first, end));
   }
-  make_shards(bounds);
+  if (sched_ == ShardSched::kSteal) {
+    exec_.reserve(shards);
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      exec_.push_back(
+          std::make_unique<ExecContext>(config_.log_level, shards));
+    }
+  }
+  steal_cursor_ = std::vector<std::atomic<std::uint32_t>>(shards);
+  last_shard_dispatched_.assign(shards, 0);
 }
 
 ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration,
@@ -55,20 +63,6 @@ ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration,
   // re-materializes below, or those deliveries would be lost to the next
   // cut's export.
   if (handoff_export) enable_handoff_export();
-  // Adaptive policies: the migrated in-flight set is the only load signal
-  // available at adoption time, and it is exactly the post-chaos hot spot —
-  // rebuild the (still empty) shards on boundaries balancing deliveries
-  // plus timers per node instead of the blind equal split.
-  if (cost_tracking_ && shards_.size() > 1) {
-    std::vector<std::uint64_t> weight(config_.n, 1);
-    for (const Network::PendingDelivery& p : migration.deliveries) {
-      weight[p.dest] += 1;
-    }
-    for (const TimerWheel::ExportedRecord& r : migration.timers) {
-      weight[r.node] += 1;
-    }
-    make_shards(balanced_boundaries(weight, std::uint32_t(shards_.size())));
-  }
   // Counters and stream positions continue where the serial prefix stopped:
   // the suffix must mint the exact keys and draws an uninterrupted serial
   // run would have.
@@ -104,62 +98,6 @@ ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration,
 }
 
 ShardWorld::~ShardWorld() = default;
-
-void ShardWorld::make_shards(const std::vector<NodeId>& bounds) {
-  const std::uint32_t shards = std::uint32_t(bounds.size() - 1);
-  SSBFT_EXPECTS(bounds.front() == 0 && bounds.back() == config_.n);
-  shards_.clear();
-  shards_.reserve(shards);
-  shard_index_.assign(config_.n, 0);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const NodeId first = bounds[s];
-    const NodeId end = bounds[s + 1];
-    SSBFT_EXPECTS(first < end);
-    for (NodeId id = first; id < end; ++id) shard_index_[id] = s;
-    shards_.push_back(std::make_unique<Shard>(*this, s, shards, first, end));
-    if (track_handoff_) shards_.back()->enable_handoff_export();
-  }
-  if (sched_ == ShardSched::kSteal) {
-    exec_.clear();
-    exec_.reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      exec_.push_back(
-          std::make_unique<ExecContext>(config_.log_level, shards));
-    }
-  }
-  steal_cursor_ = std::vector<std::atomic<std::uint32_t>>(shards);
-  lax_frontier_ = std::vector<std::atomic<std::int64_t>>(shards);
-  last_shard_dispatched_.assign(shards, 0);
-}
-
-std::vector<NodeId> ShardWorld::balanced_boundaries(
-    const std::vector<std::uint64_t>& weight, std::uint32_t shards) {
-  const std::uint32_t n = std::uint32_t(weight.size());
-  SSBFT_EXPECTS(shards >= 1 && shards <= n);
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : weight) total += w;
-  std::vector<NodeId> bounds(shards + 1);
-  bounds[0] = 0;
-  bounds[shards] = NodeId(n);
-  // Greedy sweep: extend shard s−1's block while the running prefix's
-  // midpoint stays at or below the ideal s/shards split of the total —
-  // i.e. take node `id` iff acc + w[id]/2 ≤ s·total/shards, in overflow-
-  // safe integer form. Clamped so every block keeps at least one node.
-  std::uint64_t acc = 0;
-  NodeId id = 0;
-  for (std::uint32_t s = 1; s < shards; ++s) {
-    const NodeId min_id = bounds[s - 1] + 1;
-    const NodeId max_id = NodeId(n - (shards - s));
-    while (id < min_id ||
-           (id < max_id &&
-            (2 * acc + weight[id]) * shards <= 2 * total * s)) {
-      acc += weight[id];
-      ++id;
-    }
-    bounds[s] = id;
-  }
-  return bounds;
-}
 
 void ShardWorld::set_behavior(NodeId id,
                               std::unique_ptr<NodeBehavior> behavior) {
@@ -218,39 +156,7 @@ void ShardWorld::schedule_keyed(RealTime when, EventKey key, NodeId target,
   SSBFT_EXPECTS(target < config_.n);
   SSBFT_EXPECTS(tl_current_shard_ == nullptr);  // serial phases only
   SSBFT_EXPECTS(!exported_);
-  if (cost_tracking_) {
-    // Adaptive policies park an extractable wrapper so a repartition can
-    // re-register the action on the rebuilt shards.
-    schedule_world_action(when, key, target, std::move(action));
-  } else {
-    shard_of(target).schedule_action(when, key, target, std::move(action));
-  }
-}
-
-void ShardWorld::schedule_world_action(RealTime when, EventKey key,
-                                       NodeId target,
-                                       std::function<void()> action) {
-  const std::uint64_t seq = key.seq;
-  {
-    std::lock_guard<std::mutex> lock(actions_mutex_);
-    SSBFT_EXPECTS(actions_.find(seq) == actions_.end());
-    actions_[seq] =
-        WorldMigration::PendingAction{when, key, target, std::move(action)};
-  }
-  shard_of(target).schedule_action(when, key, target,
-                                   [this, seq] { fire_action(seq); });
-}
-
-void ShardWorld::fire_action(std::uint64_t seq) {
-  std::function<void()> action;
-  {
-    std::lock_guard<std::mutex> lock(actions_mutex_);
-    const auto it = actions_.find(seq);
-    SSBFT_ASSERT(it != actions_.end());
-    action = std::move(it->second.action);
-    actions_.erase(it);
-  }
-  action();
+  shard_of(target).schedule_action(when, key, target, std::move(action));
 }
 
 void ShardWorld::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
@@ -293,8 +199,7 @@ void ShardWorld::account_window() {
   // Owner-attributed view: a node's queue stays resident on its owning
   // shard even when a thief worker runs it, so each shard's dispatched()
   // delta counts the work its OWN nodes consumed this window regardless of
-  // which worker executed it. This is the load signal boundaries can act
-  // on — moving nodes changes owner load, not worker luck.
+  // which worker executed it — the skew of the static blocks themselves.
   std::uint64_t owner_max = 0;
   std::uint64_t owner_min = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t owner_total = 0;
@@ -346,13 +251,6 @@ void ShardWorld::account_window() {
   sched_stats_.owner_imbalance_max =
       std::max(sched_stats_.owner_imbalance_max, owner_imbalance);
   sched_stats_.owner_imbalance_sum += owner_imbalance;
-  // The repartition hysteresis feeds on the OWNER view: under kSteal the
-  // thieves equalize the executor counts, which used to mask exactly the
-  // skew the repartitioner exists to remove — heavy stealing looked like
-  // balance, so the boundaries never moved and every window paid the steal
-  // overhead again.
-  hysteresis_sum_ += owner_imbalance;
-  ++hysteresis_windows_;
 #if SSBFT_TRACING
   if (config_.tracer != nullptr) {
     // Retroactive window span: emitted once per accounted window, from the
@@ -378,92 +276,10 @@ void ShardWorld::account_window() {
 #endif
 }
 
-void ShardWorld::repartition() {
-  ++sched_stats_.repartitions;
-#if SSBFT_TRACING
-  if (config_.tracer != nullptr) {
-    // Keyed buffer: plan-time work runs on the last worker to arrive.
-    config_.tracer->keyed_buffer(kLaneWindows)->push(TraceRecord{
-        window_end_.ns(), 0, std::int64_t(shards_.size()), kLaneWindows,
-        TraceName::kRepartition, TraceKind::kInstant, TraceLayer::kEngine});
-  }
-#endif
-  // Tear the live shards down exactly like an engine handoff, except the
-  // snapshot never leaves this engine: fold counters, export deliveries /
-  // timers / nodes, rebuild on cost-balanced boundaries, re-adopt.
-  std::vector<Network::PendingDelivery> deliveries;
-  std::vector<TimerWheel::ExportedRecord> timers;
-  std::vector<std::uint32_t> generations;
-  for (auto& shard : shards_) {
-    world_stats_ += shard->stats();
-    base_dispatched_ += shard->dispatched();
-    shard->export_deliveries(deliveries);
-    std::vector<TimerWheel::ExportedRecord> records;
-    std::vector<std::uint32_t> gens;
-    shard->export_timers(records, gens);
-    timers.insert(timers.end(), std::make_move_iterator(records.begin()),
-                  std::make_move_iterator(records.end()));
-    if (gens.size() > generations.size()) generations.resize(gens.size(), 0);
-    for (std::size_t i = 0; i < gens.size(); ++i) {
-      generations[i] = std::max(generations[i], gens[i]);
-    }
-  }
-  std::vector<WorldMigration::NodeState> nodes(config_.n);
-  for (NodeId id = 0; id < config_.n; ++id) {
-    shard_of(id).export_node(id, nodes[id]);
-  }
-  // Weights: dispatches charged per node since the LAST repartition — the
-  // recent-load signal — plus one so idle nodes still spread evenly.
-  std::vector<std::uint64_t> weight(config_.n, 1);
-  for (NodeId id = 0; id < config_.n; ++id) {
-    weight[id] += node_cost_[id] - node_cost_base_[id];
-  }
-  node_cost_base_ = node_cost_;
-  const std::uint32_t shards = std::uint32_t(shards_.size());
-  make_shards(balanced_boundaries(weight, shards));
-  for (NodeId id = 0; id < config_.n; ++id) {
-    shard_of(id).adopt_node(id, std::move(nodes[id]));
-  }
-  for (auto& shard : shards_) {
-    // Every surviving record fires at or after the window edge we are
-    // parked on (in-window timers were pumped and dispatched), so the edge
-    // is a valid wheel epoch and keeps pump bounds monotone.
-    shard->import_timers(timers, generations, window_end_);
-  }
-  for (const Network::PendingDelivery& p : deliveries) {
-    if (p.forged) {
-      shard_of(p.dest).schedule_forged(p.when, p.key, p.dest, p.msg);
-    } else {
-      shard_of(p.dest).schedule_delivery(p.when, p.key, p.dest, p.msg);
-    }
-  }
-  // Pending world actions re-register under their ORIGINAL keys — the
-  // registry holds the real closures, the queues only held wrappers.
-  {
-    std::lock_guard<std::mutex> lock(actions_mutex_);
-    for (const auto& [seq, a] : actions_) {
-      const std::uint64_t s = seq;
-      shard_of(a.target).schedule_action(a.when, a.key, a.target,
-                                         [this, s] { fire_action(s); });
-    }
-  }
-}
-
 void ShardWorld::plan_next_window() {
   if (in_window_) {
-    const bool final_pass = window_inclusive_;
     account_window();
     in_window_ = false;
-    // Hysteresis-gated: only consider moving boundaries when the recent
-    // mean imbalance says the static blocks are paying for it, and never
-    // bother right before the run stops.
-    if (!final_pass && sched_ != ShardSched::kStatic && shards_.size() > 1 &&
-        hysteresis_windows_ >= kRepartitionWindows) {
-      const double mean = hysteresis_sum_ / double(hysteresis_windows_);
-      hysteresis_sum_ = 0.0;
-      hysteresis_windows_ = 0;
-      if (mean >= kRepartitionThreshold) repartition();
-    }
   }
   if (window_inclusive_) {
     // The inclusive pass at the target just ran: nothing at or before the
@@ -504,11 +320,7 @@ void ShardWorld::plan_next_window() {
     window_end_ = target_;
     window_inclusive_ = true;
   } else {
-    // Lax windows are k·λ wide: the slack barrier inside them recovers the
-    // λ-granular safety, so wider windows just mean fewer full barriers.
-    const Duration width =
-        sched_ == ShardSched::kLax ? lookahead_ * kLaxFactor : lookahead_;
-    window_end_ = std::min(start + width, target_);
+    window_end_ = std::min(start + lookahead_, target_);
     window_inclusive_ = false;
   }
   window_start_ = start;
@@ -519,10 +331,6 @@ void ShardWorld::plan_next_window() {
     }
     for (auto& cursor : steal_cursor_) {
       cursor.store(0, std::memory_order_relaxed);
-    }
-  } else if (sched_ == ShardSched::kLax && !window_inclusive_) {
-    for (auto& frontier : lax_frontier_) {
-      frontier.store(window_start_.ns(), std::memory_order_relaxed);
     }
   }
 }
@@ -585,44 +393,6 @@ void ShardWorld::run_steal_window(std::uint32_t worker) {
   tl_exec_ = nullptr;
 }
 
-void ShardWorld::lax_run(Shard* shard) {
-  const std::uint32_t self = shard->index();
-  const std::uint32_t shards = std::uint32_t(shards_.size());
-  const RealTime end = window_end_;
-  std::int64_t mine = lax_frontier_[self].load(std::memory_order_relaxed);
-  // Slack barrier: a shard may dispatch up to min(peer frontiers) + λ —
-  // nothing a peer has not yet executed can land before that. The drain
-  // happens AFTER the frontier loads: any message a peer pushed after we
-  // loaded its frontier F carries when ≥ F + λ ≥ horizon, so it cannot be
-  // needed this step; anything needed is already in the inbox.
-  while (RealTime{mine} < end) {
-    std::int64_t peer_min = std::numeric_limits<std::int64_t>::max();
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      if (s == self) continue;
-      peer_min = std::min(peer_min,
-                          lax_frontier_[s].load(std::memory_order_acquire));
-    }
-    const RealTime horizon = std::min(end, RealTime{peer_min} + lookahead_);
-    if (horizon <= RealTime{mine}) {
-      // We ARE the frontier (or tied): wait for a laggard to publish.
-      std::this_thread::yield();
-      continue;
-    }
-    shard->drain_lax_inbox();
-    shard->process_until(horizon, /*inclusive=*/false);
-    mine = horizon.ns();
-    lax_frontier_[self].store(mine, std::memory_order_release);
-#if SSBFT_TRACING
-    if (config_.tracer != nullptr) {
-      config_.tracer->emit(TraceRecord{mine, 0, 0, kLaneWorker0 + self,
-                                       TraceName::kLaxPublish,
-                                       TraceKind::kInstant,
-                                       TraceLayer::kEngine});
-    }
-#endif
-  }
-}
-
 void ShardWorld::run_windows(RealTime target, bool quiescence) {
   target_ = target;
   quiescence_ = quiescence;
@@ -644,24 +414,18 @@ void ShardWorld::run_windows(RealTime target, bool quiescence) {
       std::barrier processed(std::ptrdiff_t(shards_.size()));
       std::barrier planned(std::ptrdiff_t(shards_.size()),
                            [this]() noexcept { plan_next_window(); });
-      // Workers go by INDEX, not pointer: a repartition at the planning
-      // barrier replaces the Shard objects, so each iteration re-fetches.
       const auto worker = [&](std::uint32_t w) {
+        Shard* shard = shards_[w].get();
         while (true) {
-          Shard* shard = shards_[w].get();
           if (sched_ == ShardSched::kSteal) {
             run_steal_window(w);
-          } else if (sched_ == ShardSched::kLax && !window_inclusive_) {
-            tl_current_shard_ = shard;
-            lax_run(shard);
-            tl_current_shard_ = nullptr;
           } else {
             tl_current_shard_ = shard;
             shard->process_until(window_end_, window_inclusive_);
             tl_current_shard_ = nullptr;
           }
           processed.arrive_and_wait();  // all outboxes for this window final
-          shards_[w]->drain_inboxes();
+          shard->drain_inboxes();
           planned.arrive_and_wait();    // completion plans the next window
           if (stop_) return;
         }
@@ -709,7 +473,6 @@ void ShardWorld::run_before(RealTime t) {
 }
 
 void ShardWorld::enable_handoff_export() {
-  track_handoff_ = true;
   for (auto& shard : shards_) shard->enable_handoff_export();
 }
 
@@ -750,8 +513,7 @@ WorldMigration ShardWorld::export_migration() {
   }
   // World-level actions are the orchestrator's to carry (DutyWorld keeps
   // the originals and re-registers extractable wrappers per segment);
-  // nothing here can peel a raw closure back out of a queue. The adaptive
-  // registry's leftovers die with the queues for the same reason.
+  // nothing here can peel a raw closure back out of a queue.
   return m;
 }
 

@@ -19,15 +19,12 @@
 //   3. observation is canonicalized per node (metrics::run_digest), so the
 //      wall-clock interleaving of shard threads is unobservable.
 // test_shard asserts digest equality across all six StackKinds × shard
-// counts × scheduling policies; bench_shard measures the speedup.
+// counts × both scheduling policies; bench_shard measures the speedup.
 //
-// On top of the static-blocks engine, WorldConfig::shard_sched selects the
-// adaptive scheduler (see ShardSched in sim/world.hpp):
-//   * balance — per-node dispatch counts (the cost model) feed a greedy
-//     balanced repartition of the contiguous blocks, recomputed at window
-//     barriers behind a hysteresis threshold. The move reuses the engine-
-//     migration machinery: tracked deliveries, exported timer records, and
-//     adopted node state rebuild the shards with everything in flight.
+// The node → shard partition is fixed at construction (contiguous equal
+// blocks). WorldConfig::shard_sched picks how workers cover it (see
+// ShardSched in sim/world.hpp):
+//   * static — each worker runs its own shard's central queue.
 //   * steal — work lives in PER-NODE queues; at plan time each shard lists
 //     its nodes with runnable window work, and workers claim whole nodes
 //     (own shard first, then the busiest peer) via atomic cursors. Within
@@ -36,13 +33,6 @@
 //     work — so per-node key order is all the digest can see, and who
 //     executed a node is unobservable. Sends during steal windows park in
 //     per-worker outboxes merged at the barrier.
-//   * lax — windows widen to k·λ and the per-window barrier relaxes to
-//     published frontiers (the Graphite/Sniper slack barrier adapted to a
-//     bounded-delay network): each shard repeatedly processes up to
-//     min(peer frontiers) + λ, receiving cross-shard sends mid-window
-//     through a mutex inbox, and commits only at the deterministic window
-//     edge. A shard never dispatches past what a peer could still affect,
-//     so the dispatch gate — hence the digest — is unchanged.
 //
 // Requirements: λ > 0 (the Cluster degrades shards to the serial engine
 // when the delay floor is zero — λ = 0 degrades to serial execution, never
@@ -59,9 +49,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/shard.hpp"
@@ -80,9 +68,6 @@ class ShardWorld final : public WorldBase {
   /// the exact (when, creator, seq) order the serial engine would have.
   /// `handoff_export` pre-enables per-shard delivery tracking so this
   /// segment can itself be exported at the next cut (reverse migration).
-  /// Under an adaptive policy the initial partition is balanced against the
-  /// migrated in-flight set (deliveries + timers per node) — exactly the
-  /// post-chaos hot spot the static equal split handles worst.
   ShardWorld(WorldConfig config, WorldMigration&& migration,
              bool handoff_export = false);
   ~ShardWorld() override;
@@ -99,8 +84,8 @@ class ShardWorld final : public WorldBase {
   /// The policy this engine actually runs: the configured one, demoted to
   /// kStatic when only one shard exists (nothing to schedule across).
   [[nodiscard]] ShardSched sched() const { return sched_; }
-  /// Scheduler observability: windows, per-window imbalance, repartition
-  /// and steal counters (see ShardSchedStats).
+  /// Scheduler observability: windows, per-window imbalance and steal
+  /// counters (see ShardSchedStats).
   [[nodiscard]] const ShardSchedStats& sched_stats() const {
     return sched_stats_;
   }
@@ -125,8 +110,7 @@ class ShardWorld final : public WorldBase {
 
   /// Track every delivery for export on all shards (fresh-start form; the
   /// adoption constructor's flag covers adopted runs). Must precede all
-  /// traffic; see Shard::enable_handoff_export. Idempotent — the adaptive
-  /// policies pre-enable tracking for their own repartitions.
+  /// traffic; see Shard::enable_handoff_export. Idempotent.
   void enable_handoff_export();
 
   /// Merge the per-shard state back into one serial-adoptable snapshot:
@@ -186,13 +170,6 @@ class ShardWorld final : public WorldBase {
     Logger logger;
   };
 
-  // Adaptive-scheduler tuning. Windows between repartition decisions and
-  // the mean imbalance that triggers one (hysteresis: a stable workload
-  // never pays the rebuild); the lax window widening factor k.
-  static constexpr std::uint32_t kRepartitionWindows = 16;
-  static constexpr double kRepartitionThreshold = 1.25;
-  static constexpr std::int64_t kLaxFactor = 4;
-
   /// Owning shard, from the exact node → shard table built at construction
   /// (the boundaries floor(s·n/S) have no closed-form inverse that is safe
   /// to get subtly wrong — a mismapped node would abort or corrupt).
@@ -209,29 +186,6 @@ class ShardWorld final : public WorldBase {
     return EventKey{kGlobalCreator, world_seq_++};
   }
 
-  /// Cost-model hook: one dispatched event charged to `id` (delivery or
-  /// timer fire). Only the adaptive policies pay the increment.
-  void note_cost(NodeId id) {
-    if (cost_tracking_) ++node_cost_[id];
-  }
-
-  /// (Re)build the shard set over contiguous blocks [bounds[s], bounds[s+1]);
-  /// bounds.front() == 0, bounds.back() == n. Honors track_handoff_.
-  void make_shards(const std::vector<NodeId>& bounds);
-  /// Greedy balanced contiguous partition of `weight` into S blocks, every
-  /// block non-empty. Deterministic (pure integer arithmetic).
-  [[nodiscard]] static std::vector<NodeId> balanced_boundaries(
-      const std::vector<std::uint64_t>& weight, std::uint32_t shards);
-  /// Tear the live shards down into a migration snapshot and rebuild them
-  /// on cost-balanced boundaries — the balance policy's barrier-time move.
-  void repartition();
-
-  /// Register + schedule a world action through the extractable-wrapper
-  /// registry (adaptive policies; static schedules the closure directly).
-  void schedule_world_action(RealTime when, EventKey key, NodeId target,
-                             std::function<void()> action);
-  void fire_action(std::uint64_t seq);
-
   /// Advance all shards to `target` in lookahead windows. `quiescence`
   /// stops as soon as no shard holds an event at or before `target` and
   /// leaves each queue's clock at its last dispatch; otherwise every queue
@@ -239,9 +193,9 @@ class ShardWorld final : public WorldBase {
   /// (run_before) makes the final window exclusive at `target` and also
   /// leaves each clock at its last dispatch.
   void run_windows(RealTime target, bool quiescence);
-  /// Barrier-completion step: account the window that just ran, maybe
-  /// repartition, then plan the next window (or stop). Runs single-threaded
-  /// while every worker is parked at the barrier.
+  /// Barrier-completion step: account the window that just ran, then plan
+  /// the next window (or stop). Runs single-threaded while every worker is
+  /// parked at the barrier.
   void plan_next_window();
   /// Fold the finished window's per-worker/per-shard dispatch deltas into
   /// the imbalance metrics (and, for steal, merge exec-context counters).
@@ -249,9 +203,6 @@ class ShardWorld final : public WorldBase {
   /// One worker's steal-window loop: drain own items, then claim nodes
   /// from the busiest shard until nothing runnable remains.
   void run_steal_window(std::uint32_t worker);
-  /// One shard's lax-window loop: repeatedly drain the inbox and process
-  /// up to min(peer frontiers) + λ until the window edge commits.
-  void lax_run(Shard* shard);
 
   static thread_local Shard* tl_current_shard_;
   /// The queue whose clock is "now" for the executing thread — a node
@@ -264,41 +215,23 @@ class ShardWorld final : public WorldBase {
   Logger logger_;
   Duration lookahead_{};
   ShardSched sched_ = ShardSched::kStatic;  // demoted to kStatic when S == 1
-  bool cost_tracking_ = false;
-  bool track_handoff_ = false;  // new shards enable delivery tracking
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::uint32_t> shard_index_;  // node id → owning shard
   std::uint64_t world_seq_ = 0;
   std::uint64_t forged_seq_ = 0;  // forged-channel key seq (kForgedCreator)
   // World-level counters: inject_raw forged accounting, plus — after an
-  // engine handoff or a repartition — the retired shards' wire and dispatch
-  // totals.
+  // engine handoff — the serial prefix's wire and dispatch totals.
   NetworkStats world_stats_;
   std::uint64_t base_dispatched_ = 0;
   RealTime global_now_{};
   bool started_ = false;
   bool exported_ = false;  // export_migration happened; the engine is dead
 
-  // Cost model (adaptive policies): dispatches charged per node since
-  // construction, and the snapshot at the last repartition — the delta is
-  // the recent-load weight vector.
-  std::vector<std::uint64_t> node_cost_;
-  std::vector<std::uint64_t> node_cost_base_;
   std::vector<std::uint64_t> last_shard_dispatched_;  // per-window deltas
   ShardSchedStats sched_stats_;
-  double hysteresis_sum_ = 0.0;  // window imbalance since last decision
-  std::uint32_t hysteresis_windows_ = 0;
 
-  // Extractable world-action registry (adaptive policies): the queues hold
-  // only [seq → fire_action] wrappers, so a repartition can re-register
-  // every pending action on the rebuilt shards under its original key.
-  // Guarded: actions fire on worker threads.
-  std::mutex actions_mutex_;
-  std::map<std::uint64_t, WorldMigration::PendingAction> actions_;
-
-  std::vector<std::unique_ptr<ExecContext>> exec_;          // kSteal, per worker
-  std::vector<std::atomic<std::uint32_t>> steal_cursor_;    // per shard
-  std::vector<std::atomic<std::int64_t>> lax_frontier_;     // kLax, ns
+  std::vector<std::unique_ptr<ExecContext>> exec_;        // kSteal, per worker
+  std::vector<std::atomic<std::uint32_t>> steal_cursor_;  // per shard
 
   // Window-loop shared state; written only in plan_next_window (all workers
   // parked at the barrier) and read by workers after the barrier releases.

@@ -13,9 +13,7 @@ const char* to_string(ShardSched sched) {
   // kShardSchedCount unit test catches it at runtime too.
   switch (sched) {
     case ShardSched::kStatic: return "static";
-    case ShardSched::kBalance: return "balance";
     case ShardSched::kSteal: return "steal";
-    case ShardSched::kLax: return "lax";
   }
   return "?";
 }

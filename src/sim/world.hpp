@@ -33,50 +33,40 @@ namespace ssbft {
 
 class Tracer;  // harness/trace.hpp; engines only carry the pointer
 
-/// Scheduling policy for the conservative-parallel engine's shards. All
-/// four policies produce bit-identical observable histories (digest parity
+/// Scheduling policy for the conservative-parallel engine's shards. Both
+/// policies produce bit-identical observable histories (digest parity
 /// with the serial engine is the hard gate); they differ only in how the
 /// work is spread across worker threads:
 ///   kStatic   contiguous equal-size node blocks, full barrier per
-///             λ-window — the original engine, zero scheduling overhead.
-///   kBalance  kStatic plus cost-aware repartitioning: per-node dispatch
-///             counts feed a greedy balanced partition recomputed at
-///             window barriers (with hysteresis) and at every chaos →
-///             sharded migration, where imbalance is worst.
-///   kSteal    kBalance plus deterministic intra-window work stealing:
+///             λ-window — zero scheduling overhead; the faster choice for
+///             small worlds and short post-chaos segments.
+///   kSteal    kStatic plus deterministic intra-window work stealing:
 ///             idle workers claim whole nodes' within-window runnable
 ///             work from other shards. Per-node execution order is
 ///             preserved exactly, and within a window nodes are mutually
 ///             independent (every send lands at or after the window end),
-///             so who executed what is unobservable.
-///   kLax      kBalance plus slack windows à la Graphite/Sniper's
-///             clock-skew-minimization barrier: shards run ahead of the
-///             λ-window on slack, bounded by the slowest peer's published
-///             frontier + λ, and commit only at deterministic window
-///             edges k·λ apart.
+///             so who executed what is unobservable. The faster choice for
+///             large worlds (n = 512 on 4 threads, BENCH_shard.json).
 enum class ShardSched : std::uint8_t {
   kStatic,
-  kBalance,
   kSteal,
-  kLax,
 };
 
 /// Number of ShardSched enumerators (test_enums checks to_string covers
 /// exactly this many).
-inline constexpr std::uint32_t kShardSchedCount = 4;
+inline constexpr std::uint32_t kShardSchedCount = 2;
 
 [[nodiscard]] const char* to_string(ShardSched sched);
 
-/// Scheduler-level counters for the adaptive sharded engine: how many
-/// λ-windows ran, how (im)balanced their per-worker dispatch counts were,
-/// and how often the two adaptive mechanisms kicked in. Purely
+/// Scheduler-level counters for the sharded engine: how many λ-windows
+/// ran, how (im)balanced their per-worker dispatch counts were, and how
+/// often work stealing kicked in. Purely
 /// observational — none of it feeds back into the simulation, so the
 /// counters may differ across policies while digests stay identical.
 /// DutyWorld sums one of these per sharded segment.
 struct ShardSchedStats {
   std::uint64_t windows = 0;           // lookahead windows run
   std::uint64_t measured_windows = 0;  // windows with at least one dispatch
-  std::uint64_t repartitions = 0;      // cost-aware boundary recomputations
   std::uint64_t steals = 0;            // foreign-shard node claims
   std::uint64_t stolen_events = 0;     // events executed on a thief worker
   std::uint64_t window_events = 0;     // dispatches over measured windows
@@ -86,11 +76,9 @@ struct ShardSchedStats {
   double imbalance_max = 0.0;
   double imbalance_sum = 0.0;
   /// Per-window imbalance attributed to the OWNING shard, counting a
-  /// stolen node's events against its owner. This is the signal the
-  /// repartitioner acts on: stealing equalizes the executor view by
-  /// design, which would otherwise mask exactly the imbalance a boundary
-  /// move could fix. Identical to the executor view for non-steal
-  /// policies.
+  /// stolen node's events against its owner: how skewed the static blocks
+  /// are, which the executor view hides by design under kSteal. Identical
+  /// to the executor view under kStatic.
   double owner_imbalance_max = 0.0;
   double owner_imbalance_sum = 0.0;
 
@@ -108,7 +96,6 @@ struct ShardSchedStats {
   ShardSchedStats& operator+=(const ShardSchedStats& o) {
     windows += o.windows;
     measured_windows += o.measured_windows;
-    repartitions += o.repartitions;
     steals += o.steals;
     stolen_events += o.stolen_events;
     window_events += o.window_events;

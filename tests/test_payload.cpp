@@ -6,8 +6,11 @@
 // authentication enabled, bit-identical to serial.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "harness/metrics.hpp"
 #include "harness/sweep.hpp"
@@ -90,6 +93,48 @@ TEST(PayloadTest, PatternedPayloadIsDeterministic) {
   const Payload b = make_patterned_payload(300, 0xdeadbeef);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.checksum(), payload_fnv(b.data(), b.size()));
+}
+
+// Shard workers acquire, copy and release pooled bodies concurrently. The
+// pool's chunk directory must therefore stay readable while another thread
+// grows it: every reader (data, size, checksum, add_ref, release) indexes
+// the directory without the pool lock. Each thread ramps up thousands of
+// live slots so the directory grows while its peers read — ThreadSanitizer
+// flags any growth that moves the directory under a reader.
+TEST(PayloadTest, ConcurrentAcquireCopyReleaseKeepsContent) {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kLivePerThread = 4096;
+  constexpr std::uint32_t kRounds = 3;
+  const std::uint32_t live_before = payload_pool().live();
+  std::atomic<std::uint32_t> ready{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  const auto worker = [&](std::uint32_t t) {
+    ready.fetch_add(1);
+    while (ready.load() < kThreads) std::this_thread::yield();
+    std::uint64_t bad = 0;
+    for (std::uint32_t round = 0; round < kRounds; ++round) {
+      std::vector<Payload> held;
+      held.reserve(kLivePerThread);
+      for (std::uint32_t i = 0; i < kLivePerThread; ++i) {
+        const std::uint32_t size = Payload::kInlineCapacity + 1 + i % 97;
+        const std::uint64_t tag = (std::uint64_t(t) << 32) | (round << 16) | i;
+        held.push_back(make_patterned_payload(size, tag));
+        // Copy a slot handed out earlier while peers keep growing the pool.
+        const Payload copy = held[i / 2];
+        bad += copy.checksum() != payload_fnv(copy.data(), copy.size());
+        bad += !(copy == held[i / 2]);
+      }
+      // Release in an interleaved order so peers recycle each other's
+      // free-list entries.
+      for (std::uint32_t i = 0; i < kLivePerThread; i += 2) held[i] = Payload{};
+    }
+    mismatches.fetch_add(bad);
+  };
+  std::vector<std::thread> pool;
+  for (std::uint32_t t = 0; t < kThreads; ++t) pool.emplace_back(worker, t);
+  for (std::thread& th : pool) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(payload_pool().live(), live_before);
 }
 
 // --- Authenticator units ----------------------------------------------------

@@ -257,8 +257,7 @@ TEST(TopologyDeterminism, SameSeedSameDigestAndEngineParity) {
     EXPECT_NE(serial.digest, 0u) << to_string(topology);
 
     for (const std::uint32_t shards : {2u, 4u}) {
-      for (const ShardSched sched :
-           {ShardSched::kStatic, ShardSched::kSteal, ShardSched::kLax}) {
+      for (const ShardSched sched : {ShardSched::kStatic, ShardSched::kSteal}) {
         Scenario sc = overlay_scenario(topology);
         sc.shards = shards;
         sc.shard_sched = sched;

@@ -61,16 +61,16 @@ TEST(TracerTest, MergesKeyedBuffersBeforeThreadBuffersStably) {
   tracer.keyed_buffer(1)->push(
       record_at(10, TraceName::kWindow, TraceKind::kSpanBegin, 1));
   tracer.keyed_buffer(0)->push(
-      record_at(10, TraceName::kRepartition, TraceKind::kInstant, 0));
+      record_at(10, TraceName::kWindowEvents, TraceKind::kCounter, 0));
   tracer.emit(record_at(10, TraceName::kSteal, TraceKind::kInstant, 2));
-  tracer.emit(record_at(5, TraceName::kLaxPublish, TraceKind::kInstant, 2));
+  tracer.emit(record_at(5, TraceName::kRelay, TraceKind::kInstant, 2));
 
   const std::vector<TraceRecord> merged = tracer.merged();
   ASSERT_EQ(merged.size(), 4u);
-  EXPECT_EQ(merged[0].name, TraceName::kLaxPublish);  // earliest timestamp
-  EXPECT_EQ(merged[1].name, TraceName::kRepartition);  // keyed, key 0
-  EXPECT_EQ(merged[2].name, TraceName::kWindow);       // keyed, key 1
-  EXPECT_EQ(merged[3].name, TraceName::kSteal);        // thread buffer last
+  EXPECT_EQ(merged[0].name, TraceName::kRelay);         // earliest timestamp
+  EXPECT_EQ(merged[1].name, TraceName::kWindowEvents);  // keyed, key 0
+  EXPECT_EQ(merged[2].name, TraceName::kWindow);        // keyed, key 1
+  EXPECT_EQ(merged[3].name, TraceName::kSteal);         // thread buffer last
   EXPECT_EQ(tracer.recorded(), 4u);
   EXPECT_EQ(tracer.dropped(), 0u);
 }
@@ -226,9 +226,9 @@ TEST(TraceParityTest, EveryStackOnEveryEngine) {
   };
   const EngineCfg engines[] = {
       {0, false, ShardSched::kStatic, "serial"},
-      {2, false, ShardSched::kBalance, "sharded2/balance"},
+      {2, false, ShardSched::kStatic, "sharded2/static"},
       {4, false, ShardSched::kSteal, "sharded4/steal"},
-      {2, true, ShardSched::kLax, "duty2/lax"},
+      {2, true, ShardSched::kSteal, "duty2/steal"},
       {4, true, ShardSched::kStatic, "duty4/static"},
   };
   for (std::uint32_t k = 0; k < kStackKindCount; ++k) {
@@ -247,8 +247,7 @@ TEST(TraceParityTest, EveryStackOnEveryEngine) {
 // between trace buffers (stealing changes which thread emits), never the
 // physics.
 TEST(TraceParityTest, EverySchedPolicyAndShardCount) {
-  constexpr ShardSched kScheds[] = {ShardSched::kStatic, ShardSched::kBalance,
-                                    ShardSched::kSteal, ShardSched::kLax};
+  constexpr ShardSched kScheds[] = {ShardSched::kStatic, ShardSched::kSteal};
   for (const bool chaos : {false, true}) {
     for (const std::uint32_t shards : {1u, 2u, 4u}) {
       for (const ShardSched sched : kScheds) {
@@ -331,7 +330,7 @@ TEST(TraceGoldenTest, ShardedRunEmitsEngineLayer) {
 #if !SSBFT_TRACING
   GTEST_SKIP() << "emission sites compiled out (SSBFT_TRACING=0)";
 #endif
-  Scenario sc = trace_scenario(StackKind::kAgree, 4, false, ShardSched::kBalance);
+  Scenario sc = trace_scenario(StackKind::kAgree, 4, false, ShardSched::kStatic);
   sc.trace = true;
   Cluster cluster(sc);
   cluster.run();

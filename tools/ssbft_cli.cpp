@@ -27,7 +27,7 @@
 //   --trace PATH      record a structured timeline (harness/trace.hpp) and
 //                     export it as Perfetto / chrome://tracing JSON — open
 //                     at https://ui.perfetto.dev. Protocol round spans,
-//                     engine window/steal/repartition/migration events,
+//                     engine window/steal/migration events,
 //                     workload and chaos instants. Digests are bit-identical
 //                     with or without it (test_trace pins that).
 //   --stats-json PATH dump the self-describing stats registry (engine,
@@ -54,10 +54,9 @@
 // --shards S deploys on the conservative-parallel engine (S shards,
 // bit-identical results). It needs a lookahead: a link-delay distribution
 // with a positive minimum, e.g. --link-min-us 100. --shard-sched picks the
-// scheduling policy for those shards — static (fixed equal blocks),
-// balance (cost-aware repartitioning), steal (deterministic work
-// stealing), or lax (slack-barrier windows); digests are identical under
-// every mode, and the adaptive ones print a scheduler report. Without one the run
+// scheduling policy for those shards — static (fixed equal blocks) or
+// steal (deterministic work stealing); digests are identical under both,
+// and steal prints a scheduler report. Without one the run
 // degrades to the serial engine. Combined with --chaos-ms the run
 // alternates: each chaos window executes on the serial engine, the
 // complete in-flight state migrates to the windowed engine for the
@@ -127,7 +126,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "          [--csv PATH] [--json PATH]\n"
                "STACK: agree|pulse|clock|log|pipeline|tps\n"
                "ADVERSARY: silent|noise|equivocate|stagger|spam|replay|faker\n"
-               "MODE: static|balance|steal|lax\n"
+               "MODE: static|steal\n"
                "AUTH: null|hmac\n"
                "TOPOLOGY: flat|federated|gossip\n",
                argv0, argv0);
@@ -164,9 +163,7 @@ Topology parse_topology(const std::string& name, const char* argv0) {
 
 ShardSched parse_shard_sched(const std::string& name, const char* argv0) {
   if (name == "static") return ShardSched::kStatic;
-  if (name == "balance") return ShardSched::kBalance;
   if (name == "steal") return ShardSched::kSteal;
-  if (name == "lax") return ShardSched::kLax;
   usage(argv0);
 }
 
@@ -485,14 +482,13 @@ bool write_single_run_json(const std::string& path, Cluster& cluster,
     std::fprintf(
         out,
         "  \"sched_stats\": {\"windows\": %llu, \"measured_windows\": %llu, "
-        "\"window_events\": %llu, \"repartitions\": %llu, \"steals\": %llu, "
+        "\"window_events\": %llu, \"steals\": %llu, "
         "\"stolen_events\": %llu, \"imbalance_mean\": %.6f, "
         "\"imbalance_max\": %.6f, \"owner_imbalance_mean\": %.6f, "
         "\"owner_imbalance_max\": %.6f},\n",
         static_cast<unsigned long long>(ss.windows),
         static_cast<unsigned long long>(ss.measured_windows),
         static_cast<unsigned long long>(ss.window_events),
-        static_cast<unsigned long long>(ss.repartitions),
         static_cast<unsigned long long>(ss.steals),
         static_cast<unsigned long long>(ss.stolen_events), ss.imbalance_mean(),
         ss.imbalance_max, ss.owner_imbalance_mean(), ss.owner_imbalance_max);
@@ -885,10 +881,9 @@ int main(int argc, char** argv) {
                               : "");
   }
   if (cluster.sharded() && sc.shard_sched != ShardSched::kStatic) {
-    // Scheduler observability: how balanced the windows ran and what the
-    // adaptive machinery did about it. Alternating runs also show the
-    // engine-switch overhead and the per-segment shard counts the adaptive
-    // sizing picked.
+    // Scheduler observability: how balanced the windows ran and how much
+    // stealing it took. Alternating runs also show the engine-switch
+    // overhead and the per-segment shard counts the adaptive sizing picked.
     ShardSchedStats ss;
     if (auto* duty = dynamic_cast<DutyWorld*>(&cluster.world())) {
       ss = duty->sched_stats();
@@ -905,10 +900,9 @@ int main(int argc, char** argv) {
       ss = sharded->sched_stats();
     }
     std::printf("sched: %llu windows, imbalance mean %.2f max %.2f, "
-                "repartitions %llu, steals %llu (%llu events stolen)\n",
+                "steals %llu (%llu events stolen)\n",
                 static_cast<unsigned long long>(ss.windows),
                 ss.imbalance_mean(), ss.imbalance_max,
-                static_cast<unsigned long long>(ss.repartitions),
                 static_cast<unsigned long long>(ss.steals),
                 static_cast<unsigned long long>(ss.stolen_events));
   }
