@@ -40,14 +40,12 @@ constexpr std::uint32_t kShards = 4;
 /// burst, and the engine must migrate serial↔sharded at every boundary.
 /// Window geometry scales with n so the big row stays a bounded slice of
 /// the messaging storm (one n=128 agreement is ~3M relays).
-Scenario duty_scenario(std::uint32_t n, std::uint32_t shards,
-                       ShardSched sched = ShardSched::kStatic) {
+Scenario duty_scenario(std::uint32_t n, std::uint32_t shards) {
   Scenario sc;
   sc.n = n;
   sc.f = (n - 1) / 3;
   sc.with_tail_faults(sc.f);
   sc.shards = shards;
-  sc.shard_sched = sched;
   // Delay floor = lookahead, as in bench_shard: exponential tail, floored
   // at δ/10 = 100 µs.
   sc.link_delay =
@@ -120,7 +118,6 @@ EngineRun run_engine(const Scenario& sc) {
 
 struct Row {
   std::uint32_t n = 0;
-  ShardSched sched = ShardSched::kStatic;
   EngineRun serial;
   EngineRun alternating;
   [[nodiscard]] double speedup() const {
@@ -166,36 +163,30 @@ void print_table() {
               "alternating (%u shards between windows, %u hardware "
               "threads)\n",
               kShards, std::thread::hardware_concurrency());
-  Table table({"n", "sched", "windows", "migrations", "events",
+  Table table({"n", "windows", "migrations", "events",
                "serial Mev/s", "alternating Mev/s", "speedup",
                "migration us", "digest parity"});
   std::vector<Row> rows;
   for (const std::uint32_t n : {32u, 128u}) {
-    const EngineRun serial = run_engine(duty_scenario(n, 0));
-    // static pins the configured shard count; steal re-sizes every
-    // stabilization segment from the previous segment's event rate (and
-    // steals inside segments) — same parity gate on both.
-    for (const ShardSched sched : {ShardSched::kStatic, ShardSched::kSteal}) {
-      Row row;
-      row.n = n;
-      row.sched = sched;
-      row.serial = serial;
-      row.alternating = run_engine(duty_scenario(n, kShards, sched));
-      char serial_s[32], alt_s[32], speedup_s[32], mig_s[32];
-      std::snprintf(serial_s, sizeof serial_s, "%.2f",
-                    row.serial.events_per_sec / 1e6);
-      std::snprintf(alt_s, sizeof alt_s, "%.2f",
-                    row.alternating.events_per_sec / 1e6);
-      std::snprintf(speedup_s, sizeof speedup_s, "%.2fx", row.speedup());
-      std::snprintf(mig_s, sizeof mig_s, "%.1f",
-                    double(row.alternating.migration_ns) * 1e-3);
-      table.add_row({std::to_string(n), to_string(sched),
-                     std::to_string(row.alternating.windows.size()),
-                     std::to_string(row.alternating.migrations),
-                     Table::fmt_int(row.serial.events), serial_s, alt_s,
-                     speedup_s, mig_s, row.parity() ? "yes" : "NO — BUG"});
-      rows.push_back(row);
-    }
+    // Every stabilization segment runs on all kShards shards.
+    Row row;
+    row.n = n;
+    row.serial = run_engine(duty_scenario(n, 0));
+    row.alternating = run_engine(duty_scenario(n, kShards));
+    char serial_s[32], alt_s[32], speedup_s[32], mig_s[32];
+    std::snprintf(serial_s, sizeof serial_s, "%.2f",
+                  row.serial.events_per_sec / 1e6);
+    std::snprintf(alt_s, sizeof alt_s, "%.2f",
+                  row.alternating.events_per_sec / 1e6);
+    std::snprintf(speedup_s, sizeof speedup_s, "%.2fx", row.speedup());
+    std::snprintf(mig_s, sizeof mig_s, "%.1f",
+                  double(row.alternating.migration_ns) * 1e-3);
+    table.add_row({std::to_string(n),
+                   std::to_string(row.alternating.windows.size()),
+                   std::to_string(row.alternating.migrations),
+                   Table::fmt_int(row.serial.events), serial_s, alt_s,
+                   speedup_s, mig_s, row.parity() ? "yes" : "NO — BUG"});
+    rows.push_back(row);
   }
   table.print();
   std::printf("(parity is the hard gate: the alternating run — %zu engine "
@@ -235,14 +226,13 @@ void print_table() {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
       std::fprintf(out,
-                   "    {\"n\": %u, \"sched\": \"%s\", \"windows\": %zu, "
+                   "    {\"n\": %u, \"windows\": %zu, "
                    "\"migrations\": %zu, \"events\": %llu, "
                    "\"serial_events_per_sec\": %.0f, "
                    "\"alternating_events_per_sec\": %.0f, "
                    "\"speedup\": %.3f, \"migration_ns\": %llu, "
                    "\"dispatch_ns\": %llu, \"parity\": %s}%s\n",
-                   row.n, to_string(row.sched),
-                   row.alternating.windows.size(),
+                   row.n, row.alternating.windows.size(),
                    row.alternating.migrations,
                    static_cast<unsigned long long>(row.serial.events),
                    row.serial.events_per_sec,

@@ -1,23 +1,22 @@
-// bench_shard — serial World vs sharded (conservative-parallel) engine on
-// one big run, across every shard scheduling policy.
+// bench_shard — serial World vs the windowed (node-major) engine on one
+// big run.
 //
-// SweepRunner parallelizes ACROSS runs; the sharded engine parallelizes
+// SweepRunner parallelizes ACROSS runs; the windowed engine parallelizes
 // WITHIN one run, which is what the "millions of users" workload needs.
 // This bench deploys the agreement stack at n ∈ {32, 128, 512} with a
 // 100 µs delay floor (the lookahead λ) and measures events/sec through the
-// serial engine and through S = 4 shards under each shard_sched policy
-// (static blocks, deterministic work stealing), verifying on every row
-// that the two engines produced
-// bit-identical run digests — parity is the hard gate, speedup is reported
-// per-machine (single-core containers show ≈ 1×; the multi-core CI runners
-// demonstrate the scaling). Each sharded row also reports the scheduler's
-// own health metrics: per-window imbalance (max/min worker dispatches)
-// and steal count. A post-chaos stabilization row per
-// policy exercises the alternating engine (serial chaos window → windowed
-// suffix, sim/duty_world.hpp) on the scramble + chaos + agreement-storm
-// workload, splitting its wall time into migration (export/adopt) vs
-// dispatch nanoseconds, with the same parity gate; bench_dutycycle extends
-// it to recurring duty cycles.
+// serial engine, through the windowed engine on ONE thread (node-major
+// dispatch alone, no parallelism), and through S = 4 shards, verifying on
+// every row that the engines produced bit-identical run digests — parity
+// is the hard gate, speedup is reported per-machine. The one-thread column
+// separates what node-major order buys from what the extra threads buy.
+// Each sharded row also reports the scheduler's own health metrics:
+// per-window imbalance (max/min worker dispatches) and steal count. A
+// post-chaos stabilization row exercises the alternating engine (serial
+// chaos window → windowed suffix, sim/duty_world.hpp) on the scramble +
+// chaos + agreement-storm workload, splitting its wall time into migration
+// (export/adopt) vs dispatch nanoseconds, with the same parity gate;
+// bench_dutycycle extends it to recurring duty cycles.
 //
 // Results go to stdout (table) and BENCH_shard.json (machine-readable,
 // tracked in-repo so future PRs can diff the perf trajectory).
@@ -42,10 +41,6 @@ namespace {
 
 constexpr std::uint32_t kShards = 4;
 
-/// Every scheduling policy of the windowed engine, benched side by side on
-/// identical scenarios — the digests must agree across the whole column.
-constexpr ShardSched kModes[] = {ShardSched::kStatic, ShardSched::kSteal};
-
 /// Simulated horizon per n. One agreement costs Θ(n²·f) relay messages
 /// (~3M at n = 128, ~10⁸ at n = 512), so the big rows measure the engine's
 /// events/sec on a bounded slice of the messaging storm rather than riding
@@ -65,14 +60,12 @@ std::uint64_t peak_rss_kb() {
   return std::uint64_t(usage.ru_maxrss);
 }
 
-Scenario shard_bench_scenario(std::uint32_t n, std::uint32_t shards,
-                              ShardSched sched) {
+Scenario shard_bench_scenario(std::uint32_t n, std::uint32_t shards) {
   Scenario sc;
   sc.n = n;
   sc.f = (n - 1) / 3;
   sc.with_tail_faults(sc.f);
   sc.shards = shards;
-  sc.shard_sched = sched;
   // The delay floor that gives the engine its lookahead: exponential tail
   // as in the World default, floored at δ/10 = 100 µs.
   sc.link_delay =
@@ -94,8 +87,8 @@ Scenario shard_bench_scenario(std::uint32_t n, std::uint32_t shards,
 constexpr std::uint32_t kLargeN = 4096;
 constexpr std::uint32_t kLargeClusterSize = 64;
 
-Scenario large_n_scenario(std::uint32_t shards, ShardSched sched) {
-  Scenario sc = shard_bench_scenario(kLargeN, shards, sched);
+Scenario large_n_scenario(std::uint32_t shards) {
+  Scenario sc = shard_bench_scenario(kLargeN, shards);
   sc.topology = Topology::kFederated;
   sc.cluster_size = kLargeClusterSize;
   sc.run_for = microseconds(1800);
@@ -110,9 +103,8 @@ Scenario large_n_scenario(std::uint32_t shards, ShardSched sched) {
 /// gate.
 constexpr std::int64_t kChaosMs = 2;
 
-Scenario chaos_bench_scenario(std::uint32_t n, std::uint32_t shards,
-                              ShardSched sched) {
-  Scenario sc = shard_bench_scenario(n, shards, sched);
+Scenario chaos_bench_scenario(std::uint32_t n, std::uint32_t shards) {
+  Scenario sc = shard_bench_scenario(n, shards);
   sc.chaos_period = milliseconds(kChaosMs);
   sc.transient_scramble = true;
   sc.transient.spurious_per_node = 16;
@@ -138,7 +130,7 @@ struct EngineRun {
   std::uint64_t events = 0;
   std::uint64_t digest = 0;
   std::uint32_t shards = 1;
-  ShardSchedStats sched;       // windowed-engine scheduler health
+  WindowStats sched;       // windowed-engine scheduler health
   std::uint64_t migration_ns = 0;  // engine-switch cost (alternating only)
 
   /// Wall time actually spent dispatching, after subtracting the engine
@@ -149,8 +141,9 @@ struct EngineRun {
   }
 };
 
-EngineRun run_engine(const Scenario& sc) {
-  Cluster cluster(sc);
+EngineRun run_engine(const Scenario& sc,
+                     Cluster::Engine engine = Cluster::Engine::kAuto) {
+  Cluster cluster(sc, engine);
   const auto t0 = std::chrono::steady_clock::now();
   cluster.run();
   const auto t1 = std::chrono::steady_clock::now();
@@ -172,18 +165,30 @@ EngineRun run_engine(const Scenario& sc) {
   return out;
 }
 
+double wall_ratio(const EngineRun& serial, const EngineRun& other) {
+  return serial.wall_seconds > 0 && other.wall_seconds > 0
+             ? serial.wall_seconds / other.wall_seconds
+             : 0;
+}
+
+bool same_run(const EngineRun& serial, const EngineRun& other) {
+  return serial.digest == other.digest && serial.events == other.events;
+}
+
 struct Row {
   std::uint32_t n = 0;
-  ShardSched mode = ShardSched::kStatic;
   EngineRun serial;
+  EngineRun one_thread;  // windowed engine, one shard: node-major only
   EngineRun sharded;
   [[nodiscard]] double speedup() const {
-    return serial.wall_seconds > 0 && sharded.wall_seconds > 0
-               ? serial.wall_seconds / sharded.wall_seconds
-               : 0;
+    return wall_ratio(serial, sharded);
+  }
+  [[nodiscard]] double one_thread_speedup() const {
+    return wall_ratio(serial, one_thread);
   }
   [[nodiscard]] bool parity() const {
-    return serial.digest == sharded.digest && serial.events == sharded.events;
+    return same_run(serial, sharded) &&
+           (one_thread.events == 0 || same_run(serial, one_thread));
   }
 };
 
@@ -194,69 +199,59 @@ std::string fmt2(double v) {
 }
 
 void print_table() {
-  std::printf("\nShard engine: one big run, serial vs %u shards × every "
-              "shard_sched policy (lookahead 100 us, %u hardware threads)\n",
+  std::printf("\nWindowed engine: one big run, serial vs node-major on 1 "
+              "thread vs %u shards (lookahead 100 us, %u hardware threads)\n",
               kShards, std::thread::hardware_concurrency());
-  Table table({"n", "sched", "events", "serial Mev/s", "sharded Mev/s",
-               "speedup", "imb mean", "steals", "digest parity"});
+  Table table({"n", "events", "serial Mev/s", "1-thread Mev/s", "1-thread",
+               "sharded Mev/s", "speedup", "imb mean", "steals",
+               "digest parity"});
   std::vector<Row> rows;
   for (const std::uint32_t n : {32u, 128u, 512u}) {
-    const EngineRun serial =
-        run_engine(shard_bench_scenario(n, 0, ShardSched::kStatic));
-    for (const ShardSched mode : kModes) {
-      Row row;
-      row.n = n;
-      row.mode = mode;
-      row.serial = serial;
-      row.sharded = run_engine(shard_bench_scenario(n, kShards, mode));
-      table.add_row({std::to_string(n), to_string(mode),
-                     Table::fmt_int(row.serial.events),
-                     fmt2(row.serial.events_per_sec / 1e6),
-                     fmt2(row.sharded.events_per_sec / 1e6),
-                     fmt2(row.speedup()) + "x",
-                     fmt2(row.sharded.sched.imbalance_mean()),
-                     std::to_string(row.sharded.sched.steals),
-                     row.parity() ? "yes" : "NO — BUG"});
-      rows.push_back(row);
-    }
+    Row row;
+    row.n = n;
+    row.serial = run_engine(shard_bench_scenario(n, 0));
+    row.one_thread =
+        run_engine(shard_bench_scenario(n, 1), Cluster::Engine::kWindowed);
+    row.sharded = run_engine(shard_bench_scenario(n, kShards));
+    table.add_row({std::to_string(n), Table::fmt_int(row.serial.events),
+                   fmt2(row.serial.events_per_sec / 1e6),
+                   fmt2(row.one_thread.events_per_sec / 1e6),
+                   fmt2(row.one_thread_speedup()) + "x",
+                   fmt2(row.sharded.events_per_sec / 1e6),
+                   fmt2(row.speedup()) + "x",
+                   fmt2(row.sharded.sched.imbalance_mean()),
+                   std::to_string(row.sharded.sched.steals),
+                   row.parity() ? "yes" : "NO — BUG"});
+    rows.push_back(row);
   }
   table.print();
-  std::printf("(parity is the hard gate: a sharded run must be bit-identical "
-              "to its serial twin under every policy; speedup is "
+  std::printf("(parity is the hard gate: every windowed run must be "
+              "bit-identical to its serial twin; speedups are "
               "machine-dependent. imb mean = per-window max/min worker "
               "dispatches.)\n");
 
   // Post-chaos stabilization workload: the alternating engine
   // (serial chaos window -> windowed suffix) vs all-serial, on the
-  // scramble + chaos + agreement-storm shape the paper actually measures —
-  // once per scheduling policy, with the engine-switch cost split out of
-  // the wall time.
+  // scramble + chaos + agreement-storm shape the paper actually measures,
+  // with the engine-switch cost split out of the wall time.
   std::printf("\nPost-chaos stabilization (chaos [0, %lld ms) runs serial on "
               "both engines; the alternating engine shards the suffix)\n",
               static_cast<long long>(kChaosMs));
-  Table chaos_table({"n", "sched", "events", "serial Mev/s", "two-phase Mev/s",
+  Table chaos_table({"n", "events", "serial Mev/s", "two-phase Mev/s",
                      "speedup", "migration us", "imb mean",
                      "digest parity"});
-  std::vector<Row> chaos_rows;
-  const std::uint32_t chaos_n = 128;
-  const EngineRun chaos_serial =
-      run_engine(chaos_bench_scenario(chaos_n, 0, ShardSched::kStatic));
-  for (const ShardSched mode : kModes) {
-    Row row;
-    row.n = chaos_n;
-    row.mode = mode;
-    row.serial = chaos_serial;
-    row.sharded = run_engine(chaos_bench_scenario(chaos_n, kShards, mode));
-    chaos_table.add_row({std::to_string(row.n), to_string(mode),
-                         Table::fmt_int(row.serial.events),
-                         fmt2(row.serial.events_per_sec / 1e6),
-                         fmt2(row.sharded.events_per_sec / 1e6),
-                         fmt2(row.speedup()) + "x",
-                         fmt2(double(row.sharded.migration_ns) * 1e-3),
-                         fmt2(row.sharded.sched.imbalance_mean()),
-                         row.parity() ? "yes" : "NO — BUG"});
-    chaos_rows.push_back(row);
-  }
+  Row chaos_row;
+  chaos_row.n = 128;
+  chaos_row.serial = run_engine(chaos_bench_scenario(chaos_row.n, 0));
+  chaos_row.sharded = run_engine(chaos_bench_scenario(chaos_row.n, kShards));
+  chaos_table.add_row({std::to_string(chaos_row.n),
+                       Table::fmt_int(chaos_row.serial.events),
+                       fmt2(chaos_row.serial.events_per_sec / 1e6),
+                       fmt2(chaos_row.sharded.events_per_sec / 1e6),
+                       fmt2(chaos_row.speedup()) + "x",
+                       fmt2(double(chaos_row.sharded.migration_ns) * 1e-3),
+                       fmt2(chaos_row.sharded.sched.imbalance_mean()),
+                       chaos_row.parity() ? "yes" : "NO — BUG"});
   chaos_table.print();
 
   // Scale pin: n = 4096 on the federated overlay, serial vs sharded, with
@@ -271,10 +266,8 @@ void print_table() {
                      "digest parity"});
   Row large_row;
   large_row.n = kLargeN;
-  large_row.mode = ShardSched::kStatic;
-  large_row.serial = run_engine(large_n_scenario(0, ShardSched::kStatic));
-  large_row.sharded =
-      run_engine(large_n_scenario(kShards, ShardSched::kStatic));
+  large_row.serial = run_engine(large_n_scenario(0));
+  large_row.sharded = run_engine(large_n_scenario(kShards));
   const std::uint64_t large_rss_kb = peak_rss_kb();
   large_table.add_row(
       {std::to_string(large_row.n), "federated/64",
@@ -288,7 +281,7 @@ void print_table() {
 
   bool all_parity = true;
   for (const Row& row : rows) all_parity = all_parity && row.parity();
-  for (const Row& row : chaos_rows) all_parity = all_parity && row.parity();
+  all_parity = all_parity && chaos_row.parity();
   all_parity = all_parity && large_row.parity();
 
   if (std::FILE* out = std::fopen("BENCH_shard.json", "w")) {
@@ -300,15 +293,17 @@ void print_table() {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
       std::fprintf(out,
-                   "    {\"n\": %u, \"sched\": \"%s\", \"events\": %llu, "
+                   "    {\"n\": %u, \"events\": %llu, "
                    "\"serial_events_per_sec\": %.0f, "
+                   "\"one_thread_events_per_sec\": %.0f, "
+                   "\"one_thread_speedup\": %.3f, "
                    "\"sharded_events_per_sec\": %.0f, "
                    "\"speedup\": %.3f, \"imbalance_mean\": %.3f, "
                    "\"imbalance_max\": %.3f, "
                    "\"steals\": %llu, \"parity\": %s}%s\n",
-                   row.n, to_string(row.mode),
-                   static_cast<unsigned long long>(row.serial.events),
-                   row.serial.events_per_sec, row.sharded.events_per_sec,
+                   row.n, static_cast<unsigned long long>(row.serial.events),
+                   row.serial.events_per_sec, row.one_thread.events_per_sec,
+                   row.one_thread_speedup(), row.sharded.events_per_sec,
                    row.speedup(), row.sharded.sched.imbalance_mean(),
                    row.sharded.sched.imbalance_max,
                    static_cast<unsigned long long>(row.sharded.sched.steals),
@@ -316,29 +311,24 @@ void print_table() {
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  \"post_chaos_stabilization\": [\n");
-    for (std::size_t i = 0; i < chaos_rows.size(); ++i) {
-      const Row& row = chaos_rows[i];
-      std::fprintf(out,
-                   "    {\"n\": %u, \"sched\": \"%s\", \"chaos_ms\": %lld, "
-                   "\"events\": %llu, "
-                   "\"serial_events_per_sec\": %.0f, "
-                   "\"sharded_events_per_sec\": %.0f, "
-                   "\"speedup\": %.3f, \"migration_ns\": %llu, "
-                   "\"dispatch_ns\": %llu, \"imbalance_mean\": %.3f, "
-                   "\"parity\": %s}%s\n",
-                   row.n, to_string(row.mode),
-                   static_cast<long long>(kChaosMs),
-                   static_cast<unsigned long long>(row.serial.events),
-                   row.serial.events_per_sec, row.sharded.events_per_sec,
-                   row.speedup(),
-                   static_cast<unsigned long long>(row.sharded.migration_ns),
-                   static_cast<unsigned long long>(row.sharded.dispatch_ns()),
-                   row.sharded.sched.imbalance_mean(),
-                   row.parity() ? "true" : "false",
-                   i + 1 < chaos_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n");
+    std::fprintf(out,
+                 "  \"post_chaos_stabilization\": [\n"
+                 "    {\"n\": %u, \"chaos_ms\": %lld, \"events\": %llu, "
+                 "\"serial_events_per_sec\": %.0f, "
+                 "\"sharded_events_per_sec\": %.0f, "
+                 "\"speedup\": %.3f, \"migration_ns\": %llu, "
+                 "\"dispatch_ns\": %llu, \"imbalance_mean\": %.3f, "
+                 "\"parity\": %s}\n  ],\n",
+                 chaos_row.n, static_cast<long long>(kChaosMs),
+                 static_cast<unsigned long long>(chaos_row.serial.events),
+                 chaos_row.serial.events_per_sec,
+                 chaos_row.sharded.events_per_sec, chaos_row.speedup(),
+                 static_cast<unsigned long long>(
+                     chaos_row.sharded.migration_ns),
+                 static_cast<unsigned long long>(
+                     chaos_row.sharded.dispatch_ns()),
+                 chaos_row.sharded.sched.imbalance_mean(),
+                 chaos_row.parity() ? "true" : "false");
     // The map-based protocol cores this PR's flat structures replaced,
     // measured on the n = 512 row at the commit that still carried them.
     // bench_check.py compares the fresh n = 512 serial throughput against
@@ -349,13 +339,12 @@ void print_table() {
                  "\"n512_serial_events_per_sec\": 158726},\n");
     std::fprintf(out,
                  "  \"large_n\": {\"n\": %u, \"topology\": \"federated\", "
-                 "\"cluster_size\": %u, \"sched\": \"%s\", "
-                 "\"events\": %llu, "
+                 "\"cluster_size\": %u, \"events\": %llu, "
                  "\"serial_events_per_sec\": %.0f, "
                  "\"sharded_events_per_sec\": %.0f, "
                  "\"speedup\": %.3f, \"peak_rss_kb\": %llu, "
                  "\"parity\": %s}\n",
-                 large_row.n, kLargeClusterSize, to_string(large_row.mode),
+                 large_row.n, kLargeClusterSize,
                  static_cast<unsigned long long>(large_row.serial.events),
                  large_row.serial.events_per_sec,
                  large_row.sharded.events_per_sec, large_row.speedup(),
@@ -375,18 +364,14 @@ void print_table() {
 void BM_ShardEngine(benchmark::State& state) {
   const auto n = std::uint32_t(state.range(0));
   const auto shards = std::uint32_t(state.range(1));
-  const auto sched = ShardSched(state.range(2));
   EngineRun run;
-  for (auto _ : state) {
-    run = run_engine(shard_bench_scenario(n, shards, sched));
-  }
+  for (auto _ : state) run = run_engine(shard_bench_scenario(n, shards));
   state.counters["Mev_per_sec"] = run.events_per_sec / 1e6;
   state.counters["shards"] = run.shards;
 }
 BENCHMARK(BM_ShardEngine)
-    ->Args({32, 0, std::int64_t(ShardSched::kStatic)})
-    ->Args({32, kShards, std::int64_t(ShardSched::kStatic)})
-    ->Args({32, kShards, std::int64_t(ShardSched::kSteal)})
+    ->Args({32, 0})
+    ->Args({32, kShards})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -48,6 +48,9 @@ void EquivocatingGeneral::on_message(NodeContext& ctx,
   // Keep both waves alive: echo back support/approve/ready for whatever
   // value the correct nodes are currently testing — to *everyone*, since a
   // split vote is more confusing than a consistent one at this stage.
+  // send_all includes ourselves, so our own reflections come back: echoing
+  // those again would feed an unbounded loop-back flood.
+  if (msg.sender == ctx.id()) return;
   if (msg.kind == MsgKind::kSupport || msg.kind == MsgKind::kApprove ||
       msg.kind == MsgKind::kReady) {
     if (msg.general.node != ctx.id()) return;

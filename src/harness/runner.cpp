@@ -51,15 +51,15 @@ std::unique_ptr<NodeBehavior> make_adversary(const Scenario& sc, NodeId id) {
 
 }  // namespace
 
-Cluster::Cluster(const Scenario& scenario)
+Cluster::Cluster(const Scenario& scenario, Engine engine)
     : scenario_(scenario), params_(scenario.make_params()) {
   hub_.attach(&recording_);
-  build();
+  build(engine);
 }
 
 Cluster::~Cluster() = default;
 
-void Cluster::build() {
+void Cluster::build(Engine engine) {
   WorldConfig wc;
   wc.n = scenario_.n;
   wc.delta = scenario_.delta;
@@ -81,7 +81,6 @@ void Cluster::build() {
   wc.log_level = scenario_.log_level;
   wc.auth = scenario_.auth;
   wc.shards = scenario_.shards;
-  wc.shard_sched = scenario_.shard_sched;
   wc.timer_wheel = scenario_.timer_wheel;
   if (scenario_.trace) {
     tracer_ = std::make_unique<Tracer>();
@@ -107,9 +106,12 @@ void Cluster::build() {
   // every boundary. The stabilization stretches scale, digests stay
   // bit-identical to all-serial (test_duty).
   shards_ = ShardWorld::effective_shards(wc);
+  if (engine == Engine::kWindowed) {
+    SSBFT_EXPECTS(windows.empty() && wc.lookahead() > Duration::zero());
+  }
   if (shards_ > 1 && !windows.empty()) {
     world_ = std::make_unique<DutyWorld>(wc, windows);
-  } else if (shards_ > 1) {
+  } else if (shards_ > 1 || engine == Engine::kWindowed) {
     world_ = std::make_unique<ShardWorld>(wc);
   } else {
     world_ = std::make_unique<World>(wc);

@@ -23,7 +23,14 @@ class Tracer;  // harness/trace.hpp
 
 class Cluster {
  public:
-  explicit Cluster(const Scenario& scenario);
+  /// Engine choice. kAuto is the rule world() documents. kWindowed runs a
+  /// chaos-free scenario on the windowed engine even at one shard (the
+  /// caller's thread dispatching node-major, no workers) — how the benches'
+  /// one-thread rows and the one-shard parity tests reach that engine. It
+  /// needs a positive delay floor and no chaos schedule.
+  enum class Engine : std::uint8_t { kAuto, kWindowed };
+
+  explicit Cluster(const Scenario& scenario, Engine engine = Engine::kAuto);
   ~Cluster();
 
   Cluster(const Cluster&) = delete;
@@ -95,7 +102,7 @@ class Cluster {
   [[nodiscard]] std::uint32_t correct_count() const { return correct_count_; }
 
  private:
-  void build();
+  void build(Engine engine);
   void inject(NodeId target, Value value);
 
   Scenario scenario_;

@@ -21,7 +21,7 @@
 #include "sim/fault_injector.hpp"
 #include "sim/network.hpp"  // ChaosWindow
 #include "sim/topology.hpp"
-#include "sim/world.hpp"    // ShardSched
+#include "sim/world.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 
@@ -190,7 +190,7 @@ struct Scenario {
   Duration run_for = milliseconds(200);
   std::uint64_t seed = 1;
   LogLevel log_level = LogLevel::kWarn;
-  /// Shards for the conservative-parallel engine (0/1 ⇒ serial engine).
+  /// Worker shards for the windowed engine (0/1 ⇒ serial engine).
   /// Requires a link_delay with a positive minimum to take effect (the
   /// lookahead); results are bit-identical to serial for any value. With a
   /// chaos schedule the deployment alternates: each chaos window runs on
@@ -198,11 +198,6 @@ struct Scenario {
   /// engine, with a full state migration at every boundary
   /// (sim/duty_world.hpp) — still bit-identical to an all-serial run.
   std::uint32_t shards = 0;
-  /// Shard scheduling policy: static blocks or deterministic work
-  /// stealing — see ShardSched in sim/world.hpp. Bit-identical results
-  /// either way; the policy only changes how work spreads across shard
-  /// workers.
-  ShardSched shard_sched = ShardSched::kStatic;
   /// Node timers ride the hierarchical timer wheel (WorldConfig doc).
   /// false ⇒ legacy heap-resident timers; observable histories identical.
   bool timer_wheel = true;

@@ -44,7 +44,7 @@ bool StatsRegistry::write_json(const std::string& path) const {
 
 namespace {
 
-void add_sched_stats(StatsRegistry& reg, const ShardSchedStats& st) {
+void add_sched_stats(StatsRegistry& reg, const WindowStats& st) {
   reg.add("sched.windows", double(st.windows), "count",
           "lookahead windows run by the sharded engine");
   reg.add("sched.measured_windows", double(st.measured_windows), "count",
@@ -61,7 +61,7 @@ void add_sched_stats(StatsRegistry& reg, const ShardSchedStats& st) {
           "worst per-window executor imbalance");
   reg.add("sched.owner_imbalance_mean", st.owner_imbalance_mean(), "ratio",
           "mean per-window max/min OWNER-shard dispatch ratio (the skew "
-          "of the static blocks, before stealing)");
+          "of the node blocks, before stealing)");
   reg.add("sched.owner_imbalance_max", st.owner_imbalance_max, "ratio",
           "worst per-window owner-shard imbalance");
 }
@@ -109,7 +109,7 @@ StatsRegistry collect_run_stats(Cluster& cluster) {
             "engine switches performed");
     reg.add("duty.migration_ns", double(duty->migration_ns()), "ns",
             "wall time inside export/adopt (dispatch excluded)");
-    reg.add("duty.segments", double(duty->segment_shards().size()), "count",
+    reg.add("duty.segments", double(duty->segments()), "count",
             "sharded stabilization segments");
     add_sched_stats(reg, duty->sched_stats());
   } else if (auto* shard = dynamic_cast<ShardWorld*>(&world)) {

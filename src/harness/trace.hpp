@@ -1,7 +1,7 @@
 // Structured tracing: a low-overhead timeline recorder for the simulator.
 //
 // The tracer answers the question the aggregate metrics (run_digest,
-// window_stabilization, ShardSchedStats) cannot: *when* and *where* did
+// window_stabilization, WindowStats) cannot: *when* and *where* did
 // time go inside a run. Three layers of records share one format:
 //   protocol — agreement round spans (anchor → return) with quorum-progress
 //              instants, pulse cycles, clock-sync snaps, log commit spans

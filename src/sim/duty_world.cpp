@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "harness/trace.hpp"
@@ -50,11 +49,9 @@ DutyWorld::DutyWorld(WorldConfig config,
     serial_->enable_handoff_export();
     serial_->network().set_faulty_windows(windows_);
   } else {
-    // No previous segment to rate-estimate from: the opening sharded
-    // segment always uses the configured count.
     sharded_ = std::make_unique<ShardWorld>(config_);
     sharded_->enable_handoff_export();
-    segment_shards_.push_back(sharded_->shard_count());
+    ++segments_;
   }
 }
 
@@ -113,12 +110,8 @@ void DutyWorld::migrate_to(RealTime cut) {
     WorldMigration m = serial_->export_migration();
     serial_.reset();
     wall_export = std::chrono::steady_clock::now();
-    // Under steal the stabilization segment's shard count follows the
-    // chaos segment's event rate; static keeps the configured count.
-    WorldConfig wc = config_;
-    wc.shards = segment_shard_count(cut, m.dispatched);
-    sharded_ = std::make_unique<ShardWorld>(std::move(wc), std::move(m), more);
-    segment_shards_.push_back(sharded_->shard_count());
+    sharded_ = std::make_unique<ShardWorld>(config_, std::move(m), more);
+    ++segments_;
   } else {
     // Reverse direction: merge the shards back into one snapshot, adopt
     // serially for the next window.
@@ -176,29 +169,6 @@ void DutyWorld::migrate_to(RealTime cut) {
                           TraceLayer::kEngine});
   }
 #endif
-  // Rate-estimation bookkeeping: the next segment starts at this cut.
-  segment_dispatch_base_ = dispatched();
-  segment_start_ = cut;
-}
-
-std::uint32_t DutyWorld::segment_shard_count(RealTime cut,
-                                             std::uint64_t dispatched_now) {
-  if (config_.shard_sched == ShardSched::kStatic) return config_.shards;
-  const std::uint32_t max_shards = ShardWorld::effective_shards(config_);
-  const std::int64_t elapsed = cut.ns() - segment_start_.ns();
-  // Upcoming segment length: to the next cut, or (open-ended tail) assume
-  // the previous segment's length. All inputs are simulation state, so the
-  // choice is identical on every host — determinism survives.
-  const std::int64_t upcoming =
-      (cursor_ < cuts_.size() ? cuts_[cursor_].ns() : cut.ns() + elapsed) -
-      cut.ns();
-  if (elapsed <= 0 || upcoming <= 0) return max_shards;
-  const double rate =
-      double(dispatched_now - segment_dispatch_base_) / double(elapsed);
-  const double expected = rate * double(upcoming);
-  const double ideal = std::ceil(expected / double(kEventsPerSegmentShard));
-  return std::uint32_t(
-      std::clamp(ideal, 1.0, double(max_shards)));
 }
 
 void DutyWorld::cross_cuts_until(RealTime t) {

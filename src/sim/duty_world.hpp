@@ -6,7 +6,8 @@
 // every `period` — therefore alternates two execution regimes: inside a
 // window the network behaves arbitrarily (unbounded effective delays, so
 // only the serial engine is sound), and between windows the bounded-delay
-// model holds and the conservative-parallel ShardWorld scales.
+// model holds and the windowed ShardWorld runs node-major on the configured
+// shard count — every stabilization segment, however short.
 //
 // DutyWorld compiles the window list into an alternation schedule and
 // switches engines at every boundary with a FULL state migration in both
@@ -71,16 +72,13 @@ class DutyWorld final : public WorldBase {
   /// action re-registration, run_before (dispatch) excluded. The benches
   /// split alternation cost into migration vs dispatch with this.
   [[nodiscard]] std::uint64_t migration_ns() const { return migration_ns_; }
-  /// Shard count chosen for each sharded segment, in order. Under steal
-  /// the count follows the previous segment's event rate; static runs
-  /// always use the configured count.
-  [[nodiscard]] const std::vector<std::uint32_t>& segment_shards() const {
-    return segment_shards_;
-  }
+  /// Sharded stabilization segments started so far, the live one
+  /// included. Each runs on the configured shard count.
+  [[nodiscard]] std::size_t segments() const { return segments_; }
   /// Scheduler counters summed over every sharded segment so far,
   /// including the live one (each segment is a fresh ShardWorld).
-  [[nodiscard]] ShardSchedStats sched_stats() const {
-    ShardSchedStats total = sched_total_;
+  [[nodiscard]] WindowStats sched_stats() const {
+    WindowStats total = sched_total_;
     if (sharded_) total += sharded_->sched_stats();
     return total;
   }
@@ -119,20 +117,8 @@ class DutyWorld final : public WorldBase {
   [[nodiscard]] EventQueue& queue() override;
 
  private:
-  /// Adaptive segment sizing (steal only): aim for about this many
-  /// dispatched events per shard per stabilization segment — fewer and the
-  /// barrier overhead dominates, more and a single segment
-  /// under-parallelizes.
-  static constexpr std::uint64_t kEventsPerSegmentShard = 2000;
-
   [[nodiscard]] WorldBase& active();
   [[nodiscard]] const WorldBase& active() const;
-
-  /// Shard count for the segment starting at `cut`, from the PREVIOUS
-  /// segment's event rate (pure simulation state — deterministic). Static
-  /// scheduling keeps the configured count.
-  [[nodiscard]] std::uint32_t segment_shard_count(RealTime cut,
-                                                  std::uint64_t dispatched_now);
 
   /// Cross one boundary: drain the active engine strictly before `cut`,
   /// export, adopt on the other engine, and re-register the surviving
@@ -148,11 +134,8 @@ class DutyWorld final : public WorldBase {
   std::size_t cursor_ = 0;                     // next cut to cross
   std::size_t migrations_ = 0;
   std::uint64_t migration_ns_ = 0;             // export/adopt wall time
-  ShardSchedStats sched_total_;                // retired segments' counters
-  std::vector<std::uint32_t> segment_shards_;  // per sharded segment
-  // Previous-segment event-rate inputs for adaptive sizing.
-  std::uint64_t segment_dispatch_base_ = 0;
-  RealTime segment_start_{};
+  std::size_t segments_ = 0;                   // sharded segments started
+  WindowStats sched_total_;                    // retired segments' counters
 
   // Exactly one engine is live at a time; which one flips at every cut.
   std::unique_ptr<World> serial_;

@@ -9,6 +9,15 @@
 
 namespace ssbft {
 
+template <typename Op>
+decltype(auto) Shard::exclusive(Op&& op) {
+  if (concurrent_ && ShardWorld::tl_exec_ != nullptr) {
+    const std::lock_guard<std::mutex> lock(exec_mutex_);
+    return op();
+  }
+  return op();
+}
+
 // NodeContext for a sharded node. Mirrors World::ContextImpl exactly —
 // same key channels, same stream draws — but routes through the shard.
 class Shard::ContextImpl final : public NodeContext {
@@ -32,47 +41,25 @@ class Shard::ContextImpl final : public NodeContext {
     const RealTime fire =
         std::max(shard_.world_.real_at(id_, when), shard_.world_.now());
     Shard& shard = shard_;
-    NodeSlot& slot = shard_.slot(id_);
+    const ShardWorld& world = shard.world_;
+    NodeSlot& slot = shard.slot(id_);
     const EventKey key{id_, slot.timer_seq++ * 2 + 1};  // odd channel: timers
-    if (shard.steal_) {
-      // Steal windows share the wheel between the owner and thieves, so
-      // every wheel op takes the shard's execution lock while a window is
-      // running. A fire INSIDE the current window cannot wait for the next
-      // plan-time pump — park it straight in the executing node's queue
-      // (timers are always self-node, and this worker owns that queue for
-      // the whole window).
-      const bool executing = ShardWorld::tl_exec_ != nullptr;
-      const bool in_window =
-          executing && (shard.world_.window_inclusive_
-                            ? fire <= shard.world_.window_end_
-                            : fire < shard.world_.window_end_);
-      if (!in_window && shard.world_.config().timer_wheel) {
-        if (executing) {
-          std::lock_guard<std::mutex> lock(shard.exec_mutex_);
-          return shard.timers_.schedule(fire, key, id_, cookie);
-        }
-        return shard.timers_.schedule(fire, key, id_, cookie);
-      }
-      TimerHandle handle;
-      if (executing) {
-        std::lock_guard<std::mutex> lock(shard.exec_mutex_);
-        handle = shard.timers_.arm_external(fire, key, id_, cookie);
-      } else {
-        handle = shard.timers_.arm_external(fire, key, id_, cookie);
-      }
-      shard.node_queue(id_).schedule(
-          fire, key, [&shard, handle] { shard.fire_timer(handle); });
-      return handle;
+    // Due wheel timers reach the node queues at plan time, so a fire INSIDE
+    // the current window cannot wait for the next pump — park it straight
+    // in the executing node's queue (timers are always self-node, and this
+    // worker owns that queue for the whole window).
+    const bool in_window =
+        ShardWorld::tl_exec_ != nullptr &&
+        (world.window_inclusive_ ? fire <= world.window_end_
+                                 : fire < world.window_end_);
+    if (!in_window && world.config().timer_wheel) {
+      return shard.exclusive(
+          [&] { return shard.timers_.schedule(fire, key, id_, cookie); });
     }
-    if (shard.world_.config().timer_wheel) {
-      // Per-shard wheel: a node only ever arms timers on its own shard, so
-      // the wheel needs no synchronization and composes with the windows.
-      return shard.timers_.schedule(fire, key, id_, cookie);
-    }
-    const TimerHandle handle =
-        shard.timers_.arm_external(fire, key, id_, cookie);
-    shard.queue_.schedule(fire, key,
-                          [&shard, handle] { shard.fire_timer(handle); });
+    const TimerHandle handle = shard.exclusive(
+        [&] { return shard.timers_.arm_external(fire, key, id_, cookie); });
+    shard.node_queue(id_).schedule(
+        fire, key, [&shard, handle] { shard.fire_timer(handle); });
     return handle;
   }
 
@@ -82,17 +69,13 @@ class Shard::ContextImpl final : public NodeContext {
   }
 
   bool cancel_timer(TimerHandle handle) override {
-    if (shard_.steal_ && ShardWorld::tl_exec_ != nullptr) {
-      std::lock_guard<std::mutex> lock(shard_.exec_mutex_);
-      return shard_.timers_.cancel(handle);
-    }
-    return shard_.timers_.cancel(handle);
+    return shard_.exclusive([&] { return shard_.timers_.cancel(handle); });
   }
 
   Rng& rng() override { return shard_.slot(id_).rng; }
   Logger& log() override {
     // Thieves must not write the owner's logger; the per-worker exec
-    // logger absorbs log output during steal windows.
+    // logger absorbs log output during windows.
     if (ShardWorld::ExecContext* exec = ShardWorld::tl_exec_) {
       return exec->logger;
     }
@@ -110,16 +93,14 @@ Shard::Shard(ShardWorld& world, std::uint32_t index, std::uint32_t shard_count,
       index_(index),
       first_node_(first_node),
       end_node_(end_node),
-      steal_(world.config().shard_sched == ShardSched::kSteal &&
-             shard_count > 1),
+      concurrent_(shard_count > 1),
       topo_(world.config().topology.resolved(world.config().n)),
+      node_queues_(end_node - first_node),
       logger_(world.config().log_level),
-      auth_(world.config().auth, world.config().seed),
-      outbox_(shard_count) {
+      auth_(world.config().auth, world.config().seed) {
   SSBFT_EXPECTS(first_node_ < end_node_);
   const WorldConfig& config = world_.config();
   slots_.resize(end_node_ - first_node_);
-  if (steal_) node_queues_ = std::vector<EventQueue>(end_node_ - first_node_);
   for (NodeId id = first_node_; id < end_node_; ++id) {
     NodeSlot& s = slots_[id - first_node_];
     s.clock = derive_node_clock(config, id);
@@ -149,10 +130,6 @@ Shard::NodeSlot& Shard::slot(NodeId id) {
 EventQueue& Shard::node_queue(NodeId id) {
   SSBFT_ASSERT(owns(id));
   return node_queues_[id - first_node_];
-}
-
-EventQueue& Shard::dest_queue(NodeId dest) {
-  return steal_ ? node_queue(dest) : queue_;
 }
 
 NetworkStats& Shard::wire_stats() {
@@ -189,13 +166,13 @@ void Shard::scramble_node(NodeId id) {
 DriftingClock& Shard::clock(NodeId id) { return slot(id).clock; }
 
 std::uint64_t Shard::dispatched() const {
-  std::uint64_t total = queue_.dispatched();
+  std::uint64_t total = 0;
   for (const EventQueue& q : node_queues_) total += q.dispatched();
   return total - suppressed_timers_;
 }
 
 RealTime Shard::next_pending_time() const {
-  RealTime next = queue_.empty() ? RealTime::max() : queue_.next_time();
+  RealTime next = RealTime::max();
   for (const EventQueue& q : node_queues_) {
     if (!q.empty()) next = std::min(next, q.next_time());
   }
@@ -203,12 +180,11 @@ RealTime Shard::next_pending_time() const {
 }
 
 void Shard::advance_queues(RealTime t) {
-  queue_.run_until(t);
   for (EventQueue& q : node_queues_) q.run_until(t);
 }
 
 RealTime Shard::last_queue_now() const {
-  RealTime last = queue_.now();
+  RealTime last = RealTime::zero();
   for (const EventQueue& q : node_queues_) last = std::max(last, q.now());
   return last;
 }
@@ -247,31 +223,20 @@ void Shard::dispatch_send(NodeId dest, RealTime when, EventKey key,
                           WireMessage msg) {
   // Delay recomputed only for the lookahead assertions below.
   [[maybe_unused]] const Duration delay = when - world_.now();
-  if (steal_ && ShardWorld::tl_exec_ != nullptr) {
-    // Steal window: even a same-shard destination may be executing on
+  if (ShardWorld::ExecContext* exec = ShardWorld::tl_exec_) {
+    // Inside a window even a same-shard destination may be executing on
     // another worker right now, so EVERY send parks in the worker's private
-    // outbox and merges at the barrier. The heap's key order makes the
-    // detour unobservable.
+    // outbox and merges at the barrier. The bounded-delay model is what
+    // makes this safe — the delivery cannot precede the next window — and
+    // the queue's key order makes the detour unobservable.
     SSBFT_ASSERT(delay >= world_.lookahead());
-    ShardWorld::tl_exec_->outbox[world_.shard_index_[dest]].push(
+    exec->outbox[world_.shard_index_[dest]].push(
         Pending{when, key, dest, std::move(msg)});
     return;
   }
-  if (owns(dest)) {
-    schedule_delivery(when, key, dest, std::move(msg));
-    return;
-  }
-  Shard& target = world_.shard_of(dest);
-  if (ShardWorld::current_shard() == this) {
-    // Inside a window: buffer for the barrier. The bounded-delay model is
-    // what makes this safe — the delivery cannot precede the next window.
-    SSBFT_ASSERT(delay >= world_.lookahead());
-    outbox_[target.index_].push(Pending{when, key, dest, std::move(msg)});
-  } else {
-    // Serial phase (on_start, piecewise runs): no concurrency, insert
-    // straight into the owning shard.
-    target.schedule_delivery(when, key, dest, std::move(msg));
-  }
+  // Serial phase (on_start, scramble, piecewise runs): no concurrency,
+  // insert straight into the owning shard.
+  world_.shard_of(dest).schedule_delivery(when, key, dest, std::move(msg));
 }
 
 void Shard::send_all(NodeId from, const WireMessage& msg) {
@@ -301,7 +266,7 @@ void Shard::relay(NodeId self, const WireMessage& msg) {
       [&](NodeId dest, std::uint8_t route_mark) {
         // Forwarded bytes keep the ORIGIN's sender and tag; the relay node
         // pays the delay/key draws from its own streams (which this shard —
-        // or the executing steal worker — owns at the delivery instant), so
+        // or the executing worker — owns at the delivery instant), so
         // both engines draw identically. Not re-counted as sent.
         WireMessage copy = msg;
         copy.route = route_mark;
@@ -318,7 +283,7 @@ void Shard::schedule_delivery(RealTime when, EventKey key, NodeId dest,
                               WireMessage msg) {
   SSBFT_EXPECTS(owns(dest));
   Shard* shard = this;
-  EventQueue& queue = dest_queue(dest);
+  EventQueue& queue = node_queue(dest);
   // The authenticator check runs inside the closure — at the delivery
   // instant — as a pure function of message content, so serial, sharded,
   // and migrated runs reject the same copies at the same points of the
@@ -356,7 +321,7 @@ void Shard::schedule_forged(RealTime when, EventKey key, NodeId dest,
                             WireMessage msg) {
   SSBFT_EXPECTS(owns(dest));
   Shard* shard = this;
-  EventQueue& queue = dest_queue(dest);
+  EventQueue& queue = node_queue(dest);
   if (!handoff_export_) {
     queue.schedule(when, key, [shard, dest, msg = std::move(msg)] {
       if (!shard->auth_.verify(msg)) {
@@ -384,7 +349,7 @@ void Shard::schedule_forged(RealTime when, EventKey key, NodeId dest,
 void Shard::schedule_action(RealTime when, EventKey key, NodeId target,
                             std::function<void()> action) {
   SSBFT_EXPECTS(owns(target));
-  dest_queue(target).schedule(when, key, std::move(action));
+  node_queue(target).schedule(when, key, std::move(action));
 }
 
 std::uint32_t Shard::track(const Network::PendingDelivery& pending) {
@@ -402,20 +367,14 @@ std::uint32_t Shard::track(const Network::PendingDelivery& pending) {
 }
 
 Network::PendingDelivery Shard::untrack(std::uint32_t index) {
-  if (steal_ && ShardWorld::tl_exec_ != nullptr) {
-    // A thief's dispatch recycles slab slots concurrently with the owner's.
-    std::lock_guard<std::mutex> lock(exec_mutex_);
-    return untrack_unlocked(index);
-  }
-  return untrack_unlocked(index);
-}
-
-Network::PendingDelivery Shard::untrack_unlocked(std::uint32_t index) {
-  SSBFT_EXPECTS(!exported_);  // dispatch after export ⇒ stale snapshot
-  SSBFT_ASSERT(pending_live_[index]);
-  pending_live_[index] = false;
-  pending_free_.push_back(index);
-  return pending_[index];
+  // A thief's dispatch recycles slab slots concurrently with the owner's.
+  return exclusive([&] {
+    SSBFT_EXPECTS(!exported_);  // dispatch after export ⇒ stale snapshot
+    SSBFT_ASSERT(pending_live_[index]);
+    pending_live_[index] = false;
+    pending_free_.push_back(index);
+    return pending_[index];
+  });
 }
 
 void Shard::export_deliveries(std::vector<Network::PendingDelivery>& out) {
@@ -452,8 +411,8 @@ void Shard::pump_timers(RealTime bound) {
   for (const TimerWheel::Due& due : due_batch_) {
     Shard* shard = this;
     // Timer keys are creator == owning node, which routes each record to
-    // its node's queue under kSteal and to the central queue otherwise.
-    dest_queue(NodeId(due.key.creator))
+    // its node's queue.
+    node_queue(NodeId(due.key.creator))
         .schedule(due.when, due.key,
                   [shard, handle = due.handle] { shard->fire_timer(handle); });
   }
@@ -462,47 +421,22 @@ void Shard::pump_timers(RealTime bound) {
 void Shard::fire_timer(TimerHandle handle) {
   NodeId node;
   std::uint64_t cookie;
-  if (steal_ && ShardWorld::tl_exec_ != nullptr) {
-    std::lock_guard<std::mutex> lock(exec_mutex_);
-    if (!timers_.claim(handle, node, cookie)) {
-      ++suppressed_timers_;  // under the lock: thieves suppress too
-      return;
-    }
-  } else if (!timers_.claim(handle, node, cookie)) {
+  const bool live = exclusive([&] {
+    if (timers_.claim(handle, node, cookie)) return true;
     ++suppressed_timers_;  // cancelled after hand-over: a no-op pop
-    return;
-  }
+    return false;
+  });
+  if (!live) return;
   NodeSlot& fired = slot(node);
   if (fired.behavior) fired.behavior->on_timer(*fired.context, cookie);
-}
-
-void Shard::process_until(RealTime end, bool inclusive) {
-  const trace::Scope traced(world_.config().tracer, queue_.now_ptr());
-  logger_.set_now(queue_.now());
-  while (true) {
-    // Hand due timers to the queue inside the window (same shared policy
-    // as the serial engine, timer_pump_bound). A timer landing AT an
-    // exclusive window edge may enter the queue now; the dispatch gate
-    // below still holds it for the next window — early hand-over is
-    // unobservable, dispatch order is the queue's.
-    const RealTime bound = timer_pump_bound(queue_, timers_, end);
-    if (bound != RealTime::max()) {
-      pump_timers(bound);
-      continue;
-    }
-    if (queue_.empty()) break;
-    const RealTime next = queue_.next_time();
-    if (inclusive ? next > end : next >= end) break;
-    queue_.run_one();
-    logger_.set_now(queue_.now());
-  }
 }
 
 void Shard::build_steal_items(RealTime end, bool inclusive) {
   // Mid-window pumping is impossible once thieves share the wheel, so hand
   // over everything due through the window edge now, at plan time. Early
   // hand-over is unobservable: the per-node dispatch gate still holds each
-  // event for its window (see process_until).
+  // event for its window (see run_node_window). A timer landing AT an
+  // exclusive window edge enters the queue now and waits there.
   pump_timers(end);
   steal_items_.clear();
   for (NodeId id = first_node_; id < end_node_; ++id) {
@@ -546,25 +480,16 @@ void Shard::import_timers(
     const std::vector<std::uint32_t>& generations, RealTime now) {
   timers_.import_records(records, generations, now,
                          [this](NodeId node) { return owns(node); }, index_,
-                         std::uint32_t(outbox_.size()));
+                         world_.shard_count());
 }
 
 void Shard::drain_inboxes() {
   const auto sink = [this](Pending&& p) {
     schedule_delivery(p.when, p.key, p.dest, std::move(p.msg));
   };
-  for (const auto& peer : world_.shards_) {
-    if (peer.get() == this) continue;
-    peer->outbox_[index_].drain(sink);
-  }
-  if (steal_) {
-    // Merge the per-worker execution outboxes, in worker order. Key order
-    // makes the merge order unobservable; worker order keeps it
-    // deterministic anyway.
-    for (auto& exec : world_.exec_) {
-      exec->outbox[index_].drain(sink);
-    }
-  }
+  // Key order makes the merge order unobservable; worker order keeps it
+  // deterministic anyway.
+  for (auto& exec : world_.exec_) exec->outbox[index_].drain(sink);
 }
 
 }  // namespace ssbft

@@ -1,21 +1,17 @@
-// One shard of the conservative-parallel engine (sim/shard_world.hpp).
+// One shard of the windowed engine (sim/shard_world.hpp).
 //
 // A Shard owns a contiguous block of nodes: their clocks, behaviors,
-// per-node RNG streams, its own slab EventQueue, wire counters, and one
-// outbound mailbox per peer shard. During a lookahead window the shard
-// dispatches its queue exactly like the serial engine dispatches the same
-// subsequence — same (when, creator, seq) keys, same per-sender delay
-// streams — while cross-shard sends are buffered in the mailboxes and
-// drained by their destination shard at the window barrier. The bounded-
-// delay model guarantees every cross-shard message lands at or after the
-// next window, so no shard ever sees an event "from the past".
-//
-// Under ShardSched::kSteal the shard's pending work lives in PER-NODE
-// event queues instead of the one central queue: within a window every
-// node's work is independent (any send lands at or after the window end;
-// only a node's own timers can create same-window work), so whole nodes
-// are the unit idle workers steal. Per-node dispatch order is still exact
-// (when, creator, seq) key order, which is all the digest can see.
+// per-node RNG streams, one slab EventQueue PER NODE, a timer wheel, and
+// wire counters. Within a lookahead window every node's work is independent
+// — any send lands at or after the window end, and only a node's own timers
+// create same-window work — so whole nodes are the unit of dispatch: a
+// worker claims a node and runs its whole window batch in (when, creator,
+// seq) key order before moving on (node-major dispatch). Per-node key order
+// is all the digest can see, so who executed a node, and in what order the
+// nodes ran, is unobservable. Every send made inside a window parks in the
+// executing worker's outbox and reaches its destination queue at the window
+// barrier; the bounded-delay model guarantees it lands at or after the next
+// window, so no node ever sees an event "from the past".
 //
 // Engine-internal: user code deploys through Scenario/Cluster and only ever
 // sees the WorldBase surface.
@@ -43,7 +39,7 @@ class ShardWorld;
 
 class Shard {
  public:
-  /// A cross-shard delivery waiting at the window barrier. Carries the full
+  /// A delivery waiting at the window barrier. Carries the full
   /// event key so the destination queue reproduces the serial dispatch
   /// order no matter which barrier inserted it.
   struct Pending {
@@ -53,15 +49,14 @@ class Shard {
     WireMessage msg;
   };
 
-  /// A batch of cross-shard deliveries moving between execution contexts
-  /// under the engine's SPSC discipline: exactly one producer fills it
-  /// (the sending shard inside a window, or one worker's private execution
-  /// context under kSteal) and exactly one consumer drains it (the owning
-  /// shard at a barrier). Entries are MOVED through, never copied: a
-  /// Pending's WireMessage holds its body as a refcounted pool handle
-  /// (sim/payload.hpp), so the handoff transfers the reference instead of
-  /// bouncing the slot's refcount — the pool slot filled at send() is the
-  /// same one the destination behavior reads.
+  /// A batch of deliveries moving between execution contexts under the
+  /// engine's SPSC discipline: exactly one producer fills it (one worker's
+  /// private execution context, inside a window) and exactly one consumer
+  /// drains it (the destination shard, at the barrier). Entries are MOVED
+  /// through, never copied: a Pending's WireMessage holds its body as a
+  /// refcounted pool handle (sim/payload.hpp), so the handoff transfers the
+  /// reference instead of bouncing the slot's refcount — the pool slot
+  /// filled at send() is the same one the destination behavior reads.
   class Mailbox {
    public:
     void push(Pending&& p) { items_.push_back(std::move(p)); }
@@ -98,39 +93,29 @@ class Shard {
   [[nodiscard]] DriftingClock& clock(NodeId id);
 
   // --- engine surface -----------------------------------------------------
-  [[nodiscard]] EventQueue& queue() { return queue_; }
-  [[nodiscard]] const EventQueue& queue() const { return queue_; }
   /// Queue dispatches net of suppressed (cancelled-after-hand-over) timer
   /// pops — the engine-invariant event count (see World::dispatched).
   [[nodiscard]] std::uint64_t dispatched() const;
-  [[nodiscard]] Logger& log() { return logger_; }
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
 
-  /// Earliest pending event across this shard's queue(s) — the central
-  /// queue, or the per-node queues under kSteal (max() when none). The
-  /// window planner folds this into its earliest-event fast-forward.
+  /// Earliest pending event across this shard's node queues (max() when
+  /// none). The window planner folds this into its earliest-event
+  /// fast-forward.
   [[nodiscard]] RealTime next_pending_time() const;
   /// Advance every queue clock to `t` (serial run_until semantics; nothing
   /// at or before `t` may remain pending).
   void advance_queues(RealTime t);
-  /// Latest dispatch clock across this shard's queue(s).
+  /// Latest dispatch clock across this shard's queues.
   [[nodiscard]] RealTime last_queue_now() const;
-
-  /// Dispatch this shard's events with `when < end` (or `<= end` when
-  /// `inclusive`); the window loop's per-shard work item. Due wheel timers
-  /// are handed to the queue between dispatches, inside the window.
-  /// Central-queue mode only (kStatic).
-  void process_until(RealTime end, bool inclusive);
 
   /// Lower bound on this shard's earliest pending wheel timer (max() when
   /// none) — the window planner folds it into the earliest-event
   /// fast-forward so a timer-only shard is never skipped past.
   [[nodiscard]] RealTime next_timer_due() const { return timers_.next_due(); }
 
-  /// Move every peer shard's mailbox addressed here into the local queue.
-  /// Caller (the window barrier) guarantees the producers are parked.
-  /// Under kSteal this also merges the per-worker execution outboxes, in
-  /// worker order.
+  /// Move every worker outbox addressed here into the node queues, in
+  /// worker order. Caller (the window barrier) guarantees the producers are
+  /// parked.
   void drain_inboxes();
 
   /// Schedule a delivery on THIS shard (dest must be owned). Used by the
@@ -148,13 +133,12 @@ class Shard {
   void schedule_forged(RealTime when, EventKey key, NodeId dest,
                        WireMessage msg);
 
-  /// Park a world-level action for `target` in the queue that owns it (the
-  /// central queue, or target's node queue under kSteal). Serial phases /
-  /// barrier only.
+  /// Park a world-level action for `target` in target's node queue.
+  /// Serial phases / barrier only.
   void schedule_action(RealTime when, EventKey key, NodeId target,
                        std::function<void()> action);
 
-  // --- kSteal window machinery (see ShardWorld::run_windows) --------------
+  // --- window machinery (see ShardWorld::run_windows) ---------------------
 
   /// Hand due wheel timers to the owning node queues and list every node
   /// with runnable work in [*, end] — the window's steal items. Runs at
@@ -222,28 +206,32 @@ class Shard {
 
   [[nodiscard]] NodeSlot& slot(NodeId id);
 
-  /// Per-node queue under kSteal (the shard's own node only).
+  /// An owned node's event queue: its deliveries, timers and actions.
   [[nodiscard]] EventQueue& node_queue(NodeId id);
-  /// The queue a delivery/timer/action for `dest` parks in: the central
-  /// queue, or dest's node queue under kSteal.
-  [[nodiscard]] EventQueue& dest_queue(NodeId dest);
 
   /// Wire counters for the CURRENT execution context: the per-worker stats
-  /// while a steal window is executing (merged at the barrier), the
-  /// shard's own otherwise.
+  /// while a window is executing (merged at the barrier), the shard's own
+  /// otherwise.
   [[nodiscard]] NetworkStats& wire_stats();
 
+  /// Run `op` on the wheel or the tracking slab. While a window executes
+  /// with more than one shard, a thief running one of this shard's nodes
+  /// races the owner on both, so the op takes the execution lock; a lone
+  /// shard's one worker, and every serial phase, runs it unlocked.
+  template <typename Op>
+  decltype(auto) exclusive(Op&& op);
+
   /// Authenticated send from an owned node: samples the sender's delay
-  /// stream and routes locally, to a mailbox (inside a window), or straight
+  /// stream and routes to the worker's outbox (inside a window) or straight
   /// into the destination shard (serial phases).
   void send(NodeId from, NodeId dest, WireMessage msg);
   void send_all(NodeId from, const WireMessage& msg);
   /// Sign-and-admit one copy with a route marker — the shared body of
   /// send() (kRouteDirect) and the topology fan-out (see Network::admit).
   void admit(NodeId from, NodeId dest, WireMessage msg, std::uint8_t route);
-  /// Park one keyed delivery where it belongs: the steal-window outbox, the
-  /// local queue, a peer's mailbox, or (serial phases) straight into the
-  /// owning shard — the routing tail shared by admit() and relay().
+  /// Park one keyed delivery where it belongs: the executing worker's
+  /// outbox, or (serial phases) straight into the owning shard — the
+  /// routing tail shared by admit() and relay().
   void dispatch_send(NodeId dest, RealTime when, EventKey key,
                      WireMessage msg);
   /// Relay duty at the delivery instant (mirrors Network::relay): forward a
@@ -262,7 +250,6 @@ class Shard {
 
   [[nodiscard]] std::uint32_t track(const Network::PendingDelivery& pending);
   [[nodiscard]] Network::PendingDelivery untrack(std::uint32_t index);
-  [[nodiscard]] Network::PendingDelivery untrack_unlocked(std::uint32_t index);
 
   /// Hand every wheel timer due at or before `bound` to the event queue.
   void pump_timers(RealTime bound);
@@ -273,12 +260,10 @@ class Shard {
   std::uint32_t index_;
   NodeId first_node_;
   NodeId end_node_;
-  bool steal_ = false;  // ShardSched::kSteal with >1 shard
+  bool concurrent_;  // more than one shard: thieves may run our nodes
   TopologyConfig topo_{};  // resolved dissemination overlay (default: flat)
 
-  EventQueue queue_;
-  /// kSteal only: one queue per owned node, indexed by id − first_node_.
-  /// Empty in every other mode (the central queue_ serves).
+  /// One queue per owned node, indexed by id − first_node_.
   std::vector<EventQueue> node_queues_;
   std::vector<NodeId> steal_items_;  // nodes with work this window
   TimerWheel timers_;
@@ -290,11 +275,9 @@ class Shard {
   Authenticator auth_;
   NetworkStats stats_;
   std::vector<NodeSlot> slots_;  // [first_node_, end_node_)
-  std::vector<Mailbox> outbox_;  // indexed by destination shard
 
-  /// kSteal: serializes wheel arm/cancel/claim and tracking-slab untrack —
-  /// a thief executing this shard's node touches them concurrently with
-  /// the owner. Never taken under kStatic.
+  /// Serializes wheel arm/cancel/claim and tracking-slab untrack while a
+  /// window executes (see exclusive()).
   std::mutex exec_mutex_;
 
   // Handoff-export tracking slab, mirroring Network's: `pending_live_`

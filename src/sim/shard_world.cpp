@@ -1,7 +1,6 @@
 #include "sim/shard_world.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <cstdlib>
 #include <limits>
 #include <thread>
@@ -9,10 +8,10 @@
 
 #include "harness/trace.hpp"
 #include "util/assert.hpp"
+#include "util/spin_barrier.hpp"
 
 namespace ssbft {
 
-thread_local Shard* ShardWorld::tl_current_shard_ = nullptr;
 thread_local EventQueue* ShardWorld::tl_current_queue_ = nullptr;
 thread_local ShardWorld::ExecContext* ShardWorld::tl_exec_ = nullptr;
 
@@ -32,7 +31,6 @@ ShardWorld::ShardWorld(WorldConfig config)
   lookahead_ = config_.lookahead();
   const std::uint32_t shards = effective_shards(config_);
   SSBFT_EXPECTS(shards == 1 || lookahead_ > Duration::zero());
-  sched_ = shards > 1 ? config_.shard_sched : ShardSched::kStatic;
   // Contiguous equal blocks [floor(s·n/S), floor((s+1)·n/S)), fixed for the
   // engine's lifetime.
   shards_.reserve(shards);
@@ -44,12 +42,9 @@ ShardWorld::ShardWorld(WorldConfig config)
     for (NodeId id = first; id < end; ++id) shard_index_[id] = s;
     shards_.push_back(std::make_unique<Shard>(*this, s, shards, first, end));
   }
-  if (sched_ == ShardSched::kSteal) {
-    exec_.reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      exec_.push_back(
-          std::make_unique<ExecContext>(config_.log_level, shards));
-    }
+  exec_.reserve(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    exec_.push_back(std::make_unique<ExecContext>(config_.log_level, shards));
   }
   steal_cursor_ = std::vector<std::atomic<std::uint32_t>>(shards);
   last_shard_dispatched_.assign(shards, 0);
@@ -119,10 +114,8 @@ void ShardWorld::start() {
 }
 
 RealTime ShardWorld::now() const {
-  // During a steal window "now" is the claimed node queue's clock; during
-  // any other dispatch it is the executing shard's queue clock.
+  // Inside a window "now" is the claimed node queue's clock.
   if (const EventQueue* q = tl_current_queue_) return q->now();
-  if (const Shard* shard = tl_current_shard_) return shard->queue().now();
   return global_now_;
 }
 
@@ -154,14 +147,14 @@ void ShardWorld::schedule(RealTime when, NodeId target,
 void ShardWorld::schedule_keyed(RealTime when, EventKey key, NodeId target,
                                 std::function<void()> action) {
   SSBFT_EXPECTS(target < config_.n);
-  SSBFT_EXPECTS(tl_current_shard_ == nullptr);  // serial phases only
+  SSBFT_EXPECTS(tl_exec_ == nullptr);  // serial phases only
   SSBFT_EXPECTS(!exported_);
   shard_of(target).schedule_action(when, key, target, std::move(action));
 }
 
 void ShardWorld::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
   SSBFT_EXPECTS(dest < config_.n);
-  SSBFT_EXPECTS(tl_current_shard_ == nullptr);  // serial phases only
+  SSBFT_EXPECTS(tl_exec_ == nullptr);  // serial phases only
   SSBFT_EXPECTS(!exported_);
   ++world_stats_.forged;
   // Forged channel: the same content-based key the serial Network mints for
@@ -199,7 +192,7 @@ void ShardWorld::account_window() {
   // Owner-attributed view: a node's queue stays resident on its owning
   // shard even when a thief worker runs it, so each shard's dispatched()
   // delta counts the work its OWN nodes consumed this window regardless of
-  // which worker executed it — the skew of the static blocks themselves.
+  // which worker executed it — the skew of the node blocks themselves.
   std::uint64_t owner_max = 0;
   std::uint64_t owner_min = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t owner_total = 0;
@@ -211,30 +204,25 @@ void ShardWorld::account_window() {
     owner_min = std::min(owner_min, e);
     owner_total += e;
   }
-  std::uint64_t max_e = owner_max;
-  std::uint64_t min_e = owner_min;
-  std::uint64_t total = owner_total;
-  if (sched_ == ShardSched::kSteal) {
-    // Executor view: steal windows spread one shard's nodes across many
-    // workers, so per-WORKER dispatches measure what stealing achieved.
-    // Fold the exec-context counters into the world totals while we are
-    // single-threaded at the barrier.
-    max_e = 0;
-    min_e = std::numeric_limits<std::uint64_t>::max();
-    total = 0;
-    for (auto& exec : exec_) {
-      const std::uint64_t e = exec->window_events;
-      exec->window_events = 0;
-      world_stats_ += exec->stats;
-      exec->stats = NetworkStats{};
-      sched_stats_.steals += exec->steals;
-      sched_stats_.stolen_events += exec->stolen_events;
-      exec->steals = 0;
-      exec->stolen_events = 0;
-      max_e = std::max(max_e, e);
-      min_e = std::min(min_e, e);
-      total += e;
-    }
+  // Executor view: stealing spreads one shard's nodes across many
+  // workers, so per-WORKER dispatches measure what stealing achieved. Fold
+  // the exec-context counters into the world totals while we are
+  // single-threaded at the barrier.
+  std::uint64_t max_e = 0;
+  std::uint64_t min_e = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t total = 0;
+  for (auto& exec : exec_) {
+    const std::uint64_t e = exec->window_events;
+    exec->window_events = 0;
+    world_stats_ += exec->stats;
+    exec->stats = NetworkStats{};
+    sched_stats_.steals += exec->steals;
+    sched_stats_.stolen_events += exec->stolen_events;
+    exec->steals = 0;
+    exec->stolen_events = 0;
+    max_e = std::max(max_e, e);
+    min_e = std::min(min_e, e);
+    total += e;
   }
   ++sched_stats_.windows;
   if (total == 0 && owner_total == 0) {
@@ -325,13 +313,11 @@ void ShardWorld::plan_next_window() {
   }
   window_start_ = start;
   in_window_ = true;
-  if (sched_ == ShardSched::kSteal) {
-    for (auto& shard : shards_) {
-      shard->build_steal_items(window_end_, window_inclusive_);
-    }
-    for (auto& cursor : steal_cursor_) {
-      cursor.store(0, std::memory_order_relaxed);
-    }
+  for (auto& shard : shards_) {
+    shard->build_steal_items(window_end_, window_inclusive_);
+  }
+  for (auto& cursor : steal_cursor_) {
+    cursor.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -369,12 +355,10 @@ void ShardWorld::run_steal_window(std::uint32_t worker) {
     const NodeId node = owner->steal_items()[idx];
     // Claiming a node claims its whole window batch: the node queue, its
     // in-window self-timers, everything — per-node key order preserved.
-    tl_current_shard_ = owner;
     tl_current_queue_ = &owner->node_queue(node);
     const std::uint64_t ran =
         owner->run_node_window(node, window_end_, window_inclusive_);
     tl_current_queue_ = nullptr;
-    tl_current_shard_ = nullptr;
     events += ran;
     if (victim != worker) {
       ++exec->steals;
@@ -401,52 +385,34 @@ void ShardWorld::run_windows(RealTime target, bool quiescence) {
   window_inclusive_ = false;
   in_window_ = false;
 
-  if (shards_.size() == 1) {
-    // One shard: no cross-shard traffic, the window machinery is identity.
-    // The current-shard marker still matters: now() must track the queue's
-    // advancing clock during dispatch, exactly as in the threaded path.
-    tl_current_shard_ = shards_[0].get();
-    shards_[0]->process_until(target, /*inclusive=*/!cut_);
-    tl_current_shard_ = nullptr;
-  } else {
-    plan_next_window();  // single-threaded: workers not yet running
-    if (!stop_) {
-      std::barrier processed(std::ptrdiff_t(shards_.size()));
-      std::barrier planned(std::ptrdiff_t(shards_.size()),
-                           [this]() noexcept { plan_next_window(); });
-      const auto worker = [&](std::uint32_t w) {
-        Shard* shard = shards_[w].get();
-        while (true) {
-          if (sched_ == ShardSched::kSteal) {
-            run_steal_window(w);
-          } else {
-            tl_current_shard_ = shard;
-            shard->process_until(window_end_, window_inclusive_);
-            tl_current_shard_ = nullptr;
-          }
-          processed.arrive_and_wait();  // all outboxes for this window final
-          shard->drain_inboxes();
-          planned.arrive_and_wait();    // completion plans the next window
-          if (stop_) return;
-        }
-      };
-      // Workers are spawned per run_* call (the caller's thread drives
-      // shard 0). Fine for run()-shaped use; harness loops that step a
-      // sharded world in many tiny increments would amortize better with a
-      // persistent parked pool — a follow-up if that pattern appears.
-      std::vector<std::thread> pool;
-      pool.reserve(shards_.size() - 1);
-      for (std::uint32_t s = 1; s < std::uint32_t(shards_.size()); ++s) {
-        pool.emplace_back(worker, s);
+  plan_next_window();  // single-threaded: workers not yet running
+  if (!stop_) {
+    // Per window: process → barrier (every outbox final) → drain own
+    // inboxes → barrier, whose completion plans the next window.
+    SpinBarrier barrier(std::uint32_t(shards_.size()));
+    const auto worker = [&](std::uint32_t w) {
+      while (true) {
+        run_steal_window(w);
+        barrier.arrive_and_wait();
+        shards_[w]->drain_inboxes();
+        barrier.arrive_and_wait([this] { plan_next_window(); });
+        if (stop_) return;
       }
-      worker(0);
-      for (auto& t : pool) t.join();
+    };
+    // Workers are spawned per run_* call; the caller's thread drives worker
+    // 0, so a one-shard world runs the same loop inline with no threads.
+    std::vector<std::thread> pool;
+    pool.reserve(shards_.size() - 1);
+    for (std::uint32_t s = 1; s < std::uint32_t(shards_.size()); ++s) {
+      pool.emplace_back(worker, s);
     }
-    // No mailbox can be non-empty here: every worker's last actions are
-    // process → barrier → drain → barrier, so the final pass's cross-shard
-    // deliveries (all strictly after the target) are already parked in
-    // their destination queues for the next run_* call.
+    worker(0);
+    for (auto& t : pool) t.join();
   }
+  // No outbox can be non-empty here: every worker's last actions are
+  // process → barrier → drain → barrier, so the final pass's deliveries
+  // (all strictly after the target) are already parked in their
+  // destination queues for the next run_* call.
 
   if (!quiescence && !cut_) {
     // Serial run_until semantics: every clock reads `target` afterwards.

@@ -1,38 +1,37 @@
-// ShardWorld: conservative-parallel single-run simulation engine.
+// ShardWorld: the windowed simulation engine.
 //
-// Partitions one World's n nodes across S shards (contiguous blocks), each
-// with its own slab EventQueue, node clocks, and per-node RNG streams.
-// Shards advance in lock-step time windows of width λ = the network's
-// minimum link+processing delay (WorldConfig::lookahead): within a window
-// no node can affect a node on another shard, so shards dispatch their
-// queues concurrently; cross-shard sends buffer in per-pair mailboxes and
-// are drained at the window barrier, always landing at or after the next
-// window.
+// Partitions one World's n nodes across S shards (contiguous equal blocks,
+// fixed for the engine's lifetime), each with its own node clocks,
+// per-node RNG streams and one event queue PER NODE. All shards advance in
+// lock-step time windows of width λ = the network's minimum
+// link+processing delay (WorldConfig::lookahead). Within a window no node
+// can affect another node — every send lands at or after the window end,
+// only a node's own timers create same-window work — so dispatch is
+// node-major: at plan time each shard lists its nodes with runnable window
+// work, and S workers claim whole nodes (own shard first, then the busiest
+// peer) via atomic cursors and run each node's window batch in key order.
+// Sends park in per-worker outboxes that each shard drains at the window
+// barrier.
 //
 // Determinism is the headline constraint. Three shared mechanisms make a
-// sharded run bit-identical to the serial World on the same Scenario+seed:
+// windowed run bit-identical to the serial World on the same Scenario+seed:
 //   1. every random stream is a pure function of (seed, entity) — node
 //      behavior RNGs, clock init, and per-SENDER delay sampling
 //      (derive_node_rng / derive_node_clock / derive_link_rng);
 //   2. events dispatch in content-based (when, creator, seq) key order
 //      (EventKey), which each creator mints identically on any engine;
 //   3. observation is canonicalized per node (metrics::run_digest), so the
-//      wall-clock interleaving of shard threads is unobservable.
+//      wall-clock interleaving of worker threads is unobservable.
 // test_shard asserts digest equality across all six StackKinds × shard
-// counts × both scheduling policies; bench_shard measures the speedup.
+// counts {1, 2, 4}; bench_shard measures the speedup.
 //
-// The node → shard partition is fixed at construction (contiguous equal
-// blocks). WorldConfig::shard_sched picks how workers cover it (see
-// ShardSched in sim/world.hpp):
-//   * static — each worker runs its own shard's central queue.
-//   * steal — work lives in PER-NODE queues; at plan time each shard lists
-//     its nodes with runnable window work, and workers claim whole nodes
-//     (own shard first, then the busiest peer) via atomic cursors. Within
-//     a window nodes are mutually independent — every send lands at or
-//     after the window end, only a node's own timers create same-window
-//     work — so per-node key order is all the digest can see, and who
-//     executed a node is unobservable. Sends during steal windows park in
-//     per-worker outboxes merged at the barrier.
+// Each window crosses a SpinBarrier (util/spin_barrier.hpp) twice:
+// process → barrier → drain own inboxes → barrier, whose completion step
+// plans the next window. Windows are short (tens of microseconds), so the
+// barrier spins a bounded number of pauses before it parks. With S = 1 the
+// caller's thread runs the same loop inline and no worker thread exists;
+// node-major order alone beats the serial engine's time-major heap there
+// (BENCH_shard.json's one-thread rows).
 //
 // Requirements: λ > 0 (the Cluster degrades shards to the serial engine
 // when the delay floor is zero — λ = 0 degrades to serial execution, never
@@ -81,12 +80,9 @@ class ShardWorld final : public WorldBase {
     return std::uint32_t(shards_.size());
   }
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
-  /// The policy this engine actually runs: the configured one, demoted to
-  /// kStatic when only one shard exists (nothing to schedule across).
-  [[nodiscard]] ShardSched sched() const { return sched_; }
   /// Scheduler observability: windows, per-window imbalance and steal
-  /// counters (see ShardSchedStats).
-  [[nodiscard]] const ShardSchedStats& sched_stats() const {
+  /// counters (see WindowStats).
+  [[nodiscard]] const WindowStats& sched_stats() const {
     return sched_stats_;
   }
 
@@ -155,10 +151,10 @@ class ShardWorld final : public WorldBase {
  private:
   friend class Shard;
 
-  /// Per-worker execution context for steal windows: the thread's private
-  /// send outbox (merged at the barrier in worker order), wire counters
-  /// (folded into the world totals at plan time), steal counters, and a
-  /// logger thieves may write without racing the shard's own.
+  /// Per-worker execution context for windows: the thread's private send
+  /// outbox (merged at the barrier in worker order), wire counters (folded
+  /// into the world totals at plan time), steal counters, and a logger
+  /// thieves may write without racing the shard's own.
   struct ExecContext {
     ExecContext(LogLevel level, std::uint32_t shard_count)
         : outbox(shard_count), logger(level) {}
@@ -176,9 +172,6 @@ class ShardWorld final : public WorldBase {
   [[nodiscard]] Shard& shard_of(NodeId id) {
     return *shards_[shard_index_[id]];
   }
-  /// The shard the calling thread is currently executing a window for, or
-  /// nullptr on the orchestrating thread / in serial phases.
-  [[nodiscard]] static Shard* current_shard() { return tl_current_shard_; }
 
   /// Mint the next world-level (kGlobalCreator) key. Serial phases only —
   /// matches the serial queue's internal counter call-for-call.
@@ -195,26 +188,24 @@ class ShardWorld final : public WorldBase {
   void run_windows(RealTime target, bool quiescence);
   /// Barrier-completion step: account the window that just ran, then plan
   /// the next window (or stop). Runs single-threaded while every worker is
-  /// parked at the barrier.
+  /// held at the barrier.
   void plan_next_window();
   /// Fold the finished window's per-worker/per-shard dispatch deltas into
-  /// the imbalance metrics (and, for steal, merge exec-context counters).
+  /// the imbalance metrics, and merge the exec-context counters.
   void account_window();
-  /// One worker's steal-window loop: drain own items, then claim nodes
+  /// One worker's window: run its own shard's items, then claim nodes
   /// from the busiest shard until nothing runnable remains.
   void run_steal_window(std::uint32_t worker);
 
-  static thread_local Shard* tl_current_shard_;
-  /// The queue whose clock is "now" for the executing thread — a node
-  /// queue during steal windows, null otherwise (fall back to the shard
-  /// queue / global clock).
+  /// The node queue whose clock is "now" for the executing thread inside
+  /// a window; null otherwise (fall back to the global clock).
   static thread_local EventQueue* tl_current_queue_;
+  /// The executing worker's context inside a window; null in serial phases.
   static thread_local ExecContext* tl_exec_;
 
   Rng rng_;
   Logger logger_;
   Duration lookahead_{};
-  ShardSched sched_ = ShardSched::kStatic;  // demoted to kStatic when S == 1
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::uint32_t> shard_index_;  // node id → owning shard
   std::uint64_t world_seq_ = 0;
@@ -228,13 +219,13 @@ class ShardWorld final : public WorldBase {
   bool exported_ = false;  // export_migration happened; the engine is dead
 
   std::vector<std::uint64_t> last_shard_dispatched_;  // per-window deltas
-  ShardSchedStats sched_stats_;
+  WindowStats sched_stats_;
 
-  std::vector<std::unique_ptr<ExecContext>> exec_;        // kSteal, per worker
+  std::vector<std::unique_ptr<ExecContext>> exec_;        // per worker
   std::vector<std::atomic<std::uint32_t>> steal_cursor_;  // per shard
 
   // Window-loop shared state; written only in plan_next_window (all workers
-  // parked at the barrier) and read by workers after the barrier releases.
+  // held at the barrier) and read by workers after the barrier releases.
   RealTime window_start_{};
   RealTime window_end_{};
   bool window_inclusive_ = false;

@@ -8,16 +8,6 @@
 
 namespace ssbft {
 
-const char* to_string(ShardSched sched) {
-  // Exhaustive: no default, so -Wswitch flags a new enumerator here; the
-  // kShardSchedCount unit test catches it at runtime too.
-  switch (sched) {
-    case ShardSched::kStatic: return "static";
-    case ShardSched::kSteal: return "steal";
-  }
-  return "?";
-}
-
 void WorldConfig::resolve_delay_models() {
   if (has_delay_models) return;
   // Default: typical delay well below the bound δ with an exponential

@@ -7,9 +7,9 @@
 //
 // Two engines implement the deployment surface (WorldBase):
 //   World       — the serial engine: one event queue, one Network.
-//   ShardWorld  — conservative-parallel (sim/shard_world.hpp): nodes are
-//                 partitioned across shards that advance in lock-step
-//                 lookahead windows.
+//   ShardWorld  — windowed (sim/shard_world.hpp): nodes are partitioned
+//                 across shards that advance in lock-step lookahead
+//                 windows, each node's window work dispatched as a batch.
 // Both derive every random stream from (seed, entity) and dispatch in
 // (when, creator, seq) key order, so for any Scenario with a positive
 // minimum network delay their observable histories are bit-identical.
@@ -33,52 +33,26 @@ namespace ssbft {
 
 class Tracer;  // harness/trace.hpp; engines only carry the pointer
 
-/// Scheduling policy for the conservative-parallel engine's shards. Both
-/// policies produce bit-identical observable histories (digest parity
-/// with the serial engine is the hard gate); they differ only in how the
-/// work is spread across worker threads:
-///   kStatic   contiguous equal-size node blocks, full barrier per
-///             λ-window — zero scheduling overhead; the faster choice for
-///             small worlds and short post-chaos segments.
-///   kSteal    kStatic plus deterministic intra-window work stealing:
-///             idle workers claim whole nodes' within-window runnable
-///             work from other shards. Per-node execution order is
-///             preserved exactly, and within a window nodes are mutually
-///             independent (every send lands at or after the window end),
-///             so who executed what is unobservable. The faster choice for
-///             large worlds (n = 512 on 4 threads, BENCH_shard.json).
-enum class ShardSched : std::uint8_t {
-  kStatic,
-  kSteal,
-};
-
-/// Number of ShardSched enumerators (test_enums checks to_string covers
-/// exactly this many).
-inline constexpr std::uint32_t kShardSchedCount = 2;
-
-[[nodiscard]] const char* to_string(ShardSched sched);
-
-/// Scheduler-level counters for the sharded engine: how many λ-windows
+/// Scheduler-level counters for the windowed engine: how many λ-windows
 /// ran, how (im)balanced their per-worker dispatch counts were, and how
-/// often work stealing kicked in. Purely
-/// observational — none of it feeds back into the simulation, so the
-/// counters may differ across policies while digests stay identical.
-/// DutyWorld sums one of these per sharded segment.
-struct ShardSchedStats {
+/// often work stealing kicked in. Purely observational — none of it feeds
+/// back into the simulation, so the counters may differ across shard
+/// counts and hosts while digests stay identical. DutyWorld sums one of
+/// these per sharded segment.
+struct WindowStats {
   std::uint64_t windows = 0;           // lookahead windows run
   std::uint64_t measured_windows = 0;  // windows with at least one dispatch
   std::uint64_t steals = 0;            // foreign-shard node claims
   std::uint64_t stolen_events = 0;     // events executed on a thief worker
   std::uint64_t window_events = 0;     // dispatches over measured windows
   /// Per-window imbalance = max/min per-worker dispatch count (min clamped
-  /// to 1), sampled over measured windows only. Under kSteal this is the
-  /// EXECUTOR view — what the workers actually ran, post-stealing.
+  /// to 1), sampled over measured windows only. This is the EXECUTOR view —
+  /// what the workers actually ran, post-stealing.
   double imbalance_max = 0.0;
   double imbalance_sum = 0.0;
   /// Per-window imbalance attributed to the OWNING shard, counting a
-  /// stolen node's events against its owner: how skewed the static blocks
-  /// are, which the executor view hides by design under kSteal. Identical
-  /// to the executor view under kStatic.
+  /// stolen node's events against its owner: how skewed the node blocks
+  /// are, which the executor view hides by design.
   double owner_imbalance_max = 0.0;
   double owner_imbalance_sum = 0.0;
 
@@ -93,7 +67,7 @@ struct ShardSchedStats {
                : owner_imbalance_sum / double(measured_windows);
   }
 
-  ShardSchedStats& operator+=(const ShardSchedStats& o) {
+  WindowStats& operator+=(const WindowStats& o) {
     windows += o.windows;
     measured_windows += o.measured_windows;
     steals += o.steals;
@@ -155,11 +129,6 @@ struct WorldConfig {
   /// one, with full state migrations at every boundary
   /// (sim/duty_world.hpp).
   std::uint32_t shards = 0;
-
-  /// Shard scheduling policy (see ShardSched). Only consulted when the
-  /// sharded engine actually runs with more than one shard; results are
-  /// bit-identical across all policies.
-  ShardSched shard_sched = ShardSched::kStatic;
 
   /// Dissemination overlay for broadcast fan-out (sim/topology.hpp):
   /// all-to-all (flat, the default — byte-identical to the pre-topology

@@ -84,104 +84,75 @@ bool metrics_equal(const RunMetrics& a, const RunMetrics& b) {
          a.max_tau_g_skew == b.max_tau_g_skew;
 }
 
-/// Every scheduling policy of the windowed engine; the alternating runs
-/// must be parity-clean under each (stealing and the adaptive per-segment
-/// shard counts only move work between workers, never change it).
-constexpr ShardSched kAllScheds[] = {ShardSched::kStatic, ShardSched::kSteal};
-
-// The acceptance matrix: all six StackKinds × shards ∈ {1, 2, 4} × every
-// shard_sched policy, each N-cycle alternating run bit-identical to its
-// all-serial twin — run digest, event/message counts, verdicts, latencies,
-// AND the per-window stabilization metrics.
-TEST(DutyCycleParity, EveryStackMatchesAllSerialAtEveryShardCountAndSched) {
+// The acceptance matrix: all six StackKinds × shards ∈ {1, 2, 4}, each
+// N-cycle alternating run bit-identical to its all-serial twin — run
+// digest, event/message counts, verdicts, latencies, AND the per-window
+// stabilization metrics.
+TEST(DutyCycleParity, EveryStackMatchesAllSerialAtEveryShardCount) {
   for (std::uint32_t k = 0; k < kStackKindCount; ++k) {
     const Scenario serial_sc = duty_scenario(StackKind(k), 0);
     const SweepRun serial = SweepRunner::run_cell(serial_sc, 21);
     for (std::uint32_t shards : {1u, 2u, 4u}) {
-      for (const ShardSched sched : kAllScheds) {
-        Scenario sc = duty_scenario(StackKind(k), shards);
-        sc.shard_sched = sched;
-        const SweepRun run = SweepRunner::run_cell(sc, 21);
-        const auto label = [&] {
-          return std::string(to_string(StackKind(k))) + " shards " +
-                 std::to_string(shards) + " sched " + to_string(sched);
-        };
-        EXPECT_EQ(run.digest, serial.digest) << label();
-        EXPECT_EQ(run.events, serial.events) << label();
-        EXPECT_EQ(run.messages, serial.messages) << label();
-        EXPECT_EQ(run.pass, serial.pass) << label();
-        EXPECT_TRUE(metrics_equal(run.agreement, serial.agreement))
-            << label();
-        EXPECT_EQ(run.latency_ns, serial.latency_ns) << label();
-        ASSERT_EQ(run.windows.size(), serial.windows.size()) << label();
-        for (std::size_t w = 0; w < run.windows.size(); ++w) {
-          EXPECT_EQ(run.windows[w].digest, serial.windows[w].digest)
-              << label() << " window " << w;
-          EXPECT_EQ(run.windows[w].events, serial.windows[w].events)
-              << label() << " window " << w;
-          EXPECT_EQ(run.windows[w].recovery, serial.windows[w].recovery)
-              << label() << " window " << w;
-        }
+      const SweepRun run =
+          SweepRunner::run_cell(duty_scenario(StackKind(k), shards), 21);
+      const auto label = [&] {
+        return std::string(to_string(StackKind(k))) + " shards " +
+               std::to_string(shards);
+      };
+      EXPECT_EQ(run.digest, serial.digest) << label();
+      EXPECT_EQ(run.events, serial.events) << label();
+      EXPECT_EQ(run.messages, serial.messages) << label();
+      EXPECT_EQ(run.pass, serial.pass) << label();
+      EXPECT_TRUE(metrics_equal(run.agreement, serial.agreement)) << label();
+      EXPECT_EQ(run.latency_ns, serial.latency_ns) << label();
+      ASSERT_EQ(run.windows.size(), serial.windows.size()) << label();
+      for (std::size_t w = 0; w < run.windows.size(); ++w) {
+        EXPECT_EQ(run.windows[w].digest, serial.windows[w].digest)
+            << label() << " window " << w;
+        EXPECT_EQ(run.windows[w].events, serial.windows[w].events)
+            << label() << " window " << w;
+        EXPECT_EQ(run.windows[w].recovery, serial.windows[w].recovery)
+            << label() << " window " << w;
       }
     }
   }
 }
 
-// Adaptive per-segment shard counts: under steal each serial→sharded
-// migration re-sizes the stabilization segment from the
-// previous segment's event rate. The choice is derived from simulation
-// state only — parity must hold — and every segment's count must stay in
-// [1, configured]. Static keeps the configured count everywhere.
-TEST(DutyCycleParity, AdaptiveSegmentShardCountsStayParityClean) {
-  Scenario serial_sc = duty_scenario(StackKind::kAgree, 0);
-  const SweepRun serial = SweepRunner::run_cell(serial_sc, 21);
-
-  const auto run_duty = [&](ShardSched sched, const SweepRun& baseline) {
-    Scenario sc = duty_scenario(StackKind::kAgree, 4);
+// Every stabilization segment runs on the configured shard count — short
+// segments included; nothing re-sizes them — and the run stays
+// bit-identical to all-serial. Stepping onto each serial→sharded cut and
+// just past it checks the live segment's engine directly.
+TEST(DutyCycleParity, EverySegmentRunsOnTheConfiguredShardCount) {
+  const SweepRun serial =
+      SweepRunner::run_cell(duty_scenario(StackKind::kAgree, 0), 21);
+  for (const std::uint32_t shards : {2u, 4u}) {
+    Scenario sc = duty_scenario(StackKind::kAgree, shards);
     sc.seed = 21;  // the baseline cell's seed
-    sc.shard_sched = sched;
     Cluster cluster(sc);
     ASSERT_TRUE(cluster.sharded());
     cluster.start();
     auto* duty = dynamic_cast<DutyWorld*>(&cluster.world());
     ASSERT_NE(duty, nullptr);
+    // Serial→sharded cuts at 3, 43 and 83 ms open the three segments.
+    for (const std::int64_t cut_ms : {3, 43, 83}) {
+      cluster.world().run_until(RealTime::zero() + milliseconds(cut_ms) +
+                                microseconds(100));
+      ASSERT_TRUE(duty->sharded_active()) << "cut " << cut_ms;
+      EXPECT_EQ(duty->sharded_engine()->shard_count(), shards)
+          << "cut " << cut_ms;
+    }
     cluster.world().run_until(RealTime::zero() + sc.run_for);
-    EXPECT_EQ(evaluate_stack(cluster).digest, baseline.digest)
-        << to_string(sched);
-    EXPECT_EQ(cluster.world().dispatched(), baseline.events)
-        << to_string(sched);
-    // Three serial→sharded cuts (3, 43, 83 ms) ⇒ three sized segments.
-    const std::vector<std::uint32_t>& sizes = duty->segment_shards();
-    ASSERT_EQ(sizes.size(), 3u) << to_string(sched);
-    bool any_multi = false;
-    bool any_shrunk = false;
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      EXPECT_GE(sizes[i], 1u) << to_string(sched) << " segment " << i;
-      EXPECT_LE(sizes[i], 4u) << to_string(sched) << " segment " << i;
-      any_multi = any_multi || sizes[i] > 1;
-      any_shrunk = any_shrunk || sizes[i] < 4;
-      if (sched == ShardSched::kStatic) {
-        EXPECT_EQ(sizes[i], 4u) << "segment " << i;
-      }
-    }
-    if (sched != ShardSched::kStatic) {
-      // This workload's segments dispatch well under kEventsPerSegmentShard
-      // per shard — the rate estimator must have shrunk at least one
-      // segment below the configured count (threads cost more than they
-      // save here). Deterministic: the estimate reads simulation state only.
-      EXPECT_TRUE(any_shrunk) << to_string(sched);
-    }
-    // The aggregated scheduler stats cover every retired sharded segment;
-    // windows are only counted by the threaded (multi-shard) path.
-    const ShardSchedStats stats = duty->sched_stats();
-    if (sched == ShardSched::kStatic || any_multi) {
-      EXPECT_GT(stats.windows, 0u) << to_string(sched);
-    }
-    EXPECT_LE(stats.measured_windows, stats.windows) << to_string(sched);
-    EXPECT_GT(duty->migration_ns(), 0u) << to_string(sched);
-  };
-  run_duty(ShardSched::kStatic, serial);
-  run_duty(ShardSched::kSteal, serial);
+    EXPECT_EQ(duty->segments(), 3u) << "shards " << shards;
+    EXPECT_EQ(evaluate_stack(cluster).digest, serial.digest)
+        << "shards " << shards;
+    EXPECT_EQ(cluster.world().dispatched(), serial.events)
+        << "shards " << shards;
+    // The summed scheduler stats cover every segment.
+    const WindowStats stats = duty->sched_stats();
+    EXPECT_GT(stats.windows, 0u) << "shards " << shards;
+    EXPECT_LE(stats.measured_windows, stats.windows) << "shards " << shards;
+    EXPECT_GT(duty->migration_ns(), 0u) << "shards " << shards;
+  }
 }
 
 // Piecewise stepping that lands EXACTLY on every cut — serial→sharded at

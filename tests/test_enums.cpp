@@ -41,10 +41,6 @@ TEST(EnumToStringTest, StackKindExhaustive) {
   expect_exhaustive<StackKind>(kStackKindCount);
 }
 
-TEST(EnumToStringTest, ShardSchedExhaustive) {
-  expect_exhaustive<ShardSched>(kShardSchedCount);
-}
-
 TEST(EnumToStringTest, ProposeStatusExhaustive) {
   expect_exhaustive<ProposeStatus>(kProposeStatusCount);
 }
@@ -59,8 +55,6 @@ TEST(EnumToStringTest, SpecificNamesStable) {
   EXPECT_STREQ(to_string(StackKind::kAgree), "agree");
   EXPECT_STREQ(to_string(StackKind::kClockSync), "clock-sync");
   EXPECT_STREQ(to_string(ProposeStatus::kSent), "sent");
-  EXPECT_STREQ(to_string(ShardSched::kStatic), "static");
-  EXPECT_STREQ(to_string(ShardSched::kSteal), "steal");
 }
 
 }  // namespace

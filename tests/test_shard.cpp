@@ -1,5 +1,5 @@
-// ShardWorld: the conservative-parallel engine must be indistinguishable
-// from the serial World — bit-identical observable histories (run_digest),
+// ShardWorld: the windowed engine must be indistinguishable from the serial
+// World — bit-identical observable histories (run_digest),
 // event/message counts, metrics, and latencies — for every StackKind and
 // every shard count, on any scenario with a positive delay floor. The
 // determinism rests on three shared mechanisms (per-entity RNG streams,
@@ -71,77 +71,81 @@ bool metrics_equal(const RunMetrics& a, const RunMetrics& b) {
          a.max_tau_g_skew == b.max_tau_g_skew;
 }
 
-/// Every scheduling policy the windowed engine offers. The whole parity
-/// matrix runs under each one: the scheduler may only move work between
-/// workers, never change what the work computes.
-constexpr ShardSched kAllScheds[] = {ShardSched::kStatic, ShardSched::kSteal};
+/// One chaos-free cell on the windowed engine at any shard count, reduced
+/// the way SweepRunner::run_cell reduces. Plain cells would run the serial
+/// World at one shard; the Cluster's kWindowed engine runs ShardWorld there.
+SweepRun run_windowed(Scenario sc, std::uint64_t seed) {
+  sc.seed = seed;
+  Cluster cluster(sc, Cluster::Engine::kWindowed);
+  EXPECT_NE(dynamic_cast<ShardWorld*>(&cluster.world()), nullptr);
+  cluster.run();
+  StackOutcome outcome = evaluate_stack(cluster);
+  SweepRun run;
+  run.pass = outcome.pass;
+  run.digest = outcome.digest;
+  run.agreement = outcome.agreement;
+  run.latency_ns = std::move(outcome.latency_ns);
+  run.events = cluster.world().dispatched();
+  run.messages = cluster.world().net_stats().sent;
+  return run;
+}
 
-// The acceptance matrix: all six StackKinds × shards ∈ {1, 2, 4} × every
-// shard_sched policy, each sharded run bit-identical to its serial twin on
-// the same Scenario + seed.
-TEST(ShardDeterminism, EveryStackMatchesSerialAtEveryShardCountAndSched) {
+// The acceptance matrix: all six StackKinds × shards ∈ {1, 2, 4}, each
+// windowed run bit-identical to its serial twin on the same Scenario +
+// seed. Shards = 1 is the windowed engine on the caller's thread alone.
+TEST(ShardDeterminism, EveryStackMatchesSerialAtEveryShardCount) {
   for (std::uint32_t k = 0; k < kStackKindCount; ++k) {
     const Scenario serial_sc = shard_scenario(StackKind(k), 0);
     const SweepRun serial = SweepRunner::run_cell(serial_sc, 21);
     for (std::uint32_t shards : {1u, 2u, 4u}) {
-      for (const ShardSched sched : kAllScheds) {
-        Scenario sc = shard_scenario(StackKind(k), shards);
-        sc.shard_sched = sched;
-        const SweepRun run = SweepRunner::run_cell(sc, 21);
-        const auto label = [&] {
-          return std::string(to_string(StackKind(k))) + " shards " +
-                 std::to_string(shards) + " sched " + to_string(sched);
-        };
-        EXPECT_EQ(run.digest, serial.digest) << label();
-        EXPECT_EQ(run.events, serial.events) << label();
-        EXPECT_EQ(run.messages, serial.messages) << label();
-        EXPECT_EQ(run.pass, serial.pass) << label();
-        EXPECT_TRUE(metrics_equal(run.agreement, serial.agreement)) << label();
-        EXPECT_EQ(run.latency_ns, serial.latency_ns) << label();
-      }
+      const SweepRun run =
+          run_windowed(shard_scenario(StackKind(k), shards), 21);
+      const auto label = [&] {
+        return std::string(to_string(StackKind(k))) + " shards " +
+               std::to_string(shards);
+      };
+      EXPECT_EQ(run.digest, serial.digest) << label();
+      EXPECT_EQ(run.events, serial.events) << label();
+      EXPECT_EQ(run.messages, serial.messages) << label();
+      EXPECT_EQ(run.pass, serial.pass) << label();
+      EXPECT_TRUE(metrics_equal(run.agreement, serial.agreement)) << label();
+      EXPECT_EQ(run.latency_ns, serial.latency_ns) << label();
     }
   }
 }
 
 // A transient scramble (state + clocks + forged in-flight messages) is a
-// serial phase on both engines and must not break parity — under any
-// scheduling policy.
+// serial phase on both engines and must not break parity.
 TEST(ShardDeterminism, TransientScrambleMatchesSerial) {
   Scenario sc = shard_scenario(StackKind::kAgree, 0);
   sc.transient_scramble = true;
   sc.transient.spurious_per_node = 16;
   const SweepRun serial = SweepRunner::run_cell(sc, 5);
-  sc.shards = 4;
-  for (const ShardSched sched : kAllScheds) {
-    sc.shard_sched = sched;
-    const SweepRun run = SweepRunner::run_cell(sc, 5);
-    EXPECT_EQ(run.digest, serial.digest) << to_string(sched);
-    EXPECT_EQ(run.events, serial.events) << to_string(sched);
-    EXPECT_EQ(run.messages, serial.messages) << to_string(sched);
+  for (std::uint32_t shards : {1u, 4u}) {
+    sc.shards = shards;
+    const SweepRun run = run_windowed(sc, 5);
+    EXPECT_EQ(run.digest, serial.digest) << "shards " << shards;
+    EXPECT_EQ(run.events, serial.events) << "shards " << shards;
+    EXPECT_EQ(run.messages, serial.messages) << "shards " << shards;
   }
 }
 
 // Piecewise runs (start + repeated run_for) cross serial phases and window
-// phases repeatedly; the cut points must not be observable — under any
-// scheduling policy.
+// phases repeatedly; the cut points must not be observable.
 TEST(ShardDeterminism, PiecewiseRunsMatchOneShot) {
-  for (const ShardSched sched : kAllScheds) {
-    Scenario sc = shard_scenario(StackKind::kAgree, 4);
-    sc.seed = 9;
-    sc.shard_sched = sched;
-    const SweepRun one_shot = SweepRunner::run_cell(sc, 9);
+  Scenario sc = shard_scenario(StackKind::kAgree, 4);
+  sc.seed = 9;
+  const SweepRun one_shot = SweepRunner::run_cell(sc, 9);
 
-    Cluster cluster(sc);
-    ASSERT_TRUE(cluster.sharded());
-    cluster.start();
-    for (int step = 0; step < 10; ++step) {
-      cluster.world().run_for(sc.run_for / 10);
-    }
-    const StackOutcome outcome = evaluate_stack(cluster);
-    EXPECT_EQ(outcome.digest, one_shot.digest) << to_string(sched);
-    EXPECT_EQ(cluster.world().dispatched(), one_shot.events)
-        << to_string(sched);
+  Cluster cluster(sc);
+  ASSERT_TRUE(cluster.sharded());
+  cluster.start();
+  for (int step = 0; step < 10; ++step) {
+    cluster.world().run_for(sc.run_for / 10);
   }
+  const StackOutcome outcome = evaluate_stack(cluster);
+  EXPECT_EQ(outcome.digest, one_shot.digest);
+  EXPECT_EQ(cluster.world().dispatched(), one_shot.events);
 }
 
 // SweepRunner cells may themselves be sharded: a sweep over sharded cells
@@ -187,28 +191,26 @@ Scenario chaos_scenario(StackKind stack, std::uint32_t shards) {
 }
 
 // The acceptance matrix extended to chaos: all six StackKinds × shards
-// ∈ {1, 2, 4} × every shard_sched policy with chaos_period > 0, each
-// two-phase run bit-identical to its all-serial twin.
-TEST(ShardChaosHandoff, EveryStackMatchesSerialAtEveryShardCountAndSched) {
+// ∈ {1, 2, 4} with chaos_period > 0, each two-phase run bit-identical to
+// its all-serial twin. (One shard is the Cluster's serial World here: the
+// alternating engine needs a sharded segment to alternate with.)
+TEST(ShardChaosHandoff, EveryStackMatchesSerialAtEveryShardCount) {
   for (std::uint32_t k = 0; k < kStackKindCount; ++k) {
     const Scenario serial_sc = chaos_scenario(StackKind(k), 0);
     const SweepRun serial = SweepRunner::run_cell(serial_sc, 21);
     for (std::uint32_t shards : {1u, 2u, 4u}) {
-      for (const ShardSched sched : kAllScheds) {
-        Scenario sc = chaos_scenario(StackKind(k), shards);
-        sc.shard_sched = sched;
-        const SweepRun run = SweepRunner::run_cell(sc, 21);
-        const auto label = [&] {
-          return std::string(to_string(StackKind(k))) + " shards " +
-                 std::to_string(shards) + " sched " + to_string(sched);
-        };
-        EXPECT_EQ(run.digest, serial.digest) << label();
-        EXPECT_EQ(run.events, serial.events) << label();
-        EXPECT_EQ(run.messages, serial.messages) << label();
-        EXPECT_EQ(run.pass, serial.pass) << label();
-        EXPECT_TRUE(metrics_equal(run.agreement, serial.agreement)) << label();
-        EXPECT_EQ(run.latency_ns, serial.latency_ns) << label();
-      }
+      const SweepRun run =
+          SweepRunner::run_cell(chaos_scenario(StackKind(k), shards), 21);
+      const auto label = [&] {
+        return std::string(to_string(StackKind(k))) + " shards " +
+               std::to_string(shards);
+      };
+      EXPECT_EQ(run.digest, serial.digest) << label();
+      EXPECT_EQ(run.events, serial.events) << label();
+      EXPECT_EQ(run.messages, serial.messages) << label();
+      EXPECT_EQ(run.pass, serial.pass) << label();
+      EXPECT_TRUE(metrics_equal(run.agreement, serial.agreement)) << label();
+      EXPECT_EQ(run.latency_ns, serial.latency_ns) << label();
     }
   }
 }
@@ -240,13 +242,11 @@ TEST(ShardChaosHandoff, PiecewiseRunsCrossTheCutUnobserved) {
 // Sharded FaultInjector parity: a SECOND transient fault injected after the
 // handoff exercises inject_raw's forged-channel keys and the migrated
 // world-RNG stream position on the suffix engine — serial and sharded must
-// still agree bit-for-bit, whatever the scheduling policy.
+// still agree bit-for-bit.
 TEST(ShardChaosHandoff, PostHandoffFaultInjectionMatchesSerial) {
-  const auto run_with_midrun_fault = [](std::uint32_t shards,
-                                        ShardSched sched) {
+  const auto run_with_midrun_fault = [](std::uint32_t shards) {
     Scenario sc = chaos_scenario(StackKind::kAgree, shards);
     sc.seed = 33;
-    sc.shard_sched = sched;
     Cluster cluster(sc);
     cluster.start();
     cluster.world().run_until(RealTime::zero() + sc.chaos_period +
@@ -263,18 +263,12 @@ TEST(ShardChaosHandoff, PostHandoffFaultInjectionMatchesSerial) {
     return Out{evaluate_stack(cluster).digest, cluster.world().dispatched(),
                cluster.world().net_stats().forged};
   };
-  const auto serial = run_with_midrun_fault(0, ShardSched::kStatic);
+  const auto serial = run_with_midrun_fault(0);
   for (std::uint32_t shards : {2u, 4u}) {
-    for (const ShardSched sched : kAllScheds) {
-      const auto sharded = run_with_midrun_fault(shards, sched);
-      const auto label = [&] {
-        return "shards " + std::to_string(shards) + " sched " +
-               to_string(sched);
-      };
-      EXPECT_EQ(sharded.digest, serial.digest) << label();
-      EXPECT_EQ(sharded.events, serial.events) << label();
-      EXPECT_EQ(sharded.forged, serial.forged) << label();
-    }
+    const auto sharded = run_with_midrun_fault(shards);
+    EXPECT_EQ(sharded.digest, serial.digest) << "shards " << shards;
+    EXPECT_EQ(sharded.events, serial.events) << "shards " << shards;
+    EXPECT_EQ(sharded.forged, serial.forged) << "shards " << shards;
   }
 }
 
@@ -371,11 +365,11 @@ TEST(ShardEngineTest, ShardCountClampsToN) {
   EXPECT_EQ(cluster.shards(), sc.n);
 }
 
-// A directly-constructed one-shard ShardWorld (the documented λ-degrade
-// form) must behave exactly like the serial World — in particular now()
-// must track the dispatching queue's clock, or self-rescheduling timers
-// compute stale fire/send times (regression: the single-shard fast path
-// skipped the current-shard marker).
+// A directly-constructed one-shard ShardWorld must behave exactly like the
+// serial World — in particular now() must track the dispatching queue's
+// clock, or self-rescheduling timers compute stale fire/send times. It runs
+// the same window loop as the threaded engine, inline on the caller's
+// thread: windows are counted, and with no peer there is nothing to steal.
 TEST(ShardEngineTest, SingleShardDirectConstructionMatchesSerial) {
   class Ticker final : public NodeBehavior {
    public:
@@ -416,9 +410,12 @@ TEST(ShardEngineTest, SingleShardDirectConstructionMatchesSerial) {
   for (NodeId id = 0; id < wc.n; ++id) {
     EXPECT_EQ(sharded.local_now(id), serial.local_now(id)) << "node " << id;
   }
+  EXPECT_GT(sharded.sched_stats().windows, 0u);
+  EXPECT_EQ(sharded.sched_stats().steals, 0u);
+  EXPECT_EQ(sharded.sched_stats().stolen_events, 0u);
 }
 
-// --- adaptive scheduling pins ----------------------------------------------
+// --- work-stealing pins --------------------------------------------------
 
 /// Self-clocking behavior whose work rate is its timer period — the knob
 /// that makes one node arbitrarily heavier than the rest.
@@ -442,7 +439,7 @@ class SkewedTicker final : public NodeBehavior {
 // equal-width partition: idle workers must steal from the hot shard, and —
 // the whole point of the design — the answer must not move by a single
 // event or nanosecond relative to the serial engine.
-TEST(ShardSchedTest, SkewedLoadStealsAndKeepsParity) {
+TEST(WorkStealingTest, SkewedLoadStealsAndKeepsParity) {
   WorldConfig wc;
   wc.n = 8;
   wc.shards = 4;
@@ -462,11 +459,8 @@ TEST(ShardSchedTest, SkewedLoadStealsAndKeepsParity) {
   serial.start();
   serial.run_until(horizon);
 
-  WorldConfig swc = wc;
-  swc.shard_sched = ShardSched::kSteal;
-  ShardWorld sharded(swc);
+  ShardWorld sharded(wc);
   ASSERT_EQ(sharded.shard_count(), 4u);
-  ASSERT_EQ(sharded.sched(), ShardSched::kSteal);
   build(sharded);
   sharded.start();
   sharded.run_until(horizon);
@@ -479,7 +473,7 @@ TEST(ShardSchedTest, SkewedLoadStealsAndKeepsParity) {
     EXPECT_EQ(sharded.local_now(id), serial.local_now(id)) << "node " << id;
   }
 
-  const ShardSchedStats& st = sharded.sched_stats();
+  const WindowStats& st = sharded.sched_stats();
   EXPECT_GT(st.windows, 0u);
   EXPECT_LE(st.measured_windows, st.windows);
   EXPECT_GE(st.imbalance_max, 1.0);
@@ -496,7 +490,7 @@ TEST(ShardSchedTest, SkewedLoadStealsAndKeepsParity) {
 // it), so a steal-heavy run must still report the ownership imbalance.
 // Both hot nodes sit on shard 0's block, so steals can spread the
 // execution almost perfectly — exactly the case the executor view hides.
-TEST(ShardSchedTest, StealingDoesNotMaskOwnerImbalance) {
+TEST(WorkStealingTest, StealingDoesNotMaskOwnerImbalance) {
   WorldConfig wc;
   wc.n = 8;
   wc.shards = 4;
@@ -518,9 +512,7 @@ TEST(ShardSchedTest, StealingDoesNotMaskOwnerImbalance) {
   serial.start();
   serial.run_until(horizon);
 
-  WorldConfig swc = wc;
-  swc.shard_sched = ShardSched::kSteal;
-  ShardWorld sharded(swc);
+  ShardWorld sharded(wc);
   build(sharded);
   sharded.start();
   sharded.run_until(horizon);
@@ -534,7 +526,7 @@ TEST(ShardSchedTest, StealingDoesNotMaskOwnerImbalance) {
     EXPECT_EQ(sharded.local_now(id), serial.local_now(id)) << "node " << id;
   }
 
-  const ShardSchedStats& st = sharded.sched_stats();
+  const WindowStats& st = sharded.sched_stats();
   // Stealing happened at scale...
   EXPECT_GT(st.steals, 0u);
   EXPECT_GT(st.stolen_events, 0u);
@@ -542,28 +534,6 @@ TEST(ShardSchedTest, StealingDoesNotMaskOwnerImbalance) {
   // owns ~25× the per-window events of an idle shard).
   EXPECT_GE(st.owner_imbalance_max, 2.0);
   EXPECT_GT(st.owner_imbalance_mean(), 1.0);
-}
-
-// The zero-overhead contract of the default policy: a static ShardWorld
-// never steals — the steal counters stay zero.
-TEST(ShardSchedTest, StaticPolicyKeepsSchedulerOff) {
-  WorldConfig wc;
-  wc.n = 8;
-  wc.shards = 4;
-  wc.link_delay = DelayModel::uniform(microseconds(100), milliseconds(1));
-  wc.proc_delay = DelayModel::uniform(Duration::zero(), microseconds(50));
-  wc.has_delay_models = true;
-  ShardWorld sharded(wc);
-  ASSERT_EQ(sharded.sched(), ShardSched::kStatic);
-  for (NodeId id = 0; id < wc.n; ++id) {
-    sharded.set_behavior(id, std::make_unique<SkewedTicker>(milliseconds(1)));
-  }
-  sharded.start();
-  sharded.run_until(RealTime::zero() + milliseconds(10));
-  const ShardSchedStats& st = sharded.sched_stats();
-  EXPECT_GT(st.windows, 0u);
-  EXPECT_EQ(st.steals, 0u);
-  EXPECT_EQ(st.stolen_events, 0u);
 }
 
 // --- per-entity stream regression pins -------------------------------------

@@ -257,19 +257,15 @@ TEST(TopologyDeterminism, SameSeedSameDigestAndEngineParity) {
     EXPECT_NE(serial.digest, 0u) << to_string(topology);
 
     for (const std::uint32_t shards : {2u, 4u}) {
-      for (const ShardSched sched : {ShardSched::kStatic, ShardSched::kSteal}) {
-        Scenario sc = overlay_scenario(topology);
-        sc.shards = shards;
-        sc.shard_sched = sched;
-        const SweepRun run = SweepRunner::run_cell(sc, 21);
-        EXPECT_EQ(run.digest, serial.digest)
-            << to_string(topology) << " shards " << shards << " sched "
-            << to_string(sched);
-        EXPECT_EQ(run.events, serial.events)
-            << to_string(topology) << " shards " << shards;
-        EXPECT_EQ(run.messages, serial.messages)
-            << to_string(topology) << " shards " << shards;
-      }
+      Scenario sc = overlay_scenario(topology);
+      sc.shards = shards;
+      const SweepRun run = SweepRunner::run_cell(sc, 21);
+      EXPECT_EQ(run.digest, serial.digest)
+          << to_string(topology) << " shards " << shards;
+      EXPECT_EQ(run.events, serial.events)
+          << to_string(topology) << " shards " << shards;
+      EXPECT_EQ(run.messages, serial.messages)
+          << to_string(topology) << " shards " << shards;
     }
   }
 }

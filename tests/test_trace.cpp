@@ -146,15 +146,13 @@ TEST(TraceWriterTest, DropsOrphanEndsAndClosesOpenSpans) {
 /// noise, transient scramble, optionally a recurring chaos duty cycle
 /// (⇒ the alternating engine when shards > 1). Horizons are deliberately
 /// short — parity is about the history being identical, not complete.
-Scenario trace_scenario(StackKind stack, std::uint32_t shards, bool chaos,
-                        ShardSched sched) {
+Scenario trace_scenario(StackKind stack, std::uint32_t shards, bool chaos) {
   Scenario sc;
   sc.stack = stack;
   sc.n = 5;
   sc.f = 1;
   sc.with_tail_faults(1);
   sc.shards = shards;
-  sc.shard_sched = sched;
   sc.link_delay =
       DelayModel::exp_truncated(sc.delta / 10, sc.delta / 5, sc.delta);
   sc.adversary = stack == StackKind::kBaselineTps ? AdversaryKind::kSilent
@@ -195,10 +193,11 @@ Scenario trace_scenario(StackKind stack, std::uint32_t shards, bool chaos,
   return sc;
 }
 
-std::uint64_t digest_of(const Scenario& sc, bool traced) {
+std::uint64_t digest_of(const Scenario& sc, bool traced,
+                        Cluster::Engine engine = Cluster::Engine::kAuto) {
   Scenario run = sc;
   run.trace = traced;
-  Cluster cluster(run);
+  Cluster cluster(run, engine);
   cluster.run();
   if (traced) {
     // The traced run must actually have traced something (anti-vacuity:
@@ -215,48 +214,45 @@ std::uint64_t digest_of(const Scenario& sc, bool traced) {
   return run_digest(cluster.probe(), cluster.world().net_stats());
 }
 
-// Engine sweep: every stack on the serial, windowed, and alternating
-// engines — tracing on is bit-identical to tracing off.
+// Engine sweep: every stack on the serial, windowed (one shard and
+// threaded), and alternating engines — tracing on is bit-identical to
+// tracing off.
 TEST(TraceParityTest, EveryStackOnEveryEngine) {
   struct EngineCfg {
     std::uint32_t shards;
     bool chaos;
-    ShardSched sched;
+    Cluster::Engine engine;
     const char* label;
   };
   const EngineCfg engines[] = {
-      {0, false, ShardSched::kStatic, "serial"},
-      {2, false, ShardSched::kStatic, "sharded2/static"},
-      {4, false, ShardSched::kSteal, "sharded4/steal"},
-      {2, true, ShardSched::kSteal, "duty2/steal"},
-      {4, true, ShardSched::kStatic, "duty4/static"},
+      {0, false, Cluster::Engine::kAuto, "serial"},
+      {1, false, Cluster::Engine::kWindowed, "windowed1"},
+      {4, false, Cluster::Engine::kAuto, "sharded4"},
+      {2, true, Cluster::Engine::kAuto, "duty2"},
+      {4, true, Cluster::Engine::kAuto, "duty4"},
   };
   for (std::uint32_t k = 0; k < kStackKindCount; ++k) {
     for (const EngineCfg& e : engines) {
-      const Scenario sc =
-          trace_scenario(StackKind(k), e.shards, e.chaos, e.sched);
-      const std::uint64_t off = digest_of(sc, false);
-      const std::uint64_t on = digest_of(sc, true);
+      const Scenario sc = trace_scenario(StackKind(k), e.shards, e.chaos);
+      const std::uint64_t off = digest_of(sc, false, e.engine);
+      const std::uint64_t on = digest_of(sc, true, e.engine);
       EXPECT_EQ(on, off) << to_string(StackKind(k)) << " on " << e.label;
     }
   }
 }
 
-// Policy sweep: the agreement stack across every scheduling policy and
-// shard count, windowed and alternating — the policies move records
-// between trace buffers (stealing changes which thread emits), never the
-// physics.
-TEST(TraceParityTest, EverySchedPolicyAndShardCount) {
-  constexpr ShardSched kScheds[] = {ShardSched::kStatic, ShardSched::kSteal};
+// Shard-count sweep: the agreement stack windowed and alternating at every
+// shard count — more workers move records between trace buffers (stealing
+// changes which thread emits), never the physics. One shard without chaos
+// is the windowed engine on the caller's thread.
+TEST(TraceParityTest, EveryShardCount) {
   for (const bool chaos : {false, true}) {
     for (const std::uint32_t shards : {1u, 2u, 4u}) {
-      for (const ShardSched sched : kScheds) {
-        const Scenario sc =
-            trace_scenario(StackKind::kAgree, shards, chaos, sched);
-        EXPECT_EQ(digest_of(sc, true), digest_of(sc, false))
-            << (chaos ? "duty" : "sharded") << " shards " << shards
-            << " sched " << to_string(sched);
-      }
+      const Scenario sc = trace_scenario(StackKind::kAgree, shards, chaos);
+      const Cluster::Engine engine = chaos ? Cluster::Engine::kAuto
+                                           : Cluster::Engine::kWindowed;
+      EXPECT_EQ(digest_of(sc, true, engine), digest_of(sc, false, engine))
+          << (chaos ? "duty" : "sharded") << " shards " << shards;
     }
   }
 }
@@ -271,7 +267,7 @@ TEST(TraceGoldenTest, SerialAgreeTimelineIsStructuredAndReproducible) {
 #if !SSBFT_TRACING
   GTEST_SKIP() << "emission sites compiled out (SSBFT_TRACING=0)";
 #endif
-  Scenario sc = trace_scenario(StackKind::kAgree, 0, false, ShardSched::kStatic);
+  Scenario sc = trace_scenario(StackKind::kAgree, 0, false);
   sc.seed = 7;
   sc.trace = true;
 
@@ -330,7 +326,7 @@ TEST(TraceGoldenTest, ShardedRunEmitsEngineLayer) {
 #if !SSBFT_TRACING
   GTEST_SKIP() << "emission sites compiled out (SSBFT_TRACING=0)";
 #endif
-  Scenario sc = trace_scenario(StackKind::kAgree, 4, false, ShardSched::kStatic);
+  Scenario sc = trace_scenario(StackKind::kAgree, 4, false);
   sc.trace = true;
   Cluster cluster(sc);
   cluster.run();
@@ -365,7 +361,7 @@ TEST(TraceGoldenTest, ShardedRunEmitsEngineLayer) {
 // --- stats registry ---------------------------------------------------------
 
 TEST(StatsRegistryTest, CollectsEngineNetworkSchedAndTracerStats) {
-  Scenario sc = trace_scenario(StackKind::kAgree, 4, false, ShardSched::kSteal);
+  Scenario sc = trace_scenario(StackKind::kAgree, 4, false);
   sc.trace = true;
   Cluster cluster(sc);
   cluster.run();
@@ -396,8 +392,7 @@ TEST(StatsRegistryTest, CollectsEngineNetworkSchedAndTracerStats) {
 
 TEST(StatsRegistryTest, ExportsPeakGaugesAndTopologyCounters) {
   // Serial engine: the queue/wheel capacity gauges only exist there.
-  Scenario sc =
-      trace_scenario(StackKind::kAgree, 1, false, ShardSched::kStatic);
+  Scenario sc = trace_scenario(StackKind::kAgree, 1, false);
   sc.payload_bytes = 256;  // above Payload::kInlineCapacity ⇒ pooled
   Cluster cluster(sc);
   cluster.run();

@@ -24,6 +24,11 @@ committed in the repository:
     so a core-count mismatch warn-skips those comparisons instead of
     failing them. With matching cores, a speedup below 0.9× of the
     baseline warns and below ``--fail-ratio`` fails.
+  * ``one_thread_speedup`` (BENCH_shard.json: the windowed engine on ONE
+    thread vs the serial World — node-major dispatch alone, no
+    parallelism) is compared only when both artifacts report the same
+    ``hardware_threads``; otherwise it warn-skips. It uses the speedup
+    thresholds above.
   * ``imbalance_mean`` (per-window max/min worker dispatches from the
     shard scheduler) fails when the fresh value is both > 2× the
     baseline and > 1.2 — a cost-aware policy that stopped balancing is
@@ -57,6 +62,7 @@ THROUGHPUT_SUFFIX = "events_per_sec"
 THROUGHPUT_EXTRA = ("scenarios_per_sec",)
 PARITY_KEYS = ("deterministic", "digest_parity", "parity")
 SPEEDUP_KEY = "speedup"
+ONE_THREAD_KEY = "one_thread_speedup"
 IMBALANCE_KEY = "imbalance_mean"
 TRACEOFF_PREFIX = "traceoff_"
 SPEEDUP_WARN_RATIO = 0.9
@@ -101,6 +107,10 @@ def is_parity(path):
 
 def is_speedup(path):
     return path.rsplit(".", 1)[-1] == SPEEDUP_KEY
+
+
+def is_one_thread(path):
+    return path.rsplit(".", 1)[-1] == ONE_THREAD_KEY
 
 
 def is_imbalance(path):
@@ -193,7 +203,8 @@ def check_file(name, baseline, fresh, fail_ratio, warn_ratio):
         if not isinstance(base_value, (int, float)) or base_value <= 0:
             continue
         throughput = is_throughput(path)
-        speedup = is_speedup(path)
+        one_thread = is_one_thread(path)
+        speedup = is_speedup(path) or one_thread
         imbalance = is_imbalance(path)
         rss = is_rss(path)
         if not (throughput or speedup or imbalance or rss):
@@ -236,6 +247,10 @@ def check_file(name, baseline, fresh, fail_ratio, warn_ratio):
                 f"{float(base_value):.2f} ({ratio:.2f}x)")
         threads_match = (base_threads is not None
                          and base_threads == fresh_threads)
+        if one_thread and not threads_match:
+            results.append((WARN, f"{line} — skipped: hardware_threads not "
+                                  f"recorded on both sides"))
+            continue
         if throughput and is_traceoff(path) and threads_match:
             if ratio < TRACEOFF_FAIL_RATIO:
                 results.append(
@@ -449,6 +464,30 @@ def self_test():
     no_row["rows"] = []
     checks.append(("flat-state pin fails when the n512 row vanished",
                    run_cli(flat_base, no_row) != 0))
+
+    # 13. The one-thread node-major column: gated on matching
+    #     hardware_threads only — a collapse fails there, is warn-skipped
+    #     across machines, and a dropped column fails.
+    one_base = {
+        "hardware_threads": 4,
+        "rows": [{"n": 512, "one_thread_speedup": 1.9, "parity": True}],
+    }
+    one_slow = copy.deepcopy(one_base)
+    one_slow["rows"][0]["one_thread_speedup"] = 0.8  # 0.42x of baseline
+    checks.append(("one-thread speedup collapse fails on same hardware",
+                   run_cli(one_base, one_slow) != 0))
+    one_other = copy.deepcopy(one_slow)
+    one_other["hardware_threads"] = 16
+    checks.append(("one-thread speedup skipped cross-machine",
+                   run_cli(one_base, one_other) == 0))
+    one_unrecorded = copy.deepcopy(one_slow)
+    del one_unrecorded["hardware_threads"]
+    checks.append(("one-thread speedup skipped without hardware_threads",
+                   run_cli(one_base, one_unrecorded) == 0))
+    one_dropped = copy.deepcopy(one_base)
+    del one_dropped["rows"][0]["one_thread_speedup"]
+    checks.append(("dropped one-thread speedup fails",
+                   run_cli(one_base, one_dropped) != 0))
 
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:

@@ -9,7 +9,7 @@
 //             [--proposals K] [--run-ms MS] [--depth D]
 //             [--auth KIND] [--payload-bytes N]
 //             [--topology KIND] [--cluster-size C] [--gossip-fanout F]
-//             [--shards S] [--shard-sched MODE] [--link-min-us US]
+//             [--shards S] [--link-min-us US]
 //             [--trace PATH] [--stats-json PATH] [--json PATH]
 //             [--wire-trace] [--verbose] [--help]
 //
@@ -51,13 +51,11 @@
 // digest on every engine. With a chaos schedule non-flat overlays degrade
 // to flat (a dropped relay copy would orphan a whole subtree).
 //
-// --shards S deploys on the conservative-parallel engine (S shards,
-// bit-identical results). It needs a lookahead: a link-delay distribution
-// with a positive minimum, e.g. --link-min-us 100. --shard-sched picks the
-// scheduling policy for those shards — static (fixed equal blocks) or
-// steal (deterministic work stealing); digests are identical under both,
-// and steal prints a scheduler report. Without one the run
-// degrades to the serial engine. Combined with --chaos-ms the run
+// --shards S deploys on the windowed engine (S worker threads dispatching
+// node-major inside each lookahead window, bit-identical results) and
+// prints a scheduler report. It needs a lookahead: a link-delay
+// distribution with a positive minimum, e.g. --link-min-us 100. Without
+// one the run degrades to the serial engine. Combined with --chaos-ms the run
 // alternates: each chaos window executes on the serial engine, the
 // complete in-flight state migrates to the windowed engine for the
 // stabilization stretch that follows, and migrates back when the next
@@ -117,8 +115,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "          [--run-ms MS] [--depth D] [--shards S]\n"
                "          [--auth KIND] [--payload-bytes N]\n"
                "          [--topology KIND] [--cluster-size C]\n"
-               "          [--gossip-fanout F]\n"
-               "          [--shard-sched MODE] [--link-min-us US]\n"
+               "          [--gossip-fanout F] [--link-min-us US]\n"
                "          [--trace PATH] [--stats-json PATH] [--json PATH]\n"
                "          [--wire-trace] [--verbose] [--help]\n"
                "       %s --sweep [--sweep-n LIST] [--sweep-f LIST]\n"
@@ -126,7 +123,6 @@ void print_usage(std::FILE* out, const char* argv0) {
                "          [--csv PATH] [--json PATH]\n"
                "STACK: agree|pulse|clock|log|pipeline|tps\n"
                "ADVERSARY: silent|noise|equivocate|stagger|spam|replay|faker\n"
-               "MODE: static|steal\n"
                "AUTH: null|hmac\n"
                "TOPOLOGY: flat|federated|gossip\n",
                argv0, argv0);
@@ -158,12 +154,6 @@ Topology parse_topology(const std::string& name, const char* argv0) {
   if (name == "flat") return Topology::kFlat;
   if (name == "federated") return Topology::kFederated;
   if (name == "gossip") return Topology::kGossip;
-  usage(argv0);
-}
-
-ShardSched parse_shard_sched(const std::string& name, const char* argv0) {
-  if (name == "static") return ShardSched::kStatic;
-  if (name == "steal") return ShardSched::kSteal;
   usage(argv0);
 }
 
@@ -445,12 +435,11 @@ bool write_single_run_json(const std::string& path, Cluster& cluster,
                "  \"f\": %u,\n"
                "  \"seed\": %llu,\n"
                "  \"shards\": %u,\n"
-               "  \"shard_sched\": \"%s\",\n"
                "  \"pass\": %s,\n"
                "  \"events\": %llu,\n",
                to_string(sc.stack), to_string(sc.adversary), sc.n, sc.f,
                static_cast<unsigned long long>(sc.seed), cluster.shards(),
-               to_string(sc.shard_sched), pass ? "true" : "false",
+               pass ? "true" : "false",
                static_cast<unsigned long long>(cluster.world().dispatched()));
   std::fprintf(out,
                "  \"auth\": \"%s\",\n"
@@ -468,7 +457,7 @@ bool write_single_run_json(const std::string& path, Cluster& cluster,
                static_cast<unsigned long long>(net.forged),
                static_cast<unsigned long long>(net.auth_rejected),
                static_cast<unsigned long long>(net.payload_bytes));
-  ShardSchedStats ss;
+  WindowStats ss;
   bool have_sched = false;
   auto* duty = dynamic_cast<DutyWorld*>(&cluster.world());
   if (duty != nullptr) {
@@ -497,13 +486,10 @@ bool write_single_run_json(const std::string& path, Cluster& cluster,
     std::fprintf(out,
                  "  \"migrations\": %zu,\n"
                  "  \"migration_ns\": %llu,\n"
-                 "  \"segment_shards\": [",
+                 "  \"segments\": %zu,\n",
                  duty->migrations(),
-                 static_cast<unsigned long long>(duty->migration_ns()));
-    for (std::size_t i = 0; i < duty->segment_shards().size(); ++i) {
-      std::fprintf(out, "%s%u", i ? ", " : "", duty->segment_shards()[i]);
-    }
-    std::fprintf(out, "],\n");
+                 static_cast<unsigned long long>(duty->migration_ns()),
+                 duty->segments());
   }
   std::fprintf(out, "  \"windows\": [");
   for (std::size_t w = 0; w < windows.size(); ++w) {
@@ -742,8 +728,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--shards") {
       sc.shards = parse_u32(next(), argv[0], 0, 4096);
-    } else if (arg == "--shard-sched") {
-      sc.shard_sched = parse_shard_sched(next(), argv[0]);
     } else if (arg == "--link-min-us") {
       link_min = microseconds(parse_u32(next(), argv[0], 1, 1'000'000'000));
     } else if (arg == "--trace") {
@@ -865,14 +849,13 @@ int main(int argc, char** argv) {
   const std::vector<ChaosWindow> chaos = sc.chaos_windows();
   if (cluster.sharded() && !chaos.empty()) {
     std::printf("engine: alternating (%zu chaos window(s) of %.1f ms on the "
-                "serial engine, stabilization on %u shards, sched %s, "
+                "serial engine, stabilization on %u shards, "
                 "lookahead %.0f us)\n",
                 chaos.size(), sc.chaos_period.millis(), cluster.shards(),
-                to_string(sc.shard_sched),
                 cluster.world().config().lookahead().micros());
   } else if (cluster.sharded()) {
-    std::printf("engine: sharded (%u shards, sched %s, lookahead %.0f us)\n",
-                cluster.shards(), to_string(sc.shard_sched),
+    std::printf("engine: sharded (%u shards, lookahead %.0f us)\n",
+                cluster.shards(),
                 cluster.world().config().lookahead().micros());
   } else {
     std::printf("engine: serial%s\n",
@@ -880,22 +863,17 @@ int main(int argc, char** argv) {
                                 "--link-min-us)"
                               : "");
   }
-  if (cluster.sharded() && sc.shard_sched != ShardSched::kStatic) {
+  if (cluster.sharded()) {
     // Scheduler observability: how balanced the windows ran and how much
     // stealing it took. Alternating runs also show the engine-switch
-    // overhead and the per-segment shard counts the adaptive sizing picked.
-    ShardSchedStats ss;
+    // overhead and how many sharded segments ran.
+    WindowStats ss;
     if (auto* duty = dynamic_cast<DutyWorld*>(&cluster.world())) {
       ss = duty->sched_stats();
-      std::string segments;
-      for (const std::uint32_t s : duty->segment_shards()) {
-        if (!segments.empty()) segments += ',';
-        segments += std::to_string(s);
-      }
       std::printf("sched: migrations %zu (%.2f ms switch overhead), "
-                  "segment shards [%s]\n",
+                  "%zu sharded segments\n",
                   duty->migrations(), double(duty->migration_ns()) * 1e-6,
-                  segments.c_str());
+                  duty->segments());
     } else if (auto* sharded = dynamic_cast<ShardWorld*>(&cluster.world())) {
       ss = sharded->sched_stats();
     }
