@@ -45,12 +45,9 @@ DutyWorld::DutyWorld(WorldConfig config,
 #endif
   if (windows_.front().start == RealTime::zero()) {
     serial_ = std::make_unique<World>(config_);
-    // Before ANY traffic: in-flight messages must be exportable at the cut.
-    serial_->enable_handoff_export();
     serial_->network().set_faulty_windows(windows_);
   } else {
     sharded_ = std::make_unique<ShardWorld>(config_);
-    sharded_->enable_handoff_export();
     ++segments_;
   }
 }
@@ -76,26 +73,11 @@ NodeBehavior* DutyWorld::behavior(NodeId id) { return active().behavior(id); }
 
 void DutyWorld::start() { active().start(); }
 
-void DutyWorld::fire_action(std::uint64_t seq) {
-  std::function<void()> action;
-  {
-    const std::lock_guard<std::mutex> lock(actions_mutex_);
-    auto node = actions_.extract(seq);
-    SSBFT_ASSERT(!node.empty());
-    action = std::move(node.mapped().action);
-  }
-  action();
-}
-
 void DutyWorld::migrate_to(RealTime cut) {
   ++migrations_;
-  // More boundaries ahead ⇒ the adopting engine must itself track in-flight
-  // deliveries for the NEXT export; on the final segment the tracking slab
-  // (pure overhead by then) stays off.
-  const bool more = cursor_ < cuts_.size();
   [[maybe_unused]] const bool to_sharded = serial_ != nullptr;
   // Drain the retiring segment first (that is dispatch work, not switch
-  // overhead), then clock the export → adopt → re-register span.
+  // overhead), then clock the export → adopt span.
   if (serial_) {
     // Every event strictly before the cut dispatches here (chaos sends all
     // originate inside the window, hence before the cut). What remains in
@@ -110,7 +92,7 @@ void DutyWorld::migrate_to(RealTime cut) {
     WorldMigration m = serial_->export_migration();
     serial_.reset();
     wall_export = std::chrono::steady_clock::now();
-    sharded_ = std::make_unique<ShardWorld>(config_, std::move(m), more);
+    sharded_ = std::make_unique<ShardWorld>(config_, std::move(m));
     ++segments_;
   } else {
     // Reverse direction: merge the shards back into one snapshot, adopt
@@ -119,22 +101,10 @@ void DutyWorld::migrate_to(RealTime cut) {
     WorldMigration m = sharded_->export_migration();
     sharded_.reset();
     wall_export = std::chrono::steady_clock::now();
-    serial_ = std::make_unique<World>(config_, std::move(m), more);
+    serial_ = std::make_unique<World>(config_, std::move(m));
     // Window membership is decided at SEND time against absolute real time,
     // so the full schedule transfers as-is; the cursor re-advances cheaply.
     serial_->network().set_faulty_windows(windows_);
-  }
-  // Re-register the surviving workload actions under their ORIGINAL keys —
-  // identical (when, key) dispatch slots, so the switch stays invisible to
-  // an all-serial run. The originals stay in the map: a still-pending
-  // action may have to survive the NEXT migration too.
-  for (const auto& [seq, a] : actions_) {
-    auto wrapper = [this, seq = seq] { fire_action(seq); };
-    if (serial_) {
-      serial_->queue().schedule(a.when, a.key, std::move(wrapper));
-    } else {
-      sharded_->schedule_keyed(a.when, a.key, a.target, std::move(wrapper));
-    }
   }
   const auto wall_end = std::chrono::steady_clock::now();
   const auto ns_between = [](auto from, auto to) {
@@ -207,21 +177,7 @@ void DutyWorld::scramble_node(NodeId id) { active().scramble_node(id); }
 
 void DutyWorld::schedule(RealTime when, NodeId target,
                          std::function<void()> action) {
-  SSBFT_EXPECTS(target < config_.n);
-  // Either engine mints the next world-channel seq for the wrapper event;
-  // register the action under that seq so it can follow every remaining
-  // migration. The wrapper adds no draws, no extra events, and the
-  // identical key — invisible to an all-serial run.
-  const std::uint64_t seq =
-      serial_ ? serial_->queue().global_seq() : sharded_->world_seq();
-  {
-    const std::lock_guard<std::mutex> lock(actions_mutex_);
-    auto [it, inserted] = actions_.emplace(
-        seq, WorldMigration::PendingAction{when, EventKey{kGlobalCreator, seq},
-                                           target, std::move(action)});
-    SSBFT_ASSERT(inserted);
-  }
-  active().schedule(when, target, [this, seq] { fire_action(seq); });
+  active().schedule(when, target, std::move(action));
 }
 
 void DutyWorld::inject_raw(NodeId dest, WireMessage msg, Duration delay) {

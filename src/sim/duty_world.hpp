@@ -18,21 +18,21 @@
 //     original (index, generation) tickets, every RNG stream and key
 //     channel continues at its exact position (PR 5's forward path);
 //   * sharded → serial (window start): ShardWorld::export_migration merges
-//     the shard queues, tracking slabs, and timer slabs (disjoint by the
-//     partitioned import + strided allocation) back into one snapshot the
-//     serial World adopts — the NEW reverse path, which is what lets the
-//     cycle repeat any number of times.
+//     the node queues and timer slabs (disjoint by the partitioned import +
+//     strided allocation) back into one snapshot the serial World adopts —
+//     the reverse path, which is what lets the cycle repeat any number of
+//     times.
 // Every cut is exclusive (run_before): the pre-cut engine dispatches
 // everything strictly before the boundary, so the alternating run executes
 // the identical total (when, creator, seq) order an all-serial run would,
 // and per-node digests are bit-identical (test_duty pins all six
 // StackKinds × shards {1, 2, 4}; bench_dutycycle hard-gates it in CI).
 //
-// Workload actions scheduled through this wrapper are registered in an
-// engine-agnostic map keyed by their world-channel seq and re-registered
-// under their ORIGINAL keys after every migration — unlike deliveries and
-// timers, a type-erased closure cannot be peeled back out of a queue, so
-// the orchestrator must keep the originals for as long as cuts remain.
+// Both exports read the in-flight set straight out of the event queues:
+// deliveries and workload actions are named event types (Network::Delivery,
+// Shard::Delivery, WorldAction) that EventQueue::for_each_pending visits,
+// and each re-materializes under its ORIGINAL key. schedule() is a plain
+// forward to the active engine.
 //
 // The serial surface (network(), queue()) forwards during serial segments
 // and aborts during sharded ones, exactly like ShardWorld's.
@@ -40,9 +40,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/shard_world.hpp"
@@ -68,9 +66,9 @@ class DutyWorld final : public WorldBase {
   }
   /// Engine switches performed so far (diagnostics/tests).
   [[nodiscard]] std::size_t migrations() const { return migrations_; }
-  /// Wall nanoseconds spent inside engine switches — export + adopt +
-  /// action re-registration, run_before (dispatch) excluded. The benches
-  /// split alternation cost into migration vs dispatch with this.
+  /// Wall nanoseconds spent inside engine switches — export + adopt,
+  /// run_before (dispatch) excluded. The benches split alternation cost
+  /// into migration vs dispatch with this.
   [[nodiscard]] std::uint64_t migration_ns() const { return migration_ns_; }
   /// Sharded stabilization segments started so far, the live one
   /// included. Each runs on the configured shard count.
@@ -121,13 +119,10 @@ class DutyWorld final : public WorldBase {
   [[nodiscard]] const WorldBase& active() const;
 
   /// Cross one boundary: drain the active engine strictly before `cut`,
-  /// export, adopt on the other engine, and re-register the surviving
-  /// workload actions under their original keys.
+  /// export, and adopt on the other engine.
   void migrate_to(RealTime cut);
   /// Advance the schedule: cross every boundary at or before `t`.
   void cross_cuts_until(RealTime t);
-  /// Scheduled-wrapper target: extract and run a registered action.
-  void fire_action(std::uint64_t seq);
 
   std::vector<ChaosWindow> windows_;  // the chaos schedule
   std::vector<RealTime> cuts_;                 // engine-switch boundaries
@@ -140,15 +135,6 @@ class DutyWorld final : public WorldBase {
   // Exactly one engine is live at a time; which one flips at every cut.
   std::unique_ptr<World> serial_;
   std::unique_ptr<ShardWorld> sharded_;
-
-  // Workload actions scheduled through us, keyed by the world-channel seq
-  // the active engine minted (deterministic iteration order). An action
-  // unregisters itself when it runs; whatever remains at a cut is
-  // re-registered on the adopting engine under its original key — the map
-  // keeps the original closures because migrations can recur. Guarded:
-  // during a sharded segment actions fire on the shard worker threads.
-  std::mutex actions_mutex_;
-  std::map<std::uint64_t, WorldMigration::PendingAction> actions_;
 };
 
 }  // namespace ssbft

@@ -69,6 +69,11 @@ class EventQueue {
   /// pooled bodies ride as a slot reference, so the closure stays flat).
   static constexpr std::size_t kInlineCapacity = 192;
 
+  /// Does a callable of type `Fn` live inline in its slot (not boxed)?
+  template <class Fn>
+  static constexpr bool stores_inline =
+      sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(std::max_align_t);
+
   EventQueue() = default;
   ~EventQueue() { clear(); }
 
@@ -91,8 +96,7 @@ class EventQueue {
   template <class F>
   void schedule(RealTime when, EventKey key, F&& action) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
+    if constexpr (stores_inline<Fn>) {
       SSBFT_EXPECTS(when >= now_);
       const std::uint32_t index = acquire_slot();
       Slot& target = slot(index);
@@ -103,6 +107,22 @@ class EventQueue {
       // Box the oversized closure; the slot then holds only the pointer.
       schedule(when, key,
                Boxed<Fn>{std::make_unique<Fn>(std::forward<F>(action))});
+    }
+  }
+
+  /// Read-only visit of every pending event whose callable is a `Fn`:
+  /// calls `visit(when, key, const Fn&)` in heap order. Events of any other
+  /// callable type are skipped. This is how an engine migration reads its
+  /// in-flight deliveries and world actions: the queue is their only record.
+  template <class Fn, class Visit>
+  void for_each_pending(Visit&& visit) const {
+    static_assert(stores_inline<Fn>, "boxed closures are not visitable");
+    const Ops* const ops = &ops_for<Fn>();
+    for (const Entry& entry : heap_) {
+      const Slot& pending = slot(entry.slot);
+      if (pending.ops != ops) continue;
+      visit(entry.when, EventKey{entry.creator, entry.seq},
+            *std::launder(reinterpret_cast<const Fn*>(pending.storage)));
     }
   }
 
@@ -217,6 +237,9 @@ class EventQueue {
   };
 
   [[nodiscard]] Slot& slot(std::uint32_t index) {
+    return slab_[index / kSlotChunk]->slots[index % kSlotChunk];
+  }
+  [[nodiscard]] const Slot& slot(std::uint32_t index) const {
     return slab_[index / kSlotChunk]->slots[index % kSlotChunk];
   }
 

@@ -57,8 +57,8 @@ void Network::admit(NodeId from, NodeId dest, WireMessage msg,
 void Network::send_all(NodeId from, const WireMessage& msg) {
   // Flat: plain per-destination fan-out. The payload pool makes this
   // zero-copy already: each unicast copy of `msg` shares the pooled body by
-  // reference, so broadcast needs no separate pooled path (and the chaos /
-  // handoff-export machinery has exactly one delivery funnel to reason
+  // reference, so broadcast needs no separate pooled path (and the chaos
+  // and migration machinery has exactly one delivery funnel to reason
   // about). Bookkeeping order (stats, tap, delay draws) per destination is
   // the historical pooled-broadcast order, bit-identical by construction.
   if (!topo_.active()) {
@@ -158,93 +158,29 @@ void Network::route(NodeId from, NodeId dest, WireMessage msg) {
 
 void Network::schedule_delivery(RealTime when, EventKey key, NodeId dest,
                                 const WireMessage& msg, bool forged) {
-  // Delivery-side verification happens inside the closure (i.e. at the
-  // delivery instant) in every variant below: the check is a pure function
-  // of message content, so serial, sharded, and migrated runs reject the
-  // same copies at the same points of the total order.
-  if (!handoff_export_) {
-    if (forged) {
-      queue_.schedule(when, key, [this, dest, msg] {
-        if (!auth_.verify(msg)) {
-          reject(dest, msg);
-          return;
-        }
-        relay(dest, msg);  // relay duty precedes local processing
-        deliver_(dest, msg);
-      });
-    } else {
-      queue_.schedule(when, key, [this, dest, msg] {
-        if (!auth_.verify(msg)) {
-          reject(dest, msg);
-          return;
-        }
-        relay(dest, msg);  // relay duty precedes local processing
-        ++stats_.delivered;
-        tap(TapEvent::Kind::kDelivered, msg.sender, dest, msg);
-        deliver_(dest, msg);
-      });
-    }
+  queue_.schedule(when, key, Delivery{this, dest, forged, msg});
+}
+
+void Network::Delivery::operator()() const {
+  // Verification happens here, at the delivery instant: the check is a pure
+  // function of message content, so serial, sharded, and migrated runs
+  // reject the same copies at the same points of the total order.
+  if (!net->auth_.verify(msg)) {
+    net->reject(dest, msg);
     return;
   }
-  // Handoff-export mode: the message rides in the tracking slab, the event
-  // closure carries only the slot index. Whatever is still in the slab when
-  // the run is exported IS the in-flight message set.
-  const std::uint32_t index = track(PendingDelivery{when, key, dest, msg, forged});
-  queue_.schedule(when, key, [this, index] {
-    const PendingDelivery pending = untrack(index);
-    if (!auth_.verify(pending.msg)) {
-      reject(pending.dest, pending.msg);
-      return;
-    }
-    relay(pending.dest, pending.msg);  // relay duty precedes local processing
-    if (!pending.forged) {
-      ++stats_.delivered;
-      tap(TapEvent::Kind::kDelivered, pending.msg.sender, pending.dest,
-          pending.msg);
-    }
-    deliver_(pending.dest, pending.msg);
-  });
+  net->relay(dest, msg);  // relay duty precedes local processing
+  if (!forged) {
+    ++net->stats_.delivered;
+    net->tap(TapEvent::Kind::kDelivered, msg.sender, dest, msg);
+  }
+  net->deliver_(dest, msg);
 }
 
 void Network::reject(NodeId dest, const WireMessage& msg) {
   ++stats_.auth_rejected;
   tap(TapEvent::Kind::kRejected, msg.sender, dest, msg);
   trace::instant(TraceLayer::kWorkload, TraceName::kAuthReject, dest);
-}
-
-void Network::enable_handoff_export() {
-  SSBFT_EXPECTS(stats_.sent == 0 && stats_.forged == 0);  // before traffic
-  handoff_export_ = true;
-}
-
-std::uint32_t Network::track(const PendingDelivery& pending) {
-  SSBFT_EXPECTS(!exported_);  // traffic after export ⇒ stale snapshot
-  if (!pending_free_.empty()) {
-    const std::uint32_t index = pending_free_.back();
-    pending_free_.pop_back();
-    pending_[index] = pending;
-    pending_live_[index] = true;
-    return index;
-  }
-  pending_.push_back(pending);
-  pending_live_.push_back(true);
-  return std::uint32_t(pending_.size() - 1);
-}
-
-Network::PendingDelivery Network::untrack(std::uint32_t index) {
-  SSBFT_EXPECTS(!exported_);  // dispatch after export ⇒ stale snapshot
-  SSBFT_ASSERT(pending_live_[index]);
-  pending_live_[index] = false;
-  pending_free_.push_back(index);
-  return pending_[index];
-}
-
-std::vector<Network::PendingDelivery> Network::pending_deliveries() const {
-  std::vector<PendingDelivery> out;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_live_[i]) out.push_back(pending_[i]);
-  }
-  return out;
 }
 
 void Network::corrupt(NodeId from, WireMessage& msg) {

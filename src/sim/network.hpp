@@ -11,9 +11,13 @@
 // check counts as auth_rejected, taps kRejected, and never reaches the
 // behavior. Message bodies ride as Payload handles (sim/payload.hpp): the
 // process-wide refcounted pool owns all in-flight bytes, so unicast send,
-// broadcast fan-out, chaos duplicates, and handoff-export snapshots all
-// share one copy of a pooled body — copying a WireMessage bumps a refcount,
-// it never copies payload bytes. See docs/wire-format.md.
+// broadcast fan-out, chaos duplicates, and migration snapshots all share
+// one copy of a pooled body — copying a WireMessage bumps a refcount, it
+// never copies payload bytes. See docs/wire-format.md.
+//
+// Every copy in flight is one Network::Delivery event in the queue, and
+// nothing else records it: an engine migration reads the in-flight set
+// straight out of the queue (EventQueue::for_each_pending).
 #pragma once
 
 #include <array>
@@ -199,8 +203,20 @@ class Network {
 
   // --- engine-migration surface (sim/duty_world.hpp) -----------------------
 
-  /// One delivery event in flight: everything needed to re-materialize it —
-  /// with its original key — in another engine's queue.
+  /// One copy in flight, as it sits in the event queue: verify, relay,
+  /// count, then deliver — at the delivery instant, on every engine.
+  /// Forged plants (inject_raw) skip the delivered/tap accounting.
+  struct Delivery {
+    Network* net;
+    NodeId dest;
+    bool forged;
+    WireMessage msg;
+    void operator()() const;
+  };
+
+  /// One delivery event in flight, read out of the queue at a migration
+  /// cut: everything needed to re-materialize it — with its original key —
+  /// in another engine's queue.
   struct PendingDelivery {
     RealTime when;
     EventKey key;
@@ -208,29 +224,6 @@ class Network {
     WireMessage msg{};
     bool forged = false;  // inject_raw plant: no delivered/tap accounting
   };
-
-  /// Track every scheduled delivery in a side slab so in-flight messages
-  /// can be exported at an engine handoff (the chaos prefix runs serial,
-  /// then hands its state to the windowed engine). Off by default — the
-  /// registry costs one slab insert/erase per message — and must be enabled
-  /// before any traffic. Tracked and untracked runs are bit-identical: the
-  /// registry never changes keys, draws, stats, or tap order.
-  void enable_handoff_export();
-  /// The in-flight deliveries, in tracking-slab index order (stable and
-  /// deterministic; dispatch order is the keys' business, not this list's).
-  /// A reusable const observer — exporting is mark_exported()'s business.
-  [[nodiscard]] std::vector<PendingDelivery> pending_deliveries() const;
-
-  /// Seal the tracking slab after its contents were exported: any further
-  /// traffic or delivery dispatch through this network is a hard precondition
-  /// failure. A snapshot taken before further activity is the only
-  /// consistent one — a second export, or an export after more dispatch,
-  /// must refuse rather than hand over a stale in-flight set.
-  void mark_exported() {
-    SSBFT_EXPECTS(!exported_);
-    exported_ = true;
-  }
-  [[nodiscard]] bool exported() const { return exported_; }
 
   /// Per-sender delay/chaos stream position (migrated at a handoff).
   [[nodiscard]] const Rng& link_rng(NodeId id) const { return link_rng_[id]; }
@@ -295,17 +288,15 @@ class Network {
   void corrupt(NodeId from, WireMessage& msg);
   void tap(TapEvent::Kind kind, NodeId from, NodeId to, const WireMessage& msg);
 
-  /// Schedule one per-copy delivery event, through the tracking slab when
-  /// handoff export is enabled. EVERY delivery path (non-faulty unicast and
-  /// broadcast fan-out, chaos, duplicates, forged plants) funnels through
-  /// here, so handoff-export reasoning covers them all; a pooled payload
-  /// body rides each copy as a slot reference, never re-copied.
+  /// Schedule one per-copy Delivery event. EVERY delivery path
+  /// (non-faulty unicast and broadcast fan-out, chaos, duplicates, forged
+  /// plants) funnels through here, so a migration that reads Delivery
+  /// events sees them all; a pooled payload body rides each copy as a slot
+  /// reference, never re-copied.
   void schedule_delivery(RealTime when, EventKey key, NodeId dest,
                          const WireMessage& msg, bool forged);
   /// Delivery-side authenticator failure: count, tap, trace, discard.
   void reject(NodeId dest, const WireMessage& msg);
-  [[nodiscard]] std::uint32_t track(const PendingDelivery& pending);
-  [[nodiscard]] PendingDelivery untrack(std::uint32_t index);
 
   EventQueue& queue_;
   std::uint32_t n_;
@@ -325,15 +316,8 @@ class Network {
   DelayOracle oracle_;
   std::uint64_t oracle_seq_ = 0;
   Authenticator auth_;
-
-  // Handoff-export tracking slab (enable_handoff_export). `pending_live_`
-  // marks occupied slots; dead slots wait on `pending_free_` for reuse.
-  // `exported_` seals the slab once its contents migrated (mark_exported).
-  bool handoff_export_ = false;
-  bool exported_ = false;
-  std::vector<PendingDelivery> pending_;
-  std::vector<bool> pending_live_;
-  std::vector<std::uint32_t> pending_free_;
 };
+
+static_assert(EventQueue::stores_inline<Network::Delivery>);
 
 }  // namespace ssbft

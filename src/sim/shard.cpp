@@ -236,7 +236,8 @@ void Shard::dispatch_send(NodeId dest, RealTime when, EventKey key,
   }
   // Serial phase (on_start, scramble, piecewise runs): no concurrency,
   // insert straight into the owning shard.
-  world_.shard_of(dest).schedule_delivery(when, key, dest, std::move(msg));
+  world_.shard_of(dest).schedule_delivery(when, key, dest, std::move(msg),
+                                          /*forged=*/false);
 }
 
 void Shard::send_all(NodeId from, const WireMessage& msg) {
@@ -280,109 +281,31 @@ void Shard::relay(NodeId self, const WireMessage& msg) {
 }
 
 void Shard::schedule_delivery(RealTime when, EventKey key, NodeId dest,
-                              WireMessage msg) {
+                              WireMessage msg, bool forged) {
   SSBFT_EXPECTS(owns(dest));
-  Shard* shard = this;
-  EventQueue& queue = node_queue(dest);
-  // The authenticator check runs inside the closure — at the delivery
-  // instant — as a pure function of message content, so serial, sharded,
-  // and migrated runs reject the same copies at the same points of the
-  // total order (see Network::schedule_delivery).
-  if (!handoff_export_) {
-    queue.schedule(when, key, [shard, dest, msg = std::move(msg)] {
-      if (!shard->auth_.verify(msg)) {
-        shard->reject(dest);
-        return;
-      }
-      shard->relay(dest, msg);  // relay duty precedes local processing
-      ++shard->wire_stats().delivered;
-      shard->deliver(dest, msg);
-    });
-    return;
-  }
-  // Export mode: the payload rides in the tracking slab, the closure
-  // carries only the slot index — whatever is still tracked at a cut IS
-  // this shard's in-flight message set (see Network::schedule_delivery).
-  const std::uint32_t index = track(Network::PendingDelivery{
-      when, key, dest, std::move(msg), /*forged=*/false});
-  queue.schedule(when, key, [shard, index] {
-    const Network::PendingDelivery pending = shard->untrack(index);
-    if (!shard->auth_.verify(pending.msg)) {
-      shard->reject(pending.dest);
-      return;
-    }
-    shard->relay(pending.dest, pending.msg);
-    ++shard->wire_stats().delivered;
-    shard->deliver(pending.dest, pending.msg);
-  });
+  node_queue(dest).schedule(when, key,
+                            Delivery{this, dest, forged, std::move(msg)});
 }
 
-void Shard::schedule_forged(RealTime when, EventKey key, NodeId dest,
-                            WireMessage msg) {
-  SSBFT_EXPECTS(owns(dest));
-  Shard* shard = this;
-  EventQueue& queue = node_queue(dest);
-  if (!handoff_export_) {
-    queue.schedule(when, key, [shard, dest, msg = std::move(msg)] {
-      if (!shard->auth_.verify(msg)) {
-        shard->reject(dest);
-        return;
-      }
-      shard->relay(dest, msg);  // relay duty precedes local processing
-      shard->deliver(dest, msg);
-    });
+void Shard::Delivery::operator()() const {
+  // The authenticator check runs at the delivery instant, as a pure
+  // function of message content, so serial, sharded, and migrated runs
+  // reject the same copies at the same points of the total order (see
+  // Network::Delivery).
+  if (!shard->auth_.verify(msg)) {
+    shard->reject(dest);
     return;
   }
-  const std::uint32_t index = track(
-      Network::PendingDelivery{when, key, dest, std::move(msg), /*forged=*/true});
-  queue.schedule(when, key, [shard, index] {
-    const Network::PendingDelivery pending = shard->untrack(index);
-    if (!shard->auth_.verify(pending.msg)) {
-      shard->reject(pending.dest);
-      return;
-    }
-    shard->relay(pending.dest, pending.msg);
-    shard->deliver(pending.dest, pending.msg);
-  });
+  shard->relay(dest, msg);  // relay duty precedes local processing
+  if (!forged) ++shard->wire_stats().delivered;
+  shard->deliver(dest, msg);
 }
 
 void Shard::schedule_action(RealTime when, EventKey key, NodeId target,
                             std::function<void()> action) {
   SSBFT_EXPECTS(owns(target));
-  node_queue(target).schedule(when, key, std::move(action));
-}
-
-std::uint32_t Shard::track(const Network::PendingDelivery& pending) {
-  SSBFT_EXPECTS(!exported_);  // traffic after export ⇒ stale snapshot
-  if (!pending_free_.empty()) {
-    const std::uint32_t index = pending_free_.back();
-    pending_free_.pop_back();
-    pending_[index] = pending;
-    pending_live_[index] = true;
-    return index;
-  }
-  pending_.push_back(pending);
-  pending_live_.push_back(true);
-  return std::uint32_t(pending_.size() - 1);
-}
-
-Network::PendingDelivery Shard::untrack(std::uint32_t index) {
-  // A thief's dispatch recycles slab slots concurrently with the owner's.
-  return exclusive([&] {
-    SSBFT_EXPECTS(!exported_);  // dispatch after export ⇒ stale snapshot
-    SSBFT_ASSERT(pending_live_[index]);
-    pending_live_[index] = false;
-    pending_free_.push_back(index);
-    return pending_[index];
-  });
-}
-
-void Shard::export_deliveries(std::vector<Network::PendingDelivery>& out) {
-  SSBFT_EXPECTS(handoff_export_ && !exported_);
-  exported_ = true;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_live_[i]) out.push_back(pending_[i]);
-  }
+  node_queue(target).schedule(when, key,
+                              WorldAction{target, std::move(action)});
 }
 
 void Shard::export_node(NodeId id, WorldMigration::NodeState& out) {
@@ -485,7 +408,8 @@ void Shard::import_timers(
 
 void Shard::drain_inboxes() {
   const auto sink = [this](Pending&& p) {
-    schedule_delivery(p.when, p.key, p.dest, std::move(p.msg));
+    schedule_delivery(p.when, p.key, p.dest, std::move(p.msg),
+                      /*forged=*/false);
   };
   // Key order makes the merge order unobservable; worker order keeps it
   // deterministic anyway.

@@ -118,22 +118,27 @@ class Shard {
   /// parked.
   void drain_inboxes();
 
-  /// Schedule a delivery on THIS shard (dest must be owned). Used by the
-  /// local send path, by drain_inboxes, and by ShardWorld for serial-phase
-  /// cross-shard sends. Takes the message by value so in-engine callers can
-  /// move the pool reference straight into the event closure. The
-  /// authenticator check runs inside the closure, at the delivery instant,
-  /// mirroring Network::schedule_delivery.
+  /// One copy in flight in a node queue, mirroring Network::Delivery:
+  /// verify, relay, count, then deliver. Forged plants (inject_raw) skip
+  /// the delivered accounting but face the same delivery-instant
+  /// authenticator check as authentic traffic.
+  struct Delivery {
+    Shard* shard;
+    NodeId dest;
+    bool forged;
+    WireMessage msg;
+    void operator()() const;
+  };
+
+  /// Schedule a Delivery on THIS shard (dest must be owned). Used by the
+  /// local send path, by drain_inboxes, by ShardWorld for serial-phase
+  /// cross-shard sends and forged plants, and by adoption. Takes the
+  /// message by value so in-engine callers can move the pool reference
+  /// straight into the event.
   void schedule_delivery(RealTime when, EventKey key, NodeId dest,
-                         WireMessage msg);
+                         WireMessage msg, bool forged);
 
-  /// Fault-injector plant: deliver without the delivered/tap accounting,
-  /// mirroring Network::inject_raw. Forged copies face the same delivery-
-  /// instant authenticator check as authentic traffic.
-  void schedule_forged(RealTime when, EventKey key, NodeId dest,
-                       WireMessage msg);
-
-  /// Park a world-level action for `target` in target's node queue.
+  /// Park a WorldAction for `target` in target's node queue.
   /// Serial phases / barrier only.
   void schedule_action(RealTime when, EventKey key, NodeId target,
                        std::function<void()> action);
@@ -165,20 +170,6 @@ class Shard {
   void import_timers(const std::vector<TimerWheel::ExportedRecord>& records,
                      const std::vector<std::uint32_t>& generations,
                      RealTime now);
-
-  /// Track every scheduled delivery in a side slab so in-flight messages
-  /// can be exported at the next cut (reverse migration), mirroring
-  /// Network::enable_handoff_export. Must precede all traffic on this
-  /// shard; bit-identical to the untracked path. Idempotent.
-  void enable_handoff_export() {
-    SSBFT_EXPECTS(stats_.sent == 0);
-    handoff_export_ = true;
-  }
-
-  /// Append this shard's live in-flight deliveries (slab order), then seal
-  /// the slab: any further traffic or dispatch is a precondition failure —
-  /// the snapshot would be stale.
-  void export_deliveries(std::vector<Network::PendingDelivery>& out);
 
   /// Snapshot this shard's live timer records + slab ticket map.
   void export_timers(std::vector<TimerWheel::ExportedRecord>& out,
@@ -214,10 +205,10 @@ class Shard {
   /// otherwise.
   [[nodiscard]] NetworkStats& wire_stats();
 
-  /// Run `op` on the wheel or the tracking slab. While a window executes
-  /// with more than one shard, a thief running one of this shard's nodes
-  /// races the owner on both, so the op takes the execution lock; a lone
-  /// shard's one worker, and every serial phase, runs it unlocked.
+  /// Run `op` on the timer wheel. While a window executes with more than
+  /// one shard, a thief running one of this shard's nodes races the owner
+  /// on it, so the op takes the execution lock; a lone shard's one worker,
+  /// and every serial phase, runs it unlocked.
   template <typename Op>
   decltype(auto) exclusive(Op&& op);
 
@@ -248,9 +239,6 @@ class Shard {
   /// discarded — the behavior never sees it.
   void reject(NodeId dest);
 
-  [[nodiscard]] std::uint32_t track(const Network::PendingDelivery& pending);
-  [[nodiscard]] Network::PendingDelivery untrack(std::uint32_t index);
-
   /// Hand every wheel timer due at or before `bound` to the event queue.
   void pump_timers(RealTime bound);
   /// Scheduled-closure target: claim the record and run on_timer.
@@ -276,18 +264,11 @@ class Shard {
   NetworkStats stats_;
   std::vector<NodeSlot> slots_;  // [first_node_, end_node_)
 
-  /// Serializes wheel arm/cancel/claim and tracking-slab untrack while a
-  /// window executes (see exclusive()).
+  /// Serializes wheel arm/cancel/claim while a window executes (see
+  /// exclusive()).
   std::mutex exec_mutex_;
-
-  // Handoff-export tracking slab, mirroring Network's: `pending_live_`
-  // marks occupied slots, dead slots wait on `pending_free_` for reuse,
-  // `exported_` seals the slab once its contents migrated.
-  bool handoff_export_ = false;
-  bool exported_ = false;
-  std::vector<Network::PendingDelivery> pending_;
-  std::vector<bool> pending_live_;
-  std::vector<std::uint32_t> pending_free_;
 };
+
+static_assert(EventQueue::stores_inline<Shard::Delivery>);
 
 }  // namespace ssbft

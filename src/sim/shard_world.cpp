@@ -50,14 +50,9 @@ ShardWorld::ShardWorld(WorldConfig config)
   last_shard_dispatched_.assign(shards, 0);
 }
 
-ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration,
-                       bool handoff_export)
+ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration)
     : ShardWorld(std::move(config)) {
   SSBFT_EXPECTS(migration.nodes.size() == config_.n);
-  // Delivery tracking must be live BEFORE the migrated in-flight set
-  // re-materializes below, or those deliveries would be lost to the next
-  // cut's export.
-  if (handoff_export) enable_handoff_export();
   // Counters and stream positions continue where the serial prefix stopped:
   // the suffix must mint the exact keys and draws an uninterrupted serial
   // run would have.
@@ -81,14 +76,12 @@ ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration,
   // argument constrains only traffic GENERATED during a window, and the
   // post-cut network is non-faulty (every new send respects λ).
   for (const Network::PendingDelivery& p : migration.deliveries) {
-    if (p.forged) {
-      shard_of(p.dest).schedule_forged(p.when, p.key, p.dest, p.msg);
-    } else {
-      shard_of(p.dest).schedule_delivery(p.when, p.key, p.dest, p.msg);
-    }
+    shard_of(p.dest).schedule_delivery(p.when, p.key, p.dest, p.msg,
+                                       p.forged);
   }
   for (WorldMigration::PendingAction& a : migration.actions) {
-    schedule_keyed(a.when, a.key, a.target, std::move(a.action));
+    shard_of(a.target).schedule_action(a.when, a.key, a.target,
+                                       std::move(a.action));
   }
 }
 
@@ -141,15 +134,13 @@ void ShardWorld::scramble_node(NodeId id) {
 
 void ShardWorld::schedule(RealTime when, NodeId target,
                           std::function<void()> action) {
-  schedule_keyed(when, next_world_key(), target, std::move(action));
-}
-
-void ShardWorld::schedule_keyed(RealTime when, EventKey key, NodeId target,
-                                std::function<void()> action) {
   SSBFT_EXPECTS(target < config_.n);
   SSBFT_EXPECTS(tl_exec_ == nullptr);  // serial phases only
   SSBFT_EXPECTS(!exported_);
-  shard_of(target).schedule_action(when, key, target, std::move(action));
+  // World-level key: matches the serial queue's key-less counter
+  // call-for-call.
+  shard_of(target).schedule_action(
+      when, EventKey{kGlobalCreator, world_seq_++}, target, std::move(action));
 }
 
 void ShardWorld::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
@@ -159,9 +150,9 @@ void ShardWorld::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
   ++world_stats_.forged;
   // Forged channel: the same content-based key the serial Network mints for
   // this plant (engine-independent dispatch order; see kForgedCreator).
-  shard_of(dest).schedule_forged(now() + delay,
-                                 EventKey{kForgedCreator, forged_seq_++}, dest,
-                                 std::move(msg));
+  shard_of(dest).schedule_delivery(now() + delay,
+                                   EventKey{kForgedCreator, forged_seq_++},
+                                   dest, std::move(msg), /*forged=*/true);
 }
 
 NetworkStats ShardWorld::net_stats() const {
@@ -438,13 +429,9 @@ void ShardWorld::run_before(RealTime t) {
   cut_ = false;
 }
 
-void ShardWorld::enable_handoff_export() {
-  for (auto& shard : shards_) shard->enable_handoff_export();
-}
-
 WorldMigration ShardWorld::export_migration() {
-  // One-shot, mirroring World::export_migration: the per-shard slabs seal
-  // themselves, and the run/schedule guards refuse further activity.
+  // One-shot, mirroring World::export_migration: the run/schedule/
+  // inject_raw guards refuse further activity.
   SSBFT_EXPECTS(!exported_);
   exported_ = true;
   WorldMigration m;
@@ -454,7 +441,11 @@ WorldMigration ShardWorld::export_migration() {
   m.forged_seq = forged_seq_;
   m.stats = net_stats();
   m.world_rng = rng_;
-  for (auto& shard : shards_) shard->export_deliveries(m.deliveries);
+  for (const auto& shard : shards_) {
+    for (const EventQueue& q : shard->node_queues_) {
+      m.read_pending<Shard::Delivery>(q);
+    }
+  }
   // Timer slabs are disjoint by construction (partitioned import + strided
   // append), so the merged snapshot is the concatenation of the per-shard
   // exports with an elementwise-max generation map: for any index, at most
@@ -477,9 +468,6 @@ WorldMigration ShardWorld::export_migration() {
   for (NodeId id = 0; id < config_.n; ++id) {
     shard_of(id).export_node(id, m.nodes[id]);
   }
-  // World-level actions are the orchestrator's to carry (DutyWorld keeps
-  // the originals and re-registers extractable wrappers per segment);
-  // nothing here can peel a raw closure back out of a queue.
   return m;
 }
 

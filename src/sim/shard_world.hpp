@@ -64,11 +64,9 @@ class ShardWorld final : public WorldBase {
   /// records (at their original handle tickets), pending world actions,
   /// stream positions, key-channel counters, and wire/dispatch counters all
   /// carry over; behaviors are NOT re-started. The segment then dispatches
-  /// the exact (when, creator, seq) order the serial engine would have.
-  /// `handoff_export` pre-enables per-shard delivery tracking so this
-  /// segment can itself be exported at the next cut (reverse migration).
-  ShardWorld(WorldConfig config, WorldMigration&& migration,
-             bool handoff_export = false);
+  /// the exact (when, creator, seq) order the serial engine would have,
+  /// and can itself be exported at the next cut (reverse migration).
+  ShardWorld(WorldConfig config, WorldMigration&& migration);
   ~ShardWorld() override;
 
   /// Shard count this config will actually run with: clamped to n, and 1
@@ -104,29 +102,14 @@ class ShardWorld final : public WorldBase {
   /// and cross-shard arrivals land ≥ window end).
   void run_before(RealTime t);
 
-  /// Track every delivery for export on all shards (fresh-start form; the
-  /// adoption constructor's flag covers adopted runs). Must precede all
-  /// traffic; see Shard::enable_handoff_export. Idempotent.
-  void enable_handoff_export();
-
   /// Merge the per-shard state back into one serial-adoptable snapshot:
-  /// queues' in-flight deliveries (shard then slab order), timer slabs
-  /// (disjoint by the partitioned import + strided append — concatenation
-  /// plus an elementwise-max generation merge), node streams/clocks/
-  /// behaviors, and the world-level counters. One-shot: a second export,
-  /// or any run/schedule after it, is a hard precondition failure.
+  /// the deliveries and world actions pending in the node queues (shard,
+  /// node, then heap order), timer slabs (disjoint by the partitioned
+  /// import + strided append — concatenation plus an elementwise-max
+  /// generation merge), node streams/clocks/behaviors, and the world-level
+  /// counters. One-shot: a second export, or any run/schedule after it, is
+  /// a hard precondition failure.
   [[nodiscard]] WorldMigration export_migration();
-
-  /// Key-less world-channel counter position (mirrors
-  /// EventQueue::global_seq on the serial engine) — the seq the next
-  /// schedule() will mint, which the migration wrapper reads to register
-  /// extractable actions.
-  [[nodiscard]] std::uint64_t world_seq() const { return world_seq_; }
-
-  /// Re-register a migrated world-level action under its ORIGINAL key
-  /// (adoption path — the serial twin is queue().schedule(when, key, ...)).
-  void schedule_keyed(RealTime when, EventKey key, NodeId target,
-                      std::function<void()> action);
 
   [[nodiscard]] RealTime now() const override;
   [[nodiscard]] LocalTime local_now(NodeId id) const override;
@@ -171,12 +154,6 @@ class ShardWorld final : public WorldBase {
   /// to get subtly wrong — a mismapped node would abort or corrupt).
   [[nodiscard]] Shard& shard_of(NodeId id) {
     return *shards_[shard_index_[id]];
-  }
-
-  /// Mint the next world-level (kGlobalCreator) key. Serial phases only —
-  /// matches the serial queue's internal counter call-for-call.
-  [[nodiscard]] EventKey next_world_key() {
-    return EventKey{kGlobalCreator, world_seq_++};
   }
 
   /// Advance all shards to `target` in lookahead windows. `quiescence`

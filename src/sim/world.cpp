@@ -118,15 +118,11 @@ World::World(WorldConfig config)
   }
 }
 
-World::World(WorldConfig config, WorldMigration&& migration,
-             bool handoff_export)
+World::World(WorldConfig config, WorldMigration&& migration)
     : World(std::move(config)) {
   SSBFT_EXPECTS(migration.nodes.size() == nodes_.size());
-  // Counter/clock positions first: the queue must be pristine, and delivery
-  // tracking must be live BEFORE any delivery re-materializes (and before
-  // the adopted wire counters would trip its before-traffic precondition).
+  // Counter/clock positions first: the queue must be pristine.
   queue_.adopt(migration.now, migration.world_seq, migration.dispatched);
-  if (handoff_export) network_->enable_handoff_export();
   network_->adopt_world_counters(migration.forged_seq, migration.stats);
   rng_ = migration.world_rng;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
@@ -147,8 +143,8 @@ World::World(WorldConfig config, WorldMigration&& migration,
   for (const Network::PendingDelivery& pending : migration.deliveries) {
     network_->adopt_delivery(pending);
   }
-  for (WorldMigration::PendingAction& action : migration.actions) {
-    queue_.schedule(action.when, action.key, std::move(action.action));
+  for (WorldMigration::PendingAction& a : migration.actions) {
+    queue_.schedule(a.when, a.key, WorldAction{a.target, std::move(a.action)});
   }
   // Behaviors carry their started flags over — adoption never re-runs
   // on_start (the cut is an engine-internal instant, not a deployment).
@@ -204,7 +200,7 @@ void World::fire_timer(TimerHandle handle) {
   if (fired.behavior) fired.behavior->on_timer(*fired.context, cookie);
 }
 
-void World::run_until(RealTime t) {
+void World::dispatch_to(RealTime bound, bool inclusive) {
   SSBFT_EXPECTS(!exported_);
   const trace::Scope traced(config_.tracer, queue_.now_ptr());
   logger_.set_now(queue_.now());
@@ -213,41 +209,36 @@ void World::run_until(RealTime t) {
     // heap just before the dispatch that could need them; the heap's
     // (when, creator, seq) order then dispatches exactly as the legacy
     // all-in-the-heap path would.
-    const RealTime bound = timer_pump_bound(queue_, timers_, t);
-    if (bound != RealTime::max()) {
-      pump_timers(bound);
+    const RealTime pump = timer_pump_bound(queue_, timers_, bound);
+    if (pump != RealTime::max()) {
+      pump_timers(pump);
       continue;
     }
-    if (queue_.empty() || queue_.next_time() > t) break;
+    if (queue_.empty()) break;
+    const RealTime next = queue_.next_time();
+    if (inclusive ? next > bound : next >= bound) break;
     queue_.run_one();
     logger_.set_now(queue_.now());
   }
+}
+
+void World::run_until(RealTime t) {
+  dispatch_to(t, /*inclusive=*/true);
   queue_.run_until(t);
 }
 
-void World::run_before(RealTime t) {
-  SSBFT_EXPECTS(!exported_);
-  const trace::Scope traced(config_.tracer, queue_.now_ptr());
-  logger_.set_now(queue_.now());
-  while (true) {
-    const RealTime bound = timer_pump_bound(queue_, timers_, t);
-    if (bound != RealTime::max()) {
-      pump_timers(bound);
-      continue;
-    }
-    if (queue_.empty() || queue_.next_time() >= t) break;
-    queue_.run_one();
-    logger_.set_now(queue_.now());
-  }
+void World::run_before(RealTime t) { dispatch_to(t, /*inclusive=*/false); }
+
+void World::run_to_quiescence(RealTime hard_deadline) {
+  dispatch_to(hard_deadline, /*inclusive=*/true);
 }
 
 WorldMigration World::export_migration() {
   // One-shot: a second export, or an export after further activity (the
-  // run_*/schedule guards plus the Network's sealed tracking slab), could
-  // only produce an inconsistent snapshot — refuse loudly instead.
+  // run_*/schedule/network()/queue() guards), could only produce an
+  // inconsistent snapshot — refuse loudly instead.
   SSBFT_EXPECTS(!exported_);
   exported_ = true;
-  network_->mark_exported();
   WorldMigration m;
   m.now = queue_.now();
   m.dispatched = dispatched();
@@ -255,7 +246,7 @@ WorldMigration World::export_migration() {
   m.forged_seq = network_->forged_seq();
   m.stats = network_->stats();
   m.world_rng = rng_;
-  m.deliveries = network_->pending_deliveries();
+  m.read_pending<Network::Delivery>(queue_);
   timers_.export_records(m.timers, m.timer_generations);
   m.nodes.resize(nodes_.size());
   for (NodeId id = 0; id < nodes_.size(); ++id) {
@@ -270,21 +261,6 @@ WorldMigration World::export_migration() {
     out.started = slot.started;
   }
   return m;
-}
-
-void World::run_to_quiescence(RealTime hard_deadline) {
-  SSBFT_EXPECTS(!exported_);
-  const trace::Scope traced(config_.tracer, queue_.now_ptr());
-  while (true) {
-    const RealTime bound = timer_pump_bound(queue_, timers_, hard_deadline);
-    if (bound != RealTime::max()) {
-      pump_timers(bound);
-      continue;
-    }
-    if (queue_.empty() || queue_.next_time() > hard_deadline) break;
-    queue_.run_one();
-    logger_.set_now(queue_.now());
-  }
 }
 
 LocalTime World::local_now(NodeId id) const {
@@ -311,12 +287,12 @@ void World::scramble_node(NodeId id) {
 void World::schedule(RealTime when, NodeId target,
                      std::function<void()> action) {
   SSBFT_EXPECTS(target < config_.n);
-  SSBFT_EXPECTS(!exported_);
-  queue_.schedule(when, std::move(action));  // world-level creator key
+  // World-level creator key; the named type lets an export read it back.
+  queue().schedule(when, WorldAction{target, std::move(action)});
 }
 
 void World::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
-  network_->inject_raw(dest, msg, delay);
+  network().inject_raw(dest, msg, delay);
 }
 
 void World::deliver(NodeId dest, const WireMessage& msg) {

@@ -25,6 +25,7 @@
 #include "sim/network.hpp"
 #include "sim/node.hpp"
 #include "sim/timer_wheel.hpp"
+#include "util/assert.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -173,6 +174,17 @@ struct WorldConfig {
 [[nodiscard]] DriftingClock derive_node_clock(const WorldConfig& config,
                                               NodeId id);
 
+/// A world-level action (workload injection) as it sits in an event queue:
+/// the node it touches and the closure. A named event type, so a migration
+/// can read pending actions back out of the queues.
+struct WorldAction {
+  NodeId target;
+  std::function<void()> action;
+  void operator()() const { action(); }
+};
+
+static_assert(EventQueue::stores_inline<WorldAction>);
+
 /// Complete in-flight state of one engine at a migration cut — the
 /// currency both directions of an engine switch trade in.
 ///
@@ -180,13 +192,13 @@ struct WorldConfig {
 /// unbounded chaos delays live in the Network); the stretches between
 /// windows are where the windowed ShardWorld shines. DutyWorld
 /// (sim/duty_world.hpp) alternates: at each boundary the active engine
-/// exports this snapshot and the other adopts it — every pending delivery,
-/// armed (or handed-over-but-unfired) timer record, RNG stream position,
-/// key-channel counter, clock, and wire counter — so an N-cycle
-/// alternating run is bit-identical to an all-serial one (test_duty pins
-/// the matrix). The cut is exclusive: every event strictly before the
-/// migration instant has dispatched, so everything here fires at or after
-/// it.
+/// exports this snapshot and the other adopts it — every pending delivery
+/// and world action (read out of the event queues), armed (or
+/// handed-over-but-unfired) timer record, RNG stream position, key-channel
+/// counter, clock, and wire counter — so an N-cycle alternating run is
+/// bit-identical to an all-serial one (test_duty pins the matrix). The cut
+/// is exclusive: every event strictly before the migration instant has
+/// dispatched, so everything here fires at or after it.
 struct WorldMigration {
   struct NodeState {
     DriftingClock clock;
@@ -197,10 +209,8 @@ struct WorldMigration {
     std::uint64_t send_seq = 0;   // even-channel key position
     bool started = false;
   };
-  /// A pending world-level action (workload injection) with the key-less
-  /// world-channel seq it was minted under. Filled by DutyWorld — the
-  /// World cannot re-materialize type-erased queue closures, so the wrapper
-  /// registers every schedule() itself (the closures are engine-agnostic).
+  /// A pending WorldAction with the key-less world-channel key it was
+  /// minted under, read out of the exporting engine's queues.
   struct PendingAction {
     RealTime when;
     EventKey key;
@@ -219,6 +229,20 @@ struct WorldMigration {
   std::uint64_t world_seq = 0;      // key-less world-channel position
   std::uint64_t forged_seq = 0;     // forged-channel position
   RealTime now{};                   // last prefix dispatch (< the cut)
+
+  /// Append the Delivery events and WorldActions pending in `queue` —
+  /// the in-flight set both engines export.
+  template <class Delivery>
+  void read_pending(const EventQueue& queue) {
+    queue.for_each_pending<Delivery>(
+        [&](RealTime when, EventKey key, const Delivery& d) {
+          deliveries.push_back({when, key, d.dest, d.msg, d.forged});
+        });
+    queue.for_each_pending<WorldAction>(
+        [&](RealTime when, EventKey key, const WorldAction& a) {
+          actions.push_back({when, key, a.target, a.action});
+        });
+  }
 };
 
 /// Abstract deployment surface: everything the Cluster, the harness, and
@@ -291,13 +315,12 @@ class World final : public WorldBase {
  public:
   explicit World(WorldConfig config);
   /// Adoption form: continue a sharded segment's run from its exported
-  /// snapshot (the reverse migration — see WorldMigration). Deliveries
-  /// re-materialize under their original keys, timer records re-arm at
-  /// their original (index, generation) tickets, every stream/counter
-  /// position carries over, and behaviors are rebound — NOT re-started.
-  /// `handoff_export` pre-enables delivery tracking so this serial segment
-  /// can itself be exported at the next cut.
-  World(WorldConfig config, WorldMigration&& migration, bool handoff_export);
+  /// snapshot (the reverse migration — see WorldMigration). Deliveries and
+  /// world actions re-materialize under their original keys, timer records
+  /// re-arm at their original (index, generation) tickets, every
+  /// stream/counter position carries over, and behaviors are rebound — NOT
+  /// re-started.
+  World(WorldConfig config, WorldMigration&& migration);
   ~World() override;
 
   void set_behavior(NodeId id, std::unique_ptr<NodeBehavior> behavior) override;
@@ -313,15 +336,12 @@ class World final : public WorldBase {
   /// event an exported snapshot holds afterwards fires at or after `t`.
   void run_before(RealTime t);
 
-  /// Record every delivery for export (must precede all traffic); see
-  /// Network::enable_handoff_export.
-  void enable_handoff_export() { network_->enable_handoff_export(); }
-
-  /// Strip the world for the engine handoff: behaviors move out, in-flight
-  /// deliveries/timers/counters/stream positions are snapshotted. The world
-  /// is dead afterwards — destroy it (its remaining queue closures point at
-  /// engine internals the snapshot re-materializes on the new engine).
-  /// A second export, or any run/schedule after the first, is a hard
+  /// Strip the world for the engine handoff: behaviors move out; the
+  /// in-flight deliveries and world actions are read out of the queue, and
+  /// timers/counters/stream positions are snapshotted. The world is dead
+  /// afterwards — destroy it (its remaining queue closures point at engine
+  /// internals the snapshot re-materializes on the new engine). A second
+  /// export, or any run/schedule/traffic after the first, is a hard
   /// precondition failure: it could only hand over a stale snapshot.
   [[nodiscard]] WorldMigration export_migration();
 
@@ -330,8 +350,16 @@ class World final : public WorldBase {
   [[nodiscard]] RealTime real_at(NodeId id, LocalTime tau) const override;
 
   [[nodiscard]] DriftingClock& clock(NodeId id) override;
-  [[nodiscard]] Network& network() override { return *network_; }
-  [[nodiscard]] EventQueue& queue() override { return queue_; }
+  /// Both abort after export_migration: traffic or scheduling through a
+  /// dead world would be missing from the snapshot.
+  [[nodiscard]] Network& network() override {
+    SSBFT_EXPECTS(!exported_);
+    return *network_;
+  }
+  [[nodiscard]] EventQueue& queue() override {
+    SSBFT_EXPECTS(!exported_);
+    return queue_;
+  }
   /// Timer-wheel occupancy gauges (StatsRegistry).
   [[nodiscard]] const TimerWheel& timers() const { return timers_; }
   [[nodiscard]] Rng& rng() override { return rng_; }
@@ -358,6 +386,10 @@ class World final : public WorldBase {
 
   void deliver(NodeId dest, const WireMessage& msg);
 
+  /// The one dispatch loop behind run_until, run_before and
+  /// run_to_quiescence: pump due wheel timers, then dispatch every event at
+  /// or before `bound` (`inclusive`) or strictly before it.
+  void dispatch_to(RealTime bound, bool inclusive);
   /// Hand every wheel timer due at or before `bound` to the event heap.
   void pump_timers(RealTime bound);
   /// Scheduled-closure target: claim the record and run on_timer.

@@ -374,13 +374,11 @@ WorldConfig duty_world_config() {
   return wc;
 }
 
-std::unique_ptr<ShardWorld> exported_shard_world(WorldMigration* out = nullptr) {
+std::unique_ptr<ShardWorld> exported_shard_world() {
   auto world = std::make_unique<ShardWorld>(duty_world_config());
-  world->enable_handoff_export();
   world->start();
   world->run_before(RealTime::zero() + milliseconds(2));
-  WorldMigration m = world->export_migration();
-  if (out != nullptr) *out = std::move(m);
+  (void)world->export_migration();
   return world;
 }
 
@@ -402,13 +400,33 @@ TEST(ShardExportGuardTest, ScheduleAfterExportAborts) {
 }
 
 TEST(ShardExportGuardTest, ExportedStateAdoptsCleanly) {
-  // The happy path next to the guards: the exported snapshot round-trips
-  // into a serial World and keeps running.
-  WorldMigration m;
-  auto world = exported_shard_world(&m);
-  World adopted(duty_world_config(), std::move(m), /*handoff_export=*/false);
+  // The happy path next to the guards: a forged plant and a workload action
+  // pending past the cut are read out of the node queues (on two different
+  // shards), and the snapshot round-trips into a serial World that keeps
+  // running and fires the action exactly once.
+  ShardWorld world(duty_world_config());
+  world.start();
+  int fired = 0;
+  world.schedule(RealTime::zero() + milliseconds(4), 2, [&fired] { ++fired; });
+  WireMessage msg;
+  msg.sender = 3;
+  world.inject_raw(1, msg, milliseconds(3));
+  world.run_before(RealTime::zero() + milliseconds(2));
+  WorldMigration m = world.export_migration();
+  ASSERT_EQ(m.deliveries.size(), 1u);
+  EXPECT_TRUE(m.deliveries[0].forged);
+  EXPECT_EQ(m.deliveries[0].dest, 1u);
+  EXPECT_EQ(m.deliveries[0].key.creator, kForgedCreator);
+  ASSERT_EQ(m.actions.size(), 1u);
+  EXPECT_EQ(m.actions[0].target, 2u);
+  EXPECT_EQ(m.actions[0].when, RealTime::zero() + milliseconds(4));
+  EXPECT_EQ(m.actions[0].key.creator, kGlobalCreator);
+
+  World adopted(duty_world_config(), std::move(m));
   adopted.run_until(RealTime::zero() + milliseconds(5));
   EXPECT_GE(adopted.now(), RealTime::zero() + milliseconds(2));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(adopted.net_stats().forged, 1u);
 }
 
 }  // namespace

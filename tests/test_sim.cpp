@@ -241,6 +241,52 @@ TEST(EventQueueTest, PendingEventsAreDestroyedNotRun) {
   EXPECT_TRUE(weak.expired());
 }
 
+// for_each_pending<Fn> sees exactly the pending events of type Fn, with
+// the (when, key) they were scheduled under: not the ones already
+// dispatched, not lambdas, not other named types.
+struct TaggedEvent {
+  int tag;
+  int* fired;
+  void operator()() const { ++*fired; }
+};
+struct OtherEvent {
+  int tag;
+  void operator()() const {}
+};
+
+TEST(EventQueueTest, ForEachPendingVisitsOnlyPendingEventsOfOneType) {
+  EventQueue q;
+  int fired = 0;
+  q.schedule(RealTime{10}, EventKey{3, 4}, TaggedEvent{1, &fired});
+  q.schedule(RealTime{20}, EventKey{5, 6}, TaggedEvent{2, &fired});
+  q.schedule(RealTime{30}, TaggedEvent{3, &fired});  // world-level key
+  q.schedule(RealTime{15}, EventKey{3, 8}, OtherEvent{4});
+  q.schedule(RealTime{25}, [&fired] { fired += 100; });
+  q.run_until(RealTime{15});  // dispatches tag 1 and the OtherEvent
+  ASSERT_EQ(fired, 1);
+
+  std::map<int, std::pair<RealTime, EventKey>> seen;
+  q.for_each_pending<TaggedEvent>(
+      [&](RealTime when, EventKey key, const TaggedEvent& event) {
+        EXPECT_TRUE(seen.emplace(event.tag, std::make_pair(when, key)).second);
+      });
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen.at(2).first, RealTime{20});
+  EXPECT_EQ(seen.at(2).second.creator, 5u);
+  EXPECT_EQ(seen.at(2).second.seq, 6u);
+  EXPECT_EQ(seen.at(3).first, RealTime{30});
+  EXPECT_EQ(seen.at(3).second.creator, kGlobalCreator);
+
+  std::size_t others = 0;
+  q.for_each_pending<OtherEvent>(
+      [&](RealTime, EventKey, const OtherEvent&) { ++others; });
+  EXPECT_EQ(others, 0u);
+
+  // Visiting is read-only: every pending event still runs.
+  q.run_until(RealTime{40});
+  EXPECT_EQ(fired, 103);
+}
+
 // The tentpole claim: once the slab and heap cover the in-flight
 // population, scheduling + dispatching inline closures allocates nothing.
 TEST(EventQueueTest, SteadyStateDispatchAllocatesNothing) {
@@ -640,40 +686,41 @@ TEST(NetworkTest, InjectRawUsesForgedChannelKeys) {
   EXPECT_EQ(delivered_before_action, 1u);  // forged delivery dispatched first
 }
 
-// The handoff-export registry must be an invisible observer: identical
-// traffic, stats, and delivery order with it on or off — and it must hold
-// exactly the in-flight set at any instant.
-TEST(NetworkTest, HandoffExportTracksInFlightDeliveries) {
-  auto wc = small_world_config(3, 13);
-  World world(wc);
-  world.enable_handoff_export();
-  auto* receiver = new RecordingBehavior();
-  world.set_behavior(1, std::unique_ptr<NodeBehavior>(receiver));
-  world.start();
-  world.network().set_faulty_until(RealTime::zero() + milliseconds(5));
+// A migration export reads the in-flight set straight out of the event
+// queue: exactly the deliveries scheduled and not yet dispatched.
+TEST(NetworkTest, ExportMigrationReadsInFlightDeliveries) {
+  const auto chaotic_world = [] {
+    auto world = std::make_unique<World>(small_world_config(3, 13));
+    world->set_behavior(1, std::make_unique<RecordingBehavior>());
+    world->start();
+    world->network().set_faulty_until(RealTime::zero() + milliseconds(5));
+    WireMessage msg;
+    msg.value = 41;
+    world->network().send(0, 1, msg);
+    world->inject_raw(1, msg, milliseconds(2));
+    return world;
+  };
 
-  WireMessage msg;
-  msg.value = 41;
-  world.network().send(0, 1, msg);
-  world.inject_raw(1, msg, milliseconds(2));
-  const auto pending = world.network().pending_deliveries();
+  auto world = chaotic_world();
   // Everything scheduled (chaos delivery unless dropped, plus the plant)
   // is in flight right now.
-  const auto& stats = world.network().stats();
+  const NetworkStats stats = world->net_stats();
   const std::uint64_t expected =
       (stats.sent - stats.dropped) + stats.duplicated + stats.forged;
-  EXPECT_EQ(pending.size(), expected);
-  EXPECT_TRUE(std::any_of(pending.begin(), pending.end(),
+  const WorldMigration m = world->export_migration();
+  EXPECT_EQ(m.deliveries.size(), expected);
+  EXPECT_TRUE(std::any_of(m.deliveries.begin(), m.deliveries.end(),
                           [](const Network::PendingDelivery& p) {
                             return p.forged;
                           }));
 
-  world.run_for(milliseconds(30));  // beyond any chaos delay
-  EXPECT_TRUE(world.network().pending_deliveries().empty());
+  auto drained = chaotic_world();
+  drained->run_for(milliseconds(30));  // beyond any chaos delay
+  EXPECT_TRUE(drained->export_migration().deliveries.empty());
 }
 
 // A migration export is terminal and one-shot: the exporting engine's
-// queue, wheel, and delivery side-slab have been MOVED into the snapshot.
+// in-flight state, wheel, and behaviors have been MOVED into the snapshot.
 // A second export, or any further dispatch/scheduling/traffic, would fork
 // the run against stale state — the guards turn that into an immediate
 // precondition abort instead of a silent divergence.
@@ -681,7 +728,6 @@ class NetworkExportGuardTest : public ::testing::Test {
  protected:
   static std::unique_ptr<World> exported_world() {
     auto world = std::make_unique<World>(small_world_config(3, 7));
-    world->enable_handoff_export();
     world->set_behavior(0, std::make_unique<RecordingBehavior>());
     world->set_behavior(1, std::make_unique<RecordingBehavior>());
     world->start();
@@ -708,12 +754,14 @@ TEST_F(NetworkExportGuardTest, ScheduleAfterExportAborts) {
                "precondition");
 }
 
-TEST_F(NetworkExportGuardTest, SideSlabRefusesTrafficAfterExport) {
+TEST_F(NetworkExportGuardTest, SerialSurfaceRefusesTrafficAfterExport) {
   auto world = exported_world();
-  // The handoff side-slab itself guards: tracking a new delivery against
-  // an already-exported registry is the stale-export bug.
+  // network() and queue() themselves guard: traffic or events put into a
+  // dead world would be missing from the snapshot it already handed over.
   WireMessage msg;
   EXPECT_DEATH(world->network().send(0, 1, msg), "precondition");
+  EXPECT_DEATH(world->inject_raw(1, msg, milliseconds(1)), "precondition");
+  EXPECT_DEATH((void)world->queue(), "precondition");
 }
 
 TEST(NetworkTest, StatsCountPerKind) {
