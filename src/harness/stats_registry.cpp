@@ -115,8 +115,8 @@ StatsRegistry collect_run_stats(Cluster& cluster) {
   } else if (auto* shard = dynamic_cast<ShardWorld*>(&world)) {
     add_sched_stats(reg, shard->sched_stats());
   } else if (auto* serial = dynamic_cast<World*>(&world)) {
-    // Serial-engine gauges, sampled now: how deep the event heap and the
-    // timer wheel sit at the end of the run.
+    // Serial-engine gauges, sampled now: how deep the event heap sits at
+    // the end of the run.
     reg.add("queue.depth", double(serial->queue().size()), "events",
             "events pending in the heap");
     reg.add("queue.slab_capacity", double(serial->queue().slab_capacity()),
@@ -124,15 +124,17 @@ StatsRegistry collect_run_stats(Cluster& cluster) {
     reg.add("queue.peak_bytes", double(serial->queue().peak_bytes()), "bytes",
             "queue backing-store footprint (closure slab + heap; grow-only, "
             "so current = peak)");
-    reg.add("wheel.armed", double(serial->timers().armed()), "count",
-            "timer records still armed in the wheel");
-    reg.add("wheel.live", double(serial->timers().live()), "count",
-            "live timer slab records (armed + handed over)");
-    reg.add("wheel.peak_records", double(serial->timers().peak_live()),
-            "count", "high-water mark of live timer records");
-    reg.add("wheel.overflow", double(serial->timers().overflow_size()),
-            "count", "records parked in the overflow level");
   }
+  // Every engine has exactly one wheel (DutyWorld's moves with each cut).
+  const TimerWheel& wheel = world.timers();
+  reg.add("wheel.armed", double(wheel.armed()), "count",
+          "timer records still armed in the wheel");
+  reg.add("wheel.live", double(wheel.live()), "count",
+          "live timer slab records (armed + handed over)");
+  reg.add("wheel.peak_records", double(wheel.peak_live()), "count",
+          "high-water mark of live timer records");
+  reg.add("wheel.overflow", double(wheel.overflow_size()), "count",
+          "records parked in the overflow level");
 
   if (const Tracer* tracer = cluster.tracer()) {
     reg.add("trace.recorded", double(tracer->recorded()), "count",

@@ -95,8 +95,8 @@ void DutyWorld::migrate_to(RealTime cut) {
     sharded_ = std::make_unique<ShardWorld>(config_, std::move(m));
     ++segments_;
   } else {
-    // Reverse direction: merge the shards back into one snapshot, adopt
-    // serially for the next window.
+    // Reverse direction: read the node queues back into one snapshot,
+    // adopt serially for the next window.
     sched_total_ += sharded_->sched_stats();
     WorldMigration m = sharded_->export_migration();
     sharded_.reset();
@@ -187,6 +187,8 @@ void DutyWorld::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
 NetworkStats DutyWorld::net_stats() const { return active().net_stats(); }
 
 std::uint64_t DutyWorld::dispatched() const { return active().dispatched(); }
+
+const TimerWheel& DutyWorld::timers() const { return active().timers(); }
 
 Network& DutyWorld::network() {
   SSBFT_EXPECTS(serial_ != nullptr);  // sharded segment: no single Network

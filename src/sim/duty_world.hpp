@@ -12,16 +12,17 @@
 // DutyWorld compiles the window list into an alternation schedule and
 // switches engines at every boundary with a FULL state migration in both
 // directions:
-//   * serial → sharded (window end): World::export_migration splits the
-//     run across shards — in-flight deliveries re-materialize under their
-//     original content-based keys, live timer records re-arm at their
-//     original (index, generation) tickets, every RNG stream and key
-//     channel continues at its exact position (PR 5's forward path);
-//   * sharded → serial (window start): ShardWorld::export_migration merges
-//     the node queues and timer slabs (disjoint by the partitioned import +
-//     strided allocation) back into one snapshot the serial World adopts —
+//   * serial → sharded (window end): World::export_migration hands the run
+//     to a ShardWorld, which parks each in-flight delivery in its
+//     destination's node queue under its original content-based key;
+//   * sharded → serial (window start): ShardWorld::export_migration reads
+//     the node queues back into one snapshot the serial World adopts —
 //     the reverse path, which is what lets the cycle repeat any number of
 //     times.
+// Both directions MOVE the engine's one TimerWheel and its NodeState
+// vector (clocks, behaviors, every RNG stream and key channel) whole, so
+// each timer keeps its (index, generation) ticket and each stream its
+// exact position; only behaviors are rebound to the adopter's contexts.
 // Every cut is exclusive (run_before): the pre-cut engine dispatches
 // everything strictly before the boundary, so the alternating run executes
 // the identical total (when, creator, seq) order an all-serial run would,
@@ -108,6 +109,8 @@ class DutyWorld final : public WorldBase {
 
   [[nodiscard]] NetworkStats net_stats() const override;
   [[nodiscard]] std::uint64_t dispatched() const override;
+  /// The active engine's wheel — the one wheel every cut moves along.
+  [[nodiscard]] const TimerWheel& timers() const override;
 
   /// Serial surface: forwards during serial segments, aborts during
   /// sharded ones (no single Network/queue exists there).

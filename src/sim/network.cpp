@@ -8,15 +8,16 @@
 
 namespace ssbft {
 
-Network::Network(EventQueue& queue, std::uint32_t n, DelayModel link_delay,
-                 DelayModel proc_delay, ChaosConfig chaos, std::uint64_t seed,
-                 DeliverFn deliver, AuthKind auth)
+Network::Network(EventQueue& queue, std::vector<NodeState>& nodes,
+                 DelayModel link_delay, DelayModel proc_delay,
+                 ChaosConfig chaos, std::uint64_t seed, DeliverFn deliver,
+                 AuthKind auth)
     : queue_(queue),
-      n_(n),
+      nodes_(nodes),
+      n_(std::uint32_t(nodes.size())),
       link_delay_(link_delay),
       proc_delay_(proc_delay),
       chaos_(chaos),
-      send_seq_(n, 0),
       deliver_(std::move(deliver)),
       auth_(auth, seed) {
   SSBFT_EXPECTS(n_ > 0);
@@ -29,10 +30,6 @@ Network::Network(EventQueue& queue, std::uint32_t n, DelayModel link_delay,
   // "chaos". Clamp to a positive floor so a chaotic network always has a
   // real delay envelope.
   chaos_.max_delay = std::max(chaos_.max_delay, chaos_delay_floor());
-  link_rng_.reserve(n_);
-  for (NodeId id = 0; id < n_; ++id) {
-    link_rng_.push_back(derive_link_rng(seed, id));
-  }
 }
 
 void Network::send(NodeId from, NodeId dest, WireMessage msg) {
@@ -93,7 +90,7 @@ void Network::relay(NodeId self, const WireMessage& msg) {
 
 Duration Network::sample_delay(NodeId from, NodeId dest,
                                const WireMessage& msg) {
-  Rng& rng = link_rng_[from];
+  Rng& rng = nodes_[from].link_rng;
   Duration delay = link_delay_.sample(rng) + proc_delay_.sample(rng);
   if (oracle_) {
     if (const auto chosen = oracle_(msg.sender, dest, msg, oracle_seq_++)) {
@@ -120,7 +117,7 @@ void Network::route(NodeId from, NodeId dest, WireMessage msg) {
   if (faulty_now()) {
     // Chaos draws come from the AUTHENTIC sender's stream (corruption may
     // rewrite msg.sender, never which stream paid for it).
-    Rng& rng = link_rng_[from];
+    Rng& rng = nodes_[from].link_rng;
     if (rng.next_bool(chaos_.drop_prob)) {
       ++stats_.dropped;
       tap(TapEvent::Kind::kDropped, msg.sender, dest, msg);
@@ -187,7 +184,7 @@ void Network::corrupt(NodeId from, WireMessage& msg) {
   // Any tampering here leaves msg.auth stale, so under AuthKind::kHmac the
   // verifier discards the copy at delivery (auth_rejected) — the faulty
   // network garbles traffic but cannot mint valid tags.
-  Rng& rng = link_rng_[from];
+  Rng& rng = nodes_[from].link_rng;
   switch (rng.next_below(7)) {
     case 0: msg.kind = MsgKind(rng.next_below(std::uint64_t(MsgKind::kNumKinds))); break;
     case 1: msg.sender = NodeId(rng.next_below(n_)); break;

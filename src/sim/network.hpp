@@ -18,6 +18,11 @@
 // Every copy in flight is one Network::Delivery event in the queue, and
 // nothing else records it: an engine migration reads the in-flight set
 // straight out of the queue (EventQueue::for_each_pending).
+//
+// Per-sender streams (delay/chaos RNG, even-channel key seq) are not the
+// Network's own: it draws them from the owning World's NodeState vector
+// (sim/node.hpp), so the node records a migration cut moves already carry
+// every sender's position.
 #pragma once
 
 #include <array>
@@ -30,6 +35,7 @@
 #include "sim/auth.hpp"
 #include "sim/delay_model.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/node.hpp"
 #include "sim/payload.hpp"
 #include "sim/tap.hpp"
 #include "sim/topology.hpp"
@@ -109,13 +115,15 @@ class Network {
 
   /// `deliver` is invoked at the (real) instant the destination finishes
   /// processing the message — i.e. arrival + processing delay. All random
-  /// draws (delays, chaos misbehaviour) come from per-SENDER streams derived
-  /// from `(seed, sender)` — see derive_link_rng — so sampling depends only
-  /// on each sender's own send history, never on the global interleaving;
-  /// the sharded engine mirrors these streams shard-locally.
-  Network(EventQueue& queue, std::uint32_t n, DelayModel link_delay,
-          DelayModel proc_delay, ChaosConfig chaos, std::uint64_t seed,
-          DeliverFn deliver, AuthKind auth = AuthKind::kNull);
+  /// draws (delays, chaos misbehaviour) come from per-SENDER streams —
+  /// `nodes[sender].link_rng`, derived from `(seed, sender)` (see
+  /// derive_link_rng) — so sampling depends only on each sender's own send
+  /// history, never on the global interleaving; the sharded engine draws
+  /// from the same records. `nodes` (one per node) must outlive the Network.
+  Network(EventQueue& queue, std::vector<NodeState>& nodes,
+          DelayModel link_delay, DelayModel proc_delay, ChaosConfig chaos,
+          std::uint64_t seed, DeliverFn deliver,
+          AuthKind auth = AuthKind::kNull);
 
   /// Authenticated send: `msg.sender` is overwritten with `from` and the
   /// tag stamped under the configured scheme. A pooled payload body is
@@ -225,21 +233,9 @@ class Network {
     bool forged = false;  // inject_raw plant: no delivered/tap accounting
   };
 
-  /// Per-sender delay/chaos stream position (migrated at a handoff).
-  [[nodiscard]] const Rng& link_rng(NodeId id) const { return link_rng_[id]; }
   /// Forged-channel key seq position (migrated at a handoff).
   [[nodiscard]] std::uint64_t forged_seq() const { return forged_seq_; }
-  /// Per-sender even-channel key seq position (migrated at a handoff).
-  [[nodiscard]] std::uint64_t send_seq(NodeId id) const {
-    return send_seq_[id];
-  }
 
-  /// Adopt one node's migrated per-sender stream/counter positions.
-  void adopt_node_streams(NodeId id, const Rng& link_rng,
-                          std::uint64_t send_seq) {
-    link_rng_[id] = link_rng;
-    send_seq_[id] = send_seq;
-  }
   /// Adopt the migrated world-level counters (forged channel, wire stats).
   void adopt_world_counters(std::uint64_t forged_seq,
                             const NetworkStats& stats) {
@@ -261,7 +257,7 @@ class Network {
 
   /// Next even-channel (network) EventKey for an event caused by `from`.
   [[nodiscard]] EventKey next_key(NodeId from) {
-    return EventKey{from, send_seq_[from]++ * 2};
+    return EventKey{from, nodes_[from].send_seq++ * 2};
   }
 
   /// Is the network faulty at the current simulation instant? Advances the
@@ -299,13 +295,12 @@ class Network {
   void reject(NodeId dest, const WireMessage& msg);
 
   EventQueue& queue_;
+  std::vector<NodeState>& nodes_;  // per-sender streams (the World's)
   std::uint32_t n_;
   DelayModel link_delay_;
   DelayModel proc_delay_;
   ChaosConfig chaos_;
-  std::vector<Rng> link_rng_;            // per-sender (seed, sender) streams
-  std::vector<std::uint64_t> send_seq_;  // per-sender even-channel key seqs
-  std::uint64_t forged_seq_ = 0;         // forged-channel key seq
+  std::uint64_t forged_seq_ = 0;  // forged-channel key seq
   DeliverFn deliver_;
   // Chaos duty schedule (sorted, disjoint) + monotone lookup cursor.
   std::vector<ChaosWindow> windows_;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "sim/clock.hpp"
 #include "sim/wire.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -83,6 +84,20 @@ class NodeBehavior {
   /// state must NOT change: the migration is invisible to the protocol by
   /// construction. Default: no cached context, nothing to rebind.
   virtual void rebind(NodeContext&) {}
+};
+
+/// One node's engine-side record: everything an engine keeps per node
+/// besides its NodeContext object. Both engines hold one vector of these
+/// indexed by NodeId, and a migration cut moves that vector whole to the
+/// adopting engine, which rebinds each behavior to its own contexts.
+struct NodeState {
+  DriftingClock clock;
+  std::unique_ptr<NodeBehavior> behavior;  // may be null (no behavior set)
+  Rng rng{0};                   // behavior stream position
+  Rng link_rng{0};              // per-sender delay/chaos stream position
+  std::uint64_t timer_seq = 0;  // odd-channel key position
+  std::uint64_t send_seq = 0;   // even-channel key position
+  bool started = false;
 };
 
 }  // namespace ssbft

@@ -9,15 +9,6 @@
 
 namespace ssbft {
 
-template <typename Op>
-decltype(auto) Shard::exclusive(Op&& op) {
-  if (concurrent_ && ShardWorld::tl_exec_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(exec_mutex_);
-    return op();
-  }
-  return op();
-}
-
 // NodeContext for a sharded node. Mirrors World::ContextImpl exactly —
 // same key channels, same stream draws — but routes through the shard.
 class Shard::ContextImpl final : public NodeContext {
@@ -41,9 +32,9 @@ class Shard::ContextImpl final : public NodeContext {
     const RealTime fire =
         std::max(shard_.world_.real_at(id_, when), shard_.world_.now());
     Shard& shard = shard_;
-    const ShardWorld& world = shard.world_;
-    NodeSlot& slot = shard.slot(id_);
-    const EventKey key{id_, slot.timer_seq++ * 2 + 1};  // odd channel: timers
+    ShardWorld& world = shard.world_;
+    // Odd channel: timers (see World::ContextImpl::set_timer).
+    const EventKey key{id_, shard.state(id_).timer_seq++ * 2 + 1};
     // Due wheel timers reach the node queues at plan time, so a fire INSIDE
     // the current window cannot wait for the next pump — park it straight
     // in the executing node's queue (timers are always self-node, and this
@@ -53,11 +44,13 @@ class Shard::ContextImpl final : public NodeContext {
         (world.window_inclusive_ ? fire <= world.window_end_
                                  : fire < world.window_end_);
     if (!in_window && world.config().timer_wheel) {
-      return shard.exclusive(
-          [&] { return shard.timers_.schedule(fire, key, id_, cookie); });
+      return world.on_wheel([&](TimerWheel& timers) {
+        return timers.schedule(fire, key, id_, cookie);
+      });
     }
-    const TimerHandle handle = shard.exclusive(
-        [&] { return shard.timers_.arm_external(fire, key, id_, cookie); });
+    const TimerHandle handle = world.on_wheel([&](TimerWheel& timers) {
+      return timers.arm_external(fire, key, id_, cookie);
+    });
     shard.node_queue(id_).schedule(
         fire, key, [&shard, handle] { shard.fire_timer(handle); });
     return handle;
@@ -69,10 +62,11 @@ class Shard::ContextImpl final : public NodeContext {
   }
 
   bool cancel_timer(TimerHandle handle) override {
-    return shard_.exclusive([&] { return shard_.timers_.cancel(handle); });
+    return shard_.world_.on_wheel(
+        [&](TimerWheel& timers) { return timers.cancel(handle); });
   }
 
-  Rng& rng() override { return shard_.slot(id_).rng; }
+  Rng& rng() override { return shard_.state(id_).rng; }
   Logger& log() override {
     // Thieves must not write the owner's logger; the per-worker exec
     // logger absorbs log output during windows.
@@ -87,44 +81,33 @@ class Shard::ContextImpl final : public NodeContext {
   NodeId id_;
 };
 
-Shard::Shard(ShardWorld& world, std::uint32_t index, std::uint32_t shard_count,
-             NodeId first_node, NodeId end_node)
+Shard::Shard(ShardWorld& world, std::uint32_t index, NodeId first_node,
+             NodeId end_node)
     : world_(world),
       index_(index),
       first_node_(first_node),
       end_node_(end_node),
-      concurrent_(shard_count > 1),
       topo_(world.config().topology.resolved(world.config().n)),
       node_queues_(end_node - first_node),
       logger_(world.config().log_level),
       auth_(world.config().auth, world.config().seed) {
   SSBFT_EXPECTS(first_node_ < end_node_);
-  const WorldConfig& config = world_.config();
-  slots_.resize(end_node_ - first_node_);
+  contexts_.reserve(end_node_ - first_node_);
   for (NodeId id = first_node_; id < end_node_; ++id) {
-    NodeSlot& s = slots_[id - first_node_];
-    s.clock = derive_node_clock(config, id);
-    s.context = std::make_unique<ContextImpl>(*this, id);
-    s.rng = derive_node_rng(config.seed, id);
-    s.link_rng = derive_link_rng(config.seed, id);
-  }
-  // Partition the wheel's allocation space from birth: sibling shards must
-  // never hand out the same record index, or a later export merge (engine
-  // handoff) would fold colliding slabs — two live timers at one index,
-  // mismatched generation tickets. The adoption path
-  // re-imports over this with the real snapshot; the index choice itself is
-  // unobservable (dispatch order is the keys').
-  if (shard_count > 1) {
-    timers_.import_records({}, {}, RealTime::zero(),
-                           [](NodeId) { return false; }, index_, shard_count);
+    contexts_.push_back(std::make_unique<ContextImpl>(*this, id));
   }
 }
 
 Shard::~Shard() = default;
 
-Shard::NodeSlot& Shard::slot(NodeId id) {
+NodeState& Shard::state(NodeId id) {
   SSBFT_EXPECTS(owns(id));
-  return slots_[id - first_node_];
+  return world_.nodes_[id];
+}
+
+NodeContext& Shard::context(NodeId id) {
+  SSBFT_EXPECTS(owns(id));
+  return *contexts_[id - first_node_];
 }
 
 EventQueue& Shard::node_queue(NodeId id) {
@@ -136,34 +119,6 @@ NetworkStats& Shard::wire_stats() {
   if (ShardWorld::ExecContext* exec = ShardWorld::tl_exec_) return exec->stats;
   return stats_;
 }
-
-void Shard::set_behavior(NodeId id, std::unique_ptr<NodeBehavior> behavior,
-                         bool started) {
-  NodeSlot& s = slot(id);
-  s.behavior = std::move(behavior);
-  s.started = false;
-  if (started && s.behavior) {
-    s.behavior->on_start(*s.context);
-    s.started = true;
-  }
-}
-
-NodeBehavior* Shard::behavior(NodeId id) { return slot(id).behavior.get(); }
-
-void Shard::start_node(NodeId id) {
-  NodeSlot& s = slot(id);
-  if (s.behavior && !s.started) {
-    s.behavior->on_start(*s.context);
-    s.started = true;
-  }
-}
-
-void Shard::scramble_node(NodeId id) {
-  NodeSlot& s = slot(id);
-  if (s.behavior) s.behavior->scramble(*s.context, s.rng);
-}
-
-DriftingClock& Shard::clock(NodeId id) { return slot(id).clock; }
 
 std::uint64_t Shard::dispatched() const {
   std::uint64_t total = 0;
@@ -189,7 +144,7 @@ RealTime Shard::last_queue_now() const {
   return last;
 }
 
-Duration Shard::sample_delay(NodeSlot& from) {
+Duration Shard::sample_delay(NodeState& from) {
   // Same draw order as Network::sample_delay: link then processing.
   const WorldConfig& config = world_.config();
   return config.link_delay.sample(from.link_rng) +
@@ -212,7 +167,7 @@ void Shard::admit(NodeId from, NodeId dest, WireMessage msg,
   ++stats.sent;
   stats.per_kind[std::size_t(msg.kind)]++;
   stats.payload_bytes += msg.payload.size();
-  NodeSlot& sender = slot(from);
+  NodeState& sender = state(from);
   const Duration delay = sample_delay(sender);
   const RealTime when = world_.now() + delay;
   const EventKey key{from, sender.send_seq++ * 2};  // even channel: network
@@ -272,10 +227,10 @@ void Shard::relay(NodeId self, const WireMessage& msg) {
         WireMessage copy = msg;
         copy.route = route_mark;
         ++wire_stats().fanout_msgs;
-        NodeSlot& relay_slot = slot(self);
-        const Duration delay = sample_delay(relay_slot);
+        NodeState& relay_node = state(self);
+        const Duration delay = sample_delay(relay_node);
         const RealTime when = world_.now() + delay;
-        const EventKey key{self, relay_slot.send_seq++ * 2};
+        const EventKey key{self, relay_node.send_seq++ * 2};
         dispatch_send(dest, when, key, std::move(copy));
       });
 }
@@ -308,20 +263,17 @@ void Shard::schedule_action(RealTime when, EventKey key, NodeId target,
                               WorldAction{target, std::move(action)});
 }
 
-void Shard::export_node(NodeId id, WorldMigration::NodeState& out) {
-  NodeSlot& s = slot(id);
-  out.clock = s.clock;
-  out.behavior = std::move(s.behavior);
-  out.rng = s.rng;
-  out.link_rng = s.link_rng;
-  out.timer_seq = s.timer_seq;
-  out.send_seq = s.send_seq;
-  out.started = s.started;
+void Shard::schedule_timer(const TimerWheel::Due& due) {
+  Shard* shard = this;
+  node_queue(NodeId(due.key.creator))
+      .schedule(due.when, due.key,
+                [shard, handle = due.handle] { shard->fire_timer(handle); });
 }
 
 void Shard::deliver(NodeId dest, const WireMessage& msg) {
-  NodeSlot& s = slot(dest);
-  if (s.behavior) s.behavior->on_message(*s.context, msg);
+  if (NodeBehavior* behavior = state(dest).behavior.get()) {
+    behavior->on_message(context(dest), msg);
+  }
 }
 
 void Shard::reject(NodeId dest) {
@@ -329,38 +281,21 @@ void Shard::reject(NodeId dest) {
   trace::instant(TraceLayer::kWorkload, TraceName::kAuthReject, dest);
 }
 
-void Shard::pump_timers(RealTime bound) {
-  timers_.advance(bound, due_batch_);
-  for (const TimerWheel::Due& due : due_batch_) {
-    Shard* shard = this;
-    // Timer keys are creator == owning node, which routes each record to
-    // its node's queue.
-    node_queue(NodeId(due.key.creator))
-        .schedule(due.when, due.key,
-                  [shard, handle = due.handle] { shard->fire_timer(handle); });
-  }
-}
-
 void Shard::fire_timer(TimerHandle handle) {
   NodeId node;
   std::uint64_t cookie;
-  const bool live = exclusive([&] {
-    if (timers_.claim(handle, node, cookie)) return true;
+  const bool live = world_.on_wheel([&](TimerWheel& timers) {
+    if (timers.claim(handle, node, cookie)) return true;
     ++suppressed_timers_;  // cancelled after hand-over: a no-op pop
     return false;
   });
   if (!live) return;
-  NodeSlot& fired = slot(node);
-  if (fired.behavior) fired.behavior->on_timer(*fired.context, cookie);
+  if (NodeBehavior* fired = state(node).behavior.get()) {
+    fired->on_timer(context(node), cookie);
+  }
 }
 
 void Shard::build_steal_items(RealTime end, bool inclusive) {
-  // Mid-window pumping is impossible once thieves share the wheel, so hand
-  // over everything due through the window edge now, at plan time. Early
-  // hand-over is unobservable: the per-node dispatch gate still holds each
-  // event for its window (see run_node_window). A timer landing AT an
-  // exclusive window edge enters the queue now and waits there.
-  pump_timers(end);
   steal_items_.clear();
   for (NodeId id = first_node_; id < end_node_; ++id) {
     EventQueue& queue = node_queue(id);
@@ -382,28 +317,6 @@ std::uint64_t Shard::run_node_window(NodeId id, RealTime end, bool inclusive) {
     if (exec != nullptr) exec->logger.set_now(queue.now());
   }
   return queue.dispatched() - before;
-}
-
-void Shard::adopt_node(NodeId id, WorldMigration::NodeState&& state) {
-  NodeSlot& s = slot(id);
-  s.clock = state.clock;
-  s.behavior = std::move(state.behavior);
-  s.rng = state.rng;
-  s.link_rng = state.link_rng;
-  s.timer_seq = state.timer_seq;
-  s.send_seq = state.send_seq;
-  s.started = state.started;
-  // The serial engine's context object dies with it; behaviors that cached
-  // it (the protocol stacks do, at on_start) must point at this shard's.
-  if (s.behavior) s.behavior->rebind(*s.context);
-}
-
-void Shard::import_timers(
-    const std::vector<TimerWheel::ExportedRecord>& records,
-    const std::vector<std::uint32_t>& generations, RealTime now) {
-  timers_.import_records(records, generations, now,
-                         [this](NodeId node) { return owns(node); }, index_,
-                         world_.shard_count());
 }
 
 void Shard::drain_inboxes() {

@@ -1,17 +1,20 @@
 // One shard of the windowed engine (sim/shard_world.hpp).
 //
-// A Shard owns a contiguous block of nodes: their clocks, behaviors,
-// per-node RNG streams, one slab EventQueue PER NODE, a timer wheel, and
-// wire counters. Within a lookahead window every node's work is independent
-// — any send lands at or after the window end, and only a node's own timers
-// create same-window work — so whole nodes are the unit of dispatch: a
-// worker claims a node and runs its whole window batch in (when, creator,
-// seq) key order before moving on (node-major dispatch). Per-node key order
-// is all the digest can see, so who executed a node, and in what order the
-// nodes ran, is unobservable. Every send made inside a window parks in the
-// executing worker's outbox and reaches its destination queue at the window
-// barrier; the bounded-delay model guarantees it lands at or after the next
-// window, so no node ever sees an event "from the past".
+// A Shard owns a contiguous block of nodes: their NodeContexts, one slab
+// EventQueue PER NODE, and wire counters. The node records themselves
+// (clocks, behaviors, streams) sit in the engine's one NodeState vector,
+// and the timers in its one TimerWheel; a Shard touches only its own block
+// of the vector. Within a lookahead window every node's work is
+// independent — any send lands at or after the window end, and only a
+// node's own timers create same-window work — so whole nodes are the unit
+// of dispatch: a worker claims a node and runs its whole window batch in
+// (when, creator, seq) key order before moving on (node-major dispatch).
+// Per-node key order is all the digest can see, so who executed a node, and
+// in what order the nodes ran, is unobservable. Every send made inside a
+// window parks in the executing worker's outbox and reaches its destination
+// queue at the window barrier; the bounded-delay model guarantees it lands
+// at or after the next window, so no node ever sees an event "from the
+// past".
 //
 // Engine-internal: user code deploys through Scenario/Cluster and only ever
 // sees the WorldBase surface.
@@ -20,11 +23,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/auth.hpp"
-#include "sim/clock.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"  // NetworkStats
 #include "sim/node.hpp"
@@ -73,8 +74,8 @@ class Shard {
     std::vector<Pending> items_;
   };
 
-  Shard(ShardWorld& world, std::uint32_t index, std::uint32_t shard_count,
-        NodeId first_node, NodeId end_node);
+  Shard(ShardWorld& world, std::uint32_t index, NodeId first_node,
+        NodeId end_node);
   ~Shard();
 
   Shard(const Shard&) = delete;
@@ -84,13 +85,8 @@ class Shard {
     return id >= first_node_ && id < end_node_;
   }
 
-  // --- node surface (delegated from ShardWorld; serial phases only) -------
-  void set_behavior(NodeId id, std::unique_ptr<NodeBehavior> behavior,
-                    bool started);
-  [[nodiscard]] NodeBehavior* behavior(NodeId id);
-  void start_node(NodeId id);
-  void scramble_node(NodeId id);
-  [[nodiscard]] DriftingClock& clock(NodeId id);
+  /// An owned node's NodeContext (the one its behavior is bound to).
+  [[nodiscard]] NodeContext& context(NodeId id);
 
   // --- engine surface -----------------------------------------------------
   /// Queue dispatches net of suppressed (cancelled-after-hand-over) timer
@@ -107,11 +103,6 @@ class Shard {
   void advance_queues(RealTime t);
   /// Latest dispatch clock across this shard's queues.
   [[nodiscard]] RealTime last_queue_now() const;
-
-  /// Lower bound on this shard's earliest pending wheel timer (max() when
-  /// none) — the window planner folds it into the earliest-event
-  /// fast-forward so a timer-only shard is never skipped past.
-  [[nodiscard]] RealTime next_timer_due() const { return timers_.next_due(); }
 
   /// Move every worker outbox addressed here into the node queues, in
   /// worker order. Caller (the window barrier) guarantees the producers are
@@ -143,59 +134,27 @@ class Shard {
   void schedule_action(RealTime when, EventKey key, NodeId target,
                        std::function<void()> action);
 
+  /// Park a due wheel timer's fire event in its node's queue (the timer
+  /// key's creator is the owning node). Plan time / serial phases only.
+  void schedule_timer(const TimerWheel::Due& due);
+
   // --- window machinery (see ShardWorld::run_windows) ---------------------
 
-  /// Hand due wheel timers to the owning node queues and list every node
-  /// with runnable work in [*, end] — the window's steal items. Runs at
-  /// plan time (all workers parked).
+  /// List every node with runnable work in [*, end] — the window's steal
+  /// items. Runs at plan time (all workers parked), after the engine has
+  /// handed the window's due timers to the node queues.
   void build_steal_items(RealTime end, bool inclusive);
   [[nodiscard]] std::vector<NodeId>& steal_items() { return steal_items_; }
   /// Execute one node's whole window batch: its queue in key order up to
   /// the gate. Returns events dispatched. Caller owns the exec context.
   std::uint64_t run_node_window(NodeId id, RealTime end, bool inclusive);
 
-  // --- engine-migration surface (serial segment ⇄ windowed segment) -------
-
-  /// Install one migrated node: clock, behavior, RNG stream positions, and
-  /// key-channel counters continue exactly where the serial prefix left
-  /// them. on_start is NOT re-run (`state.started` carries over).
-  void adopt_node(NodeId id, WorldMigration::NodeState&& state);
-
-  /// Re-arm this shard's partition of the serial wheel's snapshot at the
-  /// original (index, generation) tickets — behaviors' TimerHandles stay
-  /// valid against their node's new wheel (TimerWheel::import_records).
-  /// The wheel's future allocations are partitioned by (index_, shard
-  /// count) so sibling shards' slabs stay disjoint and a later reverse
-  /// merge is a plain concatenation.
-  void import_timers(const std::vector<TimerWheel::ExportedRecord>& records,
-                     const std::vector<std::uint32_t>& generations,
-                     RealTime now);
-
-  /// Snapshot this shard's live timer records + slab ticket map.
-  void export_timers(std::vector<TimerWheel::ExportedRecord>& out,
-                     std::vector<std::uint32_t>& generations) const {
-    timers_.export_records(out, generations);
-  }
-
-  /// Strip one owned node into a migration slot (behavior moves out).
-  void export_node(NodeId id, WorldMigration::NodeState& out);
-
  private:
   friend class ShardWorld;
   class ContextImpl;
 
-  struct NodeSlot {
-    DriftingClock clock;
-    std::unique_ptr<NodeBehavior> behavior;
-    std::unique_ptr<ContextImpl> context;
-    Rng rng{0};       // behavior stream (seed, node)
-    Rng link_rng{0};  // outgoing-delay stream (seed, node)
-    std::uint64_t timer_seq = 0;  // odd-channel EventKey seqs
-    std::uint64_t send_seq = 0;   // even-channel EventKey seqs
-    bool started = false;
-  };
-
-  [[nodiscard]] NodeSlot& slot(NodeId id);
+  /// An owned node's record in the engine's NodeState vector.
+  [[nodiscard]] NodeState& state(NodeId id);
 
   /// An owned node's event queue: its deliveries, timers and actions.
   [[nodiscard]] EventQueue& node_queue(NodeId id);
@@ -204,13 +163,6 @@ class Shard {
   /// while a window is executing (merged at the barrier), the shard's own
   /// otherwise.
   [[nodiscard]] NetworkStats& wire_stats();
-
-  /// Run `op` on the timer wheel. While a window executes with more than
-  /// one shard, a thief running one of this shard's nodes races the owner
-  /// on it, so the op takes the execution lock; a lone shard's one worker,
-  /// and every serial phase, runs it unlocked.
-  template <typename Op>
-  decltype(auto) exclusive(Op&& op);
 
   /// Authenticated send from an owned node: samples the sender's delay
   /// stream and routes to the worker's outbox (inside a window) or straight
@@ -230,7 +182,7 @@ class Shard {
   /// origin's sender/tag, drawing delays and keys from the relay node's own
   /// streams.
   void relay(NodeId self, const WireMessage& msg);
-  [[nodiscard]] Duration sample_delay(NodeSlot& from);
+  [[nodiscard]] Duration sample_delay(NodeState& from);
 
   void deliver(NodeId dest, const WireMessage& msg);
 
@@ -239,8 +191,6 @@ class Shard {
   /// discarded — the behavior never sees it.
   void reject(NodeId dest);
 
-  /// Hand every wheel timer due at or before `bound` to the event queue.
-  void pump_timers(RealTime bound);
   /// Scheduled-closure target: claim the record and run on_timer.
   void fire_timer(TimerHandle handle);
 
@@ -248,25 +198,19 @@ class Shard {
   std::uint32_t index_;
   NodeId first_node_;
   NodeId end_node_;
-  bool concurrent_;  // more than one shard: thieves may run our nodes
   TopologyConfig topo_{};  // resolved dissemination overlay (default: flat)
 
   /// One queue per owned node, indexed by id − first_node_.
   std::vector<EventQueue> node_queues_;
   std::vector<NodeId> steal_items_;  // nodes with work this window
-  TimerWheel timers_;
-  std::vector<TimerWheel::Due> due_batch_;  // advance() scratch, reused
-  std::uint64_t suppressed_timers_ = 0;     // cancelled-after-hand-over pops
+  std::uint64_t suppressed_timers_ = 0;  // cancelled-after-hand-over pops
   Logger logger_;
   /// Same scheme + key as the serial Network's (both derive from the world
   /// seed), so a migrated run keeps verifying its own traffic.
   Authenticator auth_;
   NetworkStats stats_;
-  std::vector<NodeSlot> slots_;  // [first_node_, end_node_)
-
-  /// Serializes wheel arm/cancel/claim while a window executes (see
-  /// exclusive()).
-  std::mutex exec_mutex_;
+  /// Contexts of the owned nodes, indexed by id − first_node_.
+  std::vector<std::unique_ptr<ContextImpl>> contexts_;
 };
 
 static_assert(EventQueue::stores_inline<Shard::Delivery>);

@@ -27,7 +27,10 @@ std::uint32_t ShardWorld::effective_shards(const WorldConfig& config) {
 }
 
 ShardWorld::ShardWorld(WorldConfig config)
-    : WorldBase(config), rng_(config_.seed), logger_(config_.log_level) {
+    : WorldBase(config),
+      rng_(config_.seed),
+      logger_(config_.log_level),
+      nodes_(derive_node_states(config_)) {
   lookahead_ = config_.lookahead();
   const std::uint32_t shards = effective_shards(config_);
   SSBFT_EXPECTS(shards == 1 || lookahead_ > Duration::zero());
@@ -40,7 +43,7 @@ ShardWorld::ShardWorld(WorldConfig config)
     const NodeId end = NodeId(std::size_t(s + 1) * config_.n / shards);
     SSBFT_EXPECTS(first < end);
     for (NodeId id = first; id < end; ++id) shard_index_[id] = s;
-    shards_.push_back(std::make_unique<Shard>(*this, s, shards, first, end));
+    shards_.push_back(std::make_unique<Shard>(*this, s, first, end));
   }
   exec_.reserve(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
@@ -63,12 +66,14 @@ ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration)
   world_stats_ = migration.stats;
   base_dispatched_ = migration.dispatched;
   rng_ = migration.world_rng;
+  nodes_ = std::move(migration.nodes);
+  timers_ = std::move(migration.timers);
+  // The serial engine's context objects die with it; behaviors that cached
+  // one (the protocol stacks do, at on_start) must point at this engine's.
   for (NodeId id = 0; id < config_.n; ++id) {
-    shard_of(id).adopt_node(id, std::move(migration.nodes[id]));
-  }
-  for (auto& shard : shards_) {
-    shard->import_timers(migration.timers, migration.timer_generations,
-                         migration.now);
+    if (nodes_[id].behavior) {
+      nodes_[id].behavior->rebind(shard_of(id).context(id));
+    }
   }
   // In-flight deliveries and pending workload actions park straight in
   // their owner's queue with their original keys. A chaos delivery may land
@@ -90,12 +95,18 @@ ShardWorld::~ShardWorld() = default;
 void ShardWorld::set_behavior(NodeId id,
                               std::unique_ptr<NodeBehavior> behavior) {
   SSBFT_EXPECTS(id < config_.n);
-  shard_of(id).set_behavior(id, std::move(behavior), started_);
+  NodeState& node = nodes_[id];
+  node.behavior = std::move(behavior);
+  node.started = false;
+  if (started_ && node.behavior) {
+    node.behavior->on_start(shard_of(id).context(id));
+    node.started = true;
+  }
 }
 
 NodeBehavior* ShardWorld::behavior(NodeId id) {
   SSBFT_EXPECTS(id < config_.n);
-  return shard_of(id).behavior(id);
+  return nodes_[id].behavior.get();
 }
 
 void ShardWorld::start() {
@@ -103,7 +114,13 @@ void ShardWorld::start() {
   const trace::Scope traced(config_.tracer, &global_now_);
   // Same node order as the serial World::start — on_start handlers may send
   // immediately, and those sends must mint the same keys and stream draws.
-  for (NodeId id = 0; id < config_.n; ++id) shard_of(id).start_node(id);
+  for (NodeId id = 0; id < config_.n; ++id) {
+    NodeState& node = nodes_[id];
+    if (node.behavior && !node.started) {
+      node.behavior->on_start(shard_of(id).context(id));
+      node.started = true;
+    }
+  }
 }
 
 RealTime ShardWorld::now() const {
@@ -114,22 +131,25 @@ RealTime ShardWorld::now() const {
 
 LocalTime ShardWorld::local_now(NodeId id) const {
   SSBFT_EXPECTS(id < config_.n);
-  return const_cast<ShardWorld*>(this)->shard_of(id).clock(id).local_at(now());
+  return nodes_[id].clock.local_at(now());
 }
 
 RealTime ShardWorld::real_at(NodeId id, LocalTime tau) const {
   SSBFT_EXPECTS(id < config_.n);
-  return const_cast<ShardWorld*>(this)->shard_of(id).clock(id).real_at(tau);
+  return nodes_[id].clock.real_at(tau);
 }
 
 DriftingClock& ShardWorld::clock(NodeId id) {
   SSBFT_EXPECTS(id < config_.n);
-  return shard_of(id).clock(id);
+  return nodes_[id].clock;
 }
 
 void ShardWorld::scramble_node(NodeId id) {
   SSBFT_EXPECTS(id < config_.n);
-  shard_of(id).scramble_node(id);
+  NodeState& node = nodes_[id];
+  if (node.behavior) {
+    node.behavior->scramble(shard_of(id).context(id), node.rng);
+  }
 }
 
 void ShardWorld::schedule(RealTime when, NodeId target,
@@ -270,13 +290,12 @@ void ShardWorld::plan_next_window() {
   // Window start: where the last window ended, skipped ahead to the
   // earliest pending event (identical on every engine — pure queue state).
   RealTime start = window_end_;
-  RealTime earliest = RealTime::max();
+  // Wheel timers are pending work too: a timer-only node must not be
+  // fast-forwarded past (the bound is conservative — a stale-low wheel
+  // lower bound only costs an extra empty window, never correctness).
+  RealTime earliest = timers_.next_due();
   for (const auto& shard : shards_) {
     earliest = std::min(earliest, shard->next_pending_time());
-    // Wheel timers are pending work too: a timer-only shard must not be
-    // fast-forwarded past (the bound is conservative — a stale-low wheel
-    // lower bound only costs an extra empty window, never correctness).
-    earliest = std::min(earliest, shard->next_timer_due());
   }
   if (quiescence_ && earliest > target_) {
     stop_ = true;  // nothing left at or before the deadline
@@ -304,11 +323,21 @@ void ShardWorld::plan_next_window() {
   }
   window_start_ = start;
   in_window_ = true;
+  // A timer landing AT an exclusive window edge enters its queue now and
+  // waits there.
+  pump_timers(window_end_);
   for (auto& shard : shards_) {
     shard->build_steal_items(window_end_, window_inclusive_);
   }
   for (auto& cursor : steal_cursor_) {
     cursor.store(0, std::memory_order_relaxed);
+  }
+}
+
+void ShardWorld::pump_timers(RealTime bound) {
+  timers_.advance(bound, due_batch_);
+  for (const TimerWheel::Due& due : due_batch_) {
+    shard_of(NodeId(due.key.creator)).schedule_timer(due);
   }
 }
 
@@ -446,28 +475,9 @@ WorldMigration ShardWorld::export_migration() {
       m.read_pending<Shard::Delivery>(q);
     }
   }
-  // Timer slabs are disjoint by construction (partitioned import + strided
-  // append), so the merged snapshot is the concatenation of the per-shard
-  // exports with an elementwise-max generation map: for any index, at most
-  // one shard ever advanced its ticket past the pre-split value.
-  for (const auto& shard : shards_) {
-    std::vector<TimerWheel::ExportedRecord> records;
-    std::vector<std::uint32_t> generations;
-    shard->export_timers(records, generations);
-    m.timers.insert(m.timers.end(), std::make_move_iterator(records.begin()),
-                    std::make_move_iterator(records.end()));
-    if (generations.size() > m.timer_generations.size()) {
-      m.timer_generations.resize(generations.size(), 0);
-    }
-    for (std::size_t i = 0; i < generations.size(); ++i) {
-      m.timer_generations[i] =
-          std::max(m.timer_generations[i], generations[i]);
-    }
-  }
-  m.nodes.resize(config_.n);
-  for (NodeId id = 0; id < config_.n; ++id) {
-    shard_of(id).export_node(id, m.nodes[id]);
-  }
+  m.nodes = std::move(nodes_);
+  m.timers = std::move(timers_);
+  m.timers.recall_handed_over();  // their fire events die with the queues
   return m;
 }
 

@@ -1,8 +1,10 @@
 // ShardWorld: the windowed simulation engine.
 //
 // Partitions one World's n nodes across S shards (contiguous equal blocks,
-// fixed for the engine's lifetime), each with its own node clocks,
-// per-node RNG streams and one event queue PER NODE. All shards advance in
+// fixed for the engine's lifetime), each with one event queue PER NODE.
+// The node records (NodeState: clocks, behaviors, streams) sit in one
+// vector indexed by NodeId, and every timer in one engine-level TimerWheel
+// that plan time pumps into the node queues. All shards advance in
 // lock-step time windows of width λ = the network's minimum
 // link+processing delay (WorldConfig::lookahead). Within a window no node
 // can affect another node — every send lands at or after the window end,
@@ -49,6 +51,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "sim/shard.hpp"
@@ -60,12 +63,12 @@ class ShardWorld final : public WorldBase {
  public:
   explicit ShardWorld(WorldConfig config);
   /// Adoption form: continue a serial segment's run from its exported
-  /// snapshot (see WorldMigration). Nodes, in-flight deliveries, timer
-  /// records (at their original handle tickets), pending world actions,
-  /// stream positions, key-channel counters, and wire/dispatch counters all
-  /// carry over; behaviors are NOT re-started. The segment then dispatches
-  /// the exact (when, creator, seq) order the serial engine would have,
-  /// and can itself be exported at the next cut (reverse migration).
+  /// snapshot (see WorldMigration). The node records and the timer wheel
+  /// move in whole; in-flight deliveries, pending world actions and the
+  /// wire/dispatch counters carry over; behaviors are rebound, NOT
+  /// re-started. The segment then dispatches the exact (when, creator, seq)
+  /// order the serial engine would have, and can itself be exported at the
+  /// next cut (reverse migration).
   ShardWorld(WorldConfig config, WorldMigration&& migration);
   ~ShardWorld() override;
 
@@ -102,13 +105,11 @@ class ShardWorld final : public WorldBase {
   /// and cross-shard arrivals land ≥ window end).
   void run_before(RealTime t);
 
-  /// Merge the per-shard state back into one serial-adoptable snapshot:
-  /// the deliveries and world actions pending in the node queues (shard,
-  /// node, then heap order), timer slabs (disjoint by the partitioned
-  /// import + strided append — concatenation plus an elementwise-max
-  /// generation merge), node streams/clocks/behaviors, and the world-level
-  /// counters. One-shot: a second export, or any run/schedule after it, is
-  /// a hard precondition failure.
+  /// Hand the engine's state to a serial adopter: the node records and the
+  /// timer wheel move out whole, the deliveries and world actions pending
+  /// in the node queues are read out (shard, node, then heap order), and
+  /// the world-level counters are copied. One-shot: a second export, or any
+  /// run/schedule after it, is a hard precondition failure.
   [[nodiscard]] WorldMigration export_migration();
 
   [[nodiscard]] RealTime now() const override;
@@ -127,6 +128,7 @@ class ShardWorld final : public WorldBase {
 
   [[nodiscard]] NetworkStats net_stats() const override;
   [[nodiscard]] std::uint64_t dispatched() const override;
+  [[nodiscard]] const TimerWheel& timers() const override { return timers_; }
 
   [[nodiscard]] Network& network() override;   // aborts: serial-only surface
   [[nodiscard]] EventQueue& queue() override;  // aborts: serial-only surface
@@ -156,6 +158,25 @@ class ShardWorld final : public WorldBase {
     return *shards_[shard_index_[id]];
   }
 
+  /// Run `op` on the engine's one timer wheel. Inside a window with more
+  /// than one shard, workers running different nodes race on it, so the op
+  /// takes timer_mutex_; a lone shard's one worker, and every serial phase,
+  /// runs it unlocked.
+  template <typename Op>
+  decltype(auto) on_wheel(Op&& op) {
+    if (tl_exec_ != nullptr && shards_.size() > 1) {
+      const std::lock_guard<std::mutex> lock(timer_mutex_);
+      return op(timers_);
+    }
+    return op(timers_);
+  }
+
+  /// Hand every wheel timer due at or before `bound` to its node's queue.
+  /// Plan time (all workers parked): mid-window pumping would race the
+  /// workers, and early hand-over is unobservable — each node's dispatch
+  /// gate still holds the event for its window (Shard::run_node_window).
+  void pump_timers(RealTime bound);
+
   /// Advance all shards to `target` in lookahead windows. `quiescence`
   /// stops as soon as no shard holds an event at or before `target` and
   /// leaves each queue's clock at its last dispatch; otherwise every queue
@@ -183,6 +204,10 @@ class ShardWorld final : public WorldBase {
   Rng rng_;
   Logger logger_;
   Duration lookahead_{};
+  std::vector<NodeState> nodes_;  // by NodeId; shard s owns its block
+  TimerWheel timers_;
+  std::vector<TimerWheel::Due> due_batch_;  // advance() scratch, reused
+  std::mutex timer_mutex_;  // wheel ops inside multi-shard windows
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::uint32_t> shard_index_;  // node id → owning shard
   std::uint64_t world_seq_ = 0;

@@ -149,67 +149,10 @@ bool TimerWheel::rescan_overflow(std::vector<Due>& out) {
   return true;
 }
 
-void TimerWheel::export_records(std::vector<ExportedRecord>& out,
-                                std::vector<std::uint32_t>& generations) const {
-  out.clear();
-  generations.resize(records_.size());
+void TimerWheel::recall_handed_over() {
   for (std::uint32_t index = 0; index < records_.size(); ++index) {
-    const Record& r = records_[index];
-    generations[index] = r.generation;
-    if (r.list == kFree) continue;
-    out.push_back(ExportedRecord{r.when, EventKey{r.creator, r.seq}, r.node,
-                                 r.cookie, TimerHandle{index, r.generation}});
+    if (records_[index].list == kInHeap) place(index, nullptr);
   }
-}
-
-void TimerWheel::import_records(const std::vector<ExportedRecord>& records,
-                                const std::vector<std::uint32_t>& generations,
-                                RealTime now,
-                                const std::function<bool(NodeId)>& accept,
-                                std::uint32_t self, std::uint32_t parties) {
-  SSBFT_EXPECTS(records_.empty() && live_ == 0);
-  SSBFT_EXPECTS(parties > 0 && self < parties);
-  records_.resize(generations.size());
-  // Every index that held a LIVE record at export, whether or not this
-  // importer adopts it: a sibling importer may adopt it, so recycling it
-  // here would let two wheels hold different live timers at one index —
-  // fatal for the reverse merge.
-  std::vector<bool> snapshot_live(generations.size(), false);
-  for (std::uint32_t index = 0; index < generations.size(); ++index) {
-    records_[index].generation = generations[index];
-  }
-  tick_ = tick_of(now);
-  for (const ExportedRecord& rec : records) {
-    SSBFT_ASSERT(rec.handle.index < records_.size());
-    snapshot_live[rec.handle.index] = true;
-    if (!accept(rec.node)) continue;
-    Record& r = records_[rec.handle.index];
-    SSBFT_ASSERT(r.generation == rec.handle.generation);
-    r.when = rec.when;
-    r.seq = rec.key.seq;
-    r.creator = rec.key.creator;
-    r.node = rec.node;
-    r.cookie = rec.cookie;
-    ++live_;
-    if (live_ > peak_live_) peak_live_ = live_;
-    place(rec.handle.index, nullptr);
-  }
-  // Partition the recyclable space: this importer may reuse only the
-  // snapshot-FREE slots on its own residue class mod `parties`, and appends
-  // new indices on that class too (strided alloc cursor). Sibling importers
-  // of the same snapshot therefore never allocate the same index, so their
-  // later exports merge by plain concatenation. Free list is threaded
-  // descending, so allocation hands out ascending indices. Index choice is
-  // unobservable either way (dispatch order is the keys'); the adopted
-  // generation map is what matters.
-  for (std::uint32_t index = std::uint32_t(records_.size()); index-- > 0;) {
-    if (snapshot_live[index] || index % parties != self) continue;
-    records_[index].next = free_head_;
-    free_head_ = index;
-  }
-  const std::uint32_t base = std::uint32_t(records_.size());
-  alloc_stride_ = parties;
-  alloc_next_ = base + (self + parties - base % parties) % parties;
 }
 
 void TimerWheel::advance(RealTime t, std::vector<Due>& out) {

@@ -34,7 +34,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hpp"  // EventKey
@@ -69,6 +68,8 @@ class TimerWheel {
   TimerWheel() = default;
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
+  TimerWheel(TimerWheel&&) = default;  // a migration cut moves the wheel
+  TimerWheel& operator=(TimerWheel&&) = default;
 
   /// Arm a timer: O(1). `when` must be ≥ 0 (simulation epoch); a `when` at
   /// or before the wheel's current time goes onto the ready list and comes
@@ -79,8 +80,8 @@ class TimerWheel {
 
   /// Arm a record WITHOUT linking it into the wheel — the heap-backed
   /// fallback path, where the caller schedules the fire event itself and
-  /// only needs claim()/cancel() semantics. The key is carried so an
-  /// engine migration can re-materialize the fire event under its
+  /// only needs claim()/cancel() semantics. The key is carried so that
+  /// recall_handed_over can re-materialize the fire event under its
   /// original (creator, seq) position in the total order.
   [[nodiscard]] TimerHandle arm_external(RealTime when, EventKey key,
                                          NodeId node, std::uint64_t cookie);
@@ -129,49 +130,15 @@ class TimerWheel {
   [[nodiscard]] std::size_t overflow_size() const { return overflow_count_; }
 
   // --- engine-migration surface (sim/duty_world.hpp) -----------------------
+  // A migration cut moves the whole wheel to the adopting engine: records,
+  // slab and generation tickets travel together, so every TimerHandle a
+  // behavior holds keeps naming its timer.
 
-  /// One live record, exported for cross-engine migration: everything
-  /// needed to re-arm it in another wheel at the SAME (index, generation)
-  /// ticket — behaviors hold TimerHandles across the handoff, and those
-  /// tickets must keep naming their timers.
-  struct ExportedRecord {
-    RealTime when;
-    EventKey key;
-    NodeId node = 0;
-    std::uint64_t cookie = 0;
-    TimerHandle handle;  // original (index, generation)
-  };
-
-  /// Snapshot every live record — armed in the wheel, staged on the ready
-  /// or overflow lists, or already handed to the (dying) engine's queue but
-  /// unclaimed — plus the generation of every slab slot. Handed-over
-  /// records are exported like armed ones: their fire events die with the
-  /// old engine's queue, so the importing wheel must hand them over again.
-  /// The wheel itself is left untouched.
-  void export_records(std::vector<ExportedRecord>& out,
-                      std::vector<std::uint32_t>& generations) const;
-
-  /// Rebuild this (fresh, empty) wheel as one partition of an exported
-  /// snapshot: adopt the full slab-generation map — a recycled index can
-  /// then never re-mint a ticket some stale pre-migration handle still
-  /// names — advance wheel time to `now`, and re-arm exactly the records
-  /// `accept` admits (the importing shard's own nodes) at their original
-  /// tickets. Records due at or before `now` stage on the ready list and
-  /// come out of the next advance with their original (when, key).
-  ///
-  /// (self, parties) partition the FUTURE allocation space so sibling
-  /// importers can later be merged back into one snapshot: this wheel may
-  /// recycle a snapshot index only if no sibling re-armed it (free slots
-  /// are ownership-partitioned by index % parties == self) and appends new
-  /// slab indices only on its own residue class mod `parties`. Two sibling
-  /// wheels therefore never hold live records at the same index, which
-  /// makes the reverse (sharded → serial) merge a plain concatenation.
-  /// A serial importer adopts the whole space: (0, 1).
-  void import_records(const std::vector<ExportedRecord>& records,
-                      const std::vector<std::uint32_t>& generations,
-                      RealTime now,
-                      const std::function<bool(NodeId)>& accept,
-                      std::uint32_t self = 0, std::uint32_t parties = 1);
+  /// Put every record already handed to the engine (fire event pending in
+  /// the queue) back into the wheel. Called at a cut, whose queue dies with
+  /// the exporting engine: the adopter's next advance hands each record
+  /// over again with its original (when, key, handle).
+  void recall_handed_over();
 
  private:
   static constexpr std::uint32_t kNull = ~std::uint32_t{0};
@@ -228,11 +195,6 @@ class TimerWheel {
 
   std::vector<Record> records_;
   std::uint32_t free_head_ = kNull;
-  // Append cursor/stride for slab growth. Fresh wheels: dense push_back
-  // (0, stride 1). Partition importers: own residue class mod the party
-  // count, so sibling wheels never allocate the same index (import_records).
-  std::uint32_t alloc_next_ = 0;
-  std::uint32_t alloc_stride_ = 1;
   std::vector<std::uint32_t> heads_ =
       std::vector<std::uint32_t>(kListCount, kNull);
   std::uint64_t occupied_[kLevels] = {};  // bit s ⇔ slot s non-empty
@@ -258,14 +220,8 @@ inline std::uint32_t TimerWheel::alloc_record() {
     records_[index].next = kNull;
     return index;
   }
-  // Strided append: a fresh wheel's (0, stride 1) cursor is exactly
-  // push_back; a partition importer appends on its own residue class so
-  // sibling wheels can be merged back losslessly. Gap records created by
-  // the resize stay kFree at generation 0 and are never linked anywhere.
-  const std::uint32_t index = alloc_next_;
-  alloc_next_ += alloc_stride_;
-  if (index >= records_.size()) records_.resize(std::size_t(index) + 1);
-  return index;
+  records_.emplace_back();
+  return std::uint32_t(records_.size() - 1);
 }
 
 inline void TimerWheel::link(std::uint32_t index, std::uint32_t list) {

@@ -28,6 +28,21 @@ DriftingClock derive_node_clock(const WorldConfig& config, NodeId id) {
   return DriftingClock{rate, offset};
 }
 
+std::vector<NodeState> derive_node_states(const WorldConfig& config) {
+  std::vector<NodeState> nodes;
+  nodes.reserve(config.n);
+  for (NodeId id = 0; id < config.n; ++id) {
+    nodes.push_back({.clock = derive_node_clock(config, id),
+                     .behavior = nullptr,
+                     .rng = derive_node_rng(config.seed, id),
+                     .link_rng = derive_link_rng(config.seed, id),
+                     .timer_seq = 0,
+                     .send_seq = 0,
+                     .started = false});
+  }
+  return nodes;
+}
+
 WorldBase::WorldBase(const WorldConfig& config) : config_(config) {
   SSBFT_EXPECTS(config_.n > 0);
   config_.resolve_delay_models();
@@ -62,11 +77,10 @@ class World::ContextImpl final : public NodeContext {
     const RealTime fire =
         std::max(world_.real_at(id_, when), world_.now());
     World& world = world_;
-    auto& slot = world_.nodes_[id_];
     // Odd-channel key: timers and network sends by the same node must not
     // collide in the (creator, seq) space (EventKey doc). Both timer
     // backends mint the key here, so their dispatch orders coincide.
-    const EventKey key{id_, slot.timer_seq++ * 2 + 1};
+    const EventKey key{id_, world.nodes_[id_].timer_seq++ * 2 + 1};
     if (world.config().timer_wheel) {
       // Wheel path: the record waits in O(1) slots; pump_timers hands it
       // to the heap just before the engine reaches its window.
@@ -75,7 +89,7 @@ class World::ContextImpl final : public NodeContext {
     // Legacy path: park the fire event in the heap now. The record exists
     // to give cancel_timer the same suppress-at-claim semantics — and to
     // carry (when, key) across an engine migration, where the fire event
-    // dies with this queue and must re-materialize under the same key.
+    // dies with this queue and the recalled record re-materializes it.
     const TimerHandle handle =
         world.timers_.arm_external(fire, key, id_, cookie);
     world.queue_.schedule(fire, key,
@@ -101,21 +115,20 @@ class World::ContextImpl final : public NodeContext {
 };
 
 World::World(WorldConfig config)
-    : WorldBase(config), rng_(config_.seed), logger_(config_.log_level) {
+    : WorldBase(config),
+      rng_(config_.seed),
+      logger_(config_.log_level),
+      nodes_(derive_node_states(config_)) {
+  contexts_.reserve(config_.n);
+  for (NodeId id = 0; id < config_.n; ++id) {
+    contexts_.push_back(std::make_unique<ContextImpl>(*this, id));
+  }
   network_ = std::make_unique<Network>(
-      queue_, config_.n, config_.link_delay, config_.proc_delay, config_.chaos,
+      queue_, nodes_, config_.link_delay, config_.proc_delay, config_.chaos,
       config_.seed,
       [this](NodeId dest, const WireMessage& msg) { deliver(dest, msg); },
       config_.auth);
   network_->set_topology(config_.topology.resolved(config_.n));
-
-  nodes_.resize(config_.n);
-  for (NodeId id = 0; id < config_.n; ++id) {
-    auto& slot = nodes_[id];
-    slot.clock = derive_node_clock(config_, id);
-    slot.context = std::make_unique<ContextImpl>(*this, id);
-    slot.rng = derive_node_rng(config_.seed, id);
-  }
 }
 
 World::World(WorldConfig config, WorldMigration&& migration)
@@ -125,21 +138,15 @@ World::World(WorldConfig config, WorldMigration&& migration)
   queue_.adopt(migration.now, migration.world_seq, migration.dispatched);
   network_->adopt_world_counters(migration.forged_seq, migration.stats);
   rng_ = migration.world_rng;
+  // Node records and the wheel move in whole; the Network reads its
+  // per-sender streams from nodes_, so they continue too. The old engine's
+  // context objects die with it: behaviors that cached one (the protocol
+  // stacks do, at on_start) must point at this world's.
+  nodes_ = std::move(migration.nodes);
+  timers_ = std::move(migration.timers);
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    WorldMigration::NodeState& in = migration.nodes[id];
-    NodeSlot& slot = nodes_[id];
-    slot.clock = in.clock;
-    slot.rng = in.rng;
-    slot.timer_seq = in.timer_seq;
-    slot.started = in.started;
-    slot.behavior = std::move(in.behavior);
-    network_->adopt_node_streams(id, in.link_rng, in.send_seq);
-    if (slot.behavior) slot.behavior->rebind(*slot.context);
+    if (nodes_[id].behavior) nodes_[id].behavior->rebind(*contexts_[id]);
   }
-  // Serial adoption owns the whole snapshot: accept every record, and take
-  // the whole allocation space — partition (0, 1).
-  timers_.import_records(migration.timers, migration.timer_generations,
-                         migration.now, [](NodeId) { return true; });
   for (const Network::PendingDelivery& pending : migration.deliveries) {
     network_->adopt_delivery(pending);
   }
@@ -155,12 +162,12 @@ World::~World() = default;
 
 void World::set_behavior(NodeId id, std::unique_ptr<NodeBehavior> behavior) {
   SSBFT_EXPECTS(id < config_.n);
-  auto& slot = nodes_[id];
-  slot.behavior = std::move(behavior);
-  slot.started = false;
-  if (started_ && slot.behavior) {
-    slot.behavior->on_start(*slot.context);
-    slot.started = true;
+  NodeState& node = nodes_[id];
+  node.behavior = std::move(behavior);
+  node.started = false;
+  if (started_ && node.behavior) {
+    node.behavior->on_start(*contexts_[id]);
+    node.started = true;
   }
 }
 
@@ -172,10 +179,11 @@ NodeBehavior* World::behavior(NodeId id) {
 void World::start() {
   started_ = true;
   const trace::Scope traced(config_.tracer, queue_.now_ptr());
-  for (auto& slot : nodes_) {
-    if (slot.behavior && !slot.started) {
-      slot.behavior->on_start(*slot.context);
-      slot.started = true;
+  for (NodeId id = 0; id < config_.n; ++id) {
+    NodeState& node = nodes_[id];
+    if (node.behavior && !node.started) {
+      node.behavior->on_start(*contexts_[id]);
+      node.started = true;
     }
   }
 }
@@ -196,8 +204,9 @@ void World::fire_timer(TimerHandle handle) {
     ++suppressed_timers_;  // cancelled after hand-over: a no-op pop
     return;
   }
-  auto& fired = nodes_[node];
-  if (fired.behavior) fired.behavior->on_timer(*fired.context, cookie);
+  if (NodeBehavior* fired = nodes_[node].behavior.get()) {
+    fired->on_timer(*contexts_[node], cookie);
+  }
 }
 
 void World::dispatch_to(RealTime bound, bool inclusive) {
@@ -247,19 +256,9 @@ WorldMigration World::export_migration() {
   m.stats = network_->stats();
   m.world_rng = rng_;
   m.read_pending<Network::Delivery>(queue_);
-  timers_.export_records(m.timers, m.timer_generations);
-  m.nodes.resize(nodes_.size());
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    NodeSlot& slot = nodes_[id];
-    WorldMigration::NodeState& out = m.nodes[id];
-    out.clock = slot.clock;
-    out.behavior = std::move(slot.behavior);
-    out.rng = slot.rng;
-    out.link_rng = network_->link_rng(id);
-    out.timer_seq = slot.timer_seq;
-    out.send_seq = network_->send_seq(id);
-    out.started = slot.started;
-  }
+  m.nodes = std::move(nodes_);
+  m.timers = std::move(timers_);
+  m.timers.recall_handed_over();  // their fire events die with queue_
   return m;
 }
 
@@ -280,8 +279,8 @@ DriftingClock& World::clock(NodeId id) {
 
 void World::scramble_node(NodeId id) {
   SSBFT_EXPECTS(id < config_.n);
-  auto& slot = nodes_[id];
-  if (slot.behavior) slot.behavior->scramble(*slot.context, slot.rng);
+  NodeState& node = nodes_[id];
+  if (node.behavior) node.behavior->scramble(*contexts_[id], node.rng);
 }
 
 void World::schedule(RealTime when, NodeId target,
@@ -296,8 +295,9 @@ void World::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
 }
 
 void World::deliver(NodeId dest, const WireMessage& msg) {
-  auto& slot = nodes_[dest];
-  if (slot.behavior) slot.behavior->on_message(*slot.context, msg);
+  if (NodeBehavior* behavior = nodes_[dest].behavior.get()) {
+    behavior->on_message(*contexts_[dest], msg);
+  }
 }
 
 }  // namespace ssbft

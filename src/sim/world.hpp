@@ -174,6 +174,11 @@ struct WorldConfig {
 [[nodiscard]] DriftingClock derive_node_clock(const WorldConfig& config,
                                               NodeId id);
 
+/// Every node's fresh record: clock, behavior and link streams at their
+/// (seed, node) origins, counters at zero, no behavior.
+[[nodiscard]] std::vector<NodeState> derive_node_states(
+    const WorldConfig& config);
+
 /// A world-level action (workload injection) as it sits in an event queue:
 /// the node it touches and the closure. A named event type, so a migration
 /// can read pending actions back out of the queues.
@@ -185,30 +190,23 @@ struct WorldAction {
 
 static_assert(EventQueue::stores_inline<WorldAction>);
 
-/// Complete in-flight state of one engine at a migration cut — the
-/// currency both directions of an engine switch trade in.
+/// Complete state of one engine at a migration cut — the currency both
+/// directions of an engine switch trade in.
 ///
 /// A chaos window is a serial-engine phase (drop/corrupt/duplicate and the
 /// unbounded chaos delays live in the Network); the stretches between
 /// windows are where the windowed ShardWorld shines. DutyWorld
 /// (sim/duty_world.hpp) alternates: at each boundary the active engine
-/// exports this snapshot and the other adopts it — every pending delivery
-/// and world action (read out of the event queues), armed (or
-/// handed-over-but-unfired) timer record, RNG stream position, key-channel
-/// counter, clock, and wire counter — so an N-cycle alternating run is
+/// exports this snapshot and the other adopts it. Two parts are MOVED
+/// whole, not translated: the node records (clock, behavior, every stream
+/// and key-channel position) and the timer wheel (records, tickets and
+/// slab, with handed-over records recalled into it). The in-flight
+/// deliveries and world actions are read out of the event queues; the
+/// world-level counters are copied. An N-cycle alternating run is therefore
 /// bit-identical to an all-serial one (test_duty pins the matrix). The cut
 /// is exclusive: every event strictly before the migration instant has
 /// dispatched, so everything here fires at or after it.
 struct WorldMigration {
-  struct NodeState {
-    DriftingClock clock;
-    std::unique_ptr<NodeBehavior> behavior;  // may be null (no behavior set)
-    Rng rng{0};                   // behavior stream position
-    Rng link_rng{0};              // per-sender delay/chaos stream position
-    std::uint64_t timer_seq = 0;  // odd-channel key position
-    std::uint64_t send_seq = 0;   // even-channel key position
-    bool started = false;
-  };
   /// A pending WorldAction with the key-less world-channel key it was
   /// minted under, read out of the exporting engine's queues.
   struct PendingAction {
@@ -218,10 +216,9 @@ struct WorldMigration {
     std::function<void()> action;
   };
 
-  std::vector<NodeState> nodes;
+  std::vector<NodeState> nodes;                      // indexed by NodeId
+  TimerWheel timers;                                 // every live timer
   std::vector<Network::PendingDelivery> deliveries;  // in-flight messages
-  std::vector<TimerWheel::ExportedRecord> timers;    // live timer records
-  std::vector<std::uint32_t> timer_generations;      // full slab ticket map
   std::vector<PendingAction> actions;
   Rng world_rng{0};                 // WorldBase::rng() stream position
   NetworkStats stats;               // wire counters so far
@@ -301,6 +298,8 @@ class WorldBase {
   [[nodiscard]] virtual NetworkStats net_stats() const = 0;
   /// Events dispatched so far (summed across shards).
   [[nodiscard]] virtual std::uint64_t dispatched() const = 0;
+  /// The engine's one timer wheel (occupancy gauges for StatsRegistry).
+  [[nodiscard]] virtual const TimerWheel& timers() const = 0;
 
   /// Serial-engine internals; the sharded engine aborts (see class comment).
   [[nodiscard]] virtual Network& network() = 0;
@@ -315,11 +314,10 @@ class World final : public WorldBase {
  public:
   explicit World(WorldConfig config);
   /// Adoption form: continue a sharded segment's run from its exported
-  /// snapshot (the reverse migration — see WorldMigration). Deliveries and
-  /// world actions re-materialize under their original keys, timer records
-  /// re-arm at their original (index, generation) tickets, every
-  /// stream/counter position carries over, and behaviors are rebound — NOT
-  /// re-started.
+  /// snapshot (the reverse migration — see WorldMigration). The node
+  /// records and the timer wheel move in whole, deliveries and world
+  /// actions re-materialize under their original keys, and behaviors are
+  /// rebound — NOT re-started.
   World(WorldConfig config, WorldMigration&& migration);
   ~World() override;
 
@@ -336,9 +334,9 @@ class World final : public WorldBase {
   /// event an exported snapshot holds afterwards fires at or after `t`.
   void run_before(RealTime t);
 
-  /// Strip the world for the engine handoff: behaviors move out; the
-  /// in-flight deliveries and world actions are read out of the queue, and
-  /// timers/counters/stream positions are snapshotted. The world is dead
+  /// Strip the world for the engine handoff: the node records and the
+  /// timer wheel move out, the in-flight deliveries and world actions are
+  /// read out of the queue, and the counters are copied. The world is dead
   /// afterwards — destroy it (its remaining queue closures point at engine
   /// internals the snapshot re-materializes on the new engine). A second
   /// export, or any run/schedule/traffic after the first, is a hard
@@ -360,8 +358,7 @@ class World final : public WorldBase {
     SSBFT_EXPECTS(!exported_);
     return queue_;
   }
-  /// Timer-wheel occupancy gauges (StatsRegistry).
-  [[nodiscard]] const TimerWheel& timers() const { return timers_; }
+  [[nodiscard]] const TimerWheel& timers() const override { return timers_; }
   [[nodiscard]] Rng& rng() override { return rng_; }
   [[nodiscard]] Logger& log() override { return logger_; }
 
@@ -401,17 +398,9 @@ class World final : public WorldBase {
   TimerWheel timers_;
   std::vector<TimerWheel::Due> due_batch_;  // advance() scratch, reused
   std::uint64_t suppressed_timers_ = 0;     // cancelled-after-hand-over pops
+  std::vector<NodeState> nodes_;            // the Network draws from these
+  std::vector<std::unique_ptr<ContextImpl>> contexts_;  // by NodeId
   std::unique_ptr<Network> network_;
-
-  struct NodeSlot {
-    DriftingClock clock;
-    std::unique_ptr<NodeBehavior> behavior;
-    std::unique_ptr<ContextImpl> context;
-    Rng rng{0};
-    std::uint64_t timer_seq = 0;  // odd-channel EventKey seqs (see EventKey)
-    bool started = false;
-  };
-  std::vector<NodeSlot> nodes_;
   bool started_ = false;
   bool exported_ = false;  // export_migration happened; the world is dead
 };

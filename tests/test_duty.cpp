@@ -6,10 +6,11 @@
 // pins that acceptance matrix, the cut mechanics (piecewise stepping that
 // lands exactly on every boundary), fault injection after a reverse
 // migration, the per-window stabilization metrics, the Scenario duty-cycle
-// normalization/validation, and the export-is-terminal guards on the
-// sharded engine.
+// normalization/validation, the export-is-terminal guards on the sharded
+// engine, and timer handles that cross cuts in both directions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -427,6 +428,139 @@ TEST(ShardExportGuardTest, ExportedStateAdoptsCleanly) {
   EXPECT_GE(adopted.now(), RealTime::zero() + milliseconds(2));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(adopted.net_stats().forged, 1u);
+}
+
+// --- timer handles across cuts ----------------------------------------------
+
+/// Arms timers shortly before each cut and logs every fire as (cookie,
+/// local time). Per cut k, a prepare timer 1 ms ahead of the cut arms:
+/// a doomed timer 1 ms past the cut (cancelled 0.5 ms past it, from a
+/// handle minted on the other engine), a timer AT the cut (handed over to
+/// the dying engine's queue at export), and a kept timer 2 ms past it.
+class CutTimerProbe final : public NodeBehavior {
+ public:
+  enum : std::uint64_t {
+    kPrepare = 100,
+    kDoomed = 200,
+    kAtCut = 300,
+    kKept = 400,
+    kCancel = 500
+  };
+  struct Fire {
+    std::uint64_t cookie;
+    LocalTime at;
+    friend bool operator==(const Fire&, const Fire&) = default;
+    friend void PrintTo(const Fire& f, std::ostream* os) {
+      *os << "{cookie " << f.cookie << " at " << f.at.ns() << "}";
+    }
+  };
+
+  explicit CutTimerProbe(std::vector<RealTime> cuts)
+      : cuts_(std::move(cuts)), doomed_(cuts_.size()),
+        cancelled_(cuts_.size(), false) {}
+
+  void on_start(NodeContext& ctx) override {
+    // Every clock runs at rate 1 (set by the test), so local time `origin_
+    // + t` is real time t exactly.
+    origin_ = ctx.local_now();
+    for (std::size_t k = 0; k < cuts_.size(); ++k) {
+      arm(ctx, cuts_[k] - milliseconds(1), kPrepare + k);
+    }
+  }
+  void on_message(NodeContext&, const WireMessage&) override {}
+  void on_timer(NodeContext& ctx, std::uint64_t cookie) override {
+    fires_.push_back({cookie, ctx.local_now()});
+    const std::size_t k = cookie % 100;
+    if (cookie - k == kPrepare) {
+      doomed_[k] = arm(ctx, cuts_[k] + milliseconds(1), kDoomed + k);
+      arm(ctx, cuts_[k], kAtCut + k);
+      arm(ctx, cuts_[k] + milliseconds(2), kKept + k);
+      arm(ctx, cuts_[k] + microseconds(500), kCancel + k);
+    } else if (cookie - k == kCancel) {
+      cancelled_[k] = ctx.cancel_timer(doomed_[k]);
+    }
+  }
+
+  [[nodiscard]] LocalTime local(RealTime t) const {
+    return origin_ + (t - RealTime::zero());
+  }
+  [[nodiscard]] const std::vector<Fire>& fires() const { return fires_; }
+  [[nodiscard]] bool cancelled(std::size_t k) const { return cancelled_[k]; }
+
+ private:
+  TimerHandle arm(NodeContext& ctx, RealTime t, std::uint64_t cookie) {
+    return ctx.set_timer(local(t), cookie);
+  }
+
+  std::vector<RealTime> cuts_;
+  LocalTime origin_{};
+  std::vector<TimerHandle> doomed_;
+  std::vector<bool> cancelled_;
+  std::vector<Fire> fires_;
+};
+
+// Timer handles stay valid across every cut, in both directions: a handle
+// minted on one engine cancels its timer on the other, a timer due exactly
+// at the cut (already in the retiring engine's queue) fires exactly once
+// on the adopting engine, and every fire instant matches an all-serial
+// twin.
+TEST(DutyWorldTest, TimerHandlesSurviveEveryCutBothDirections) {
+  const std::vector<ChaosWindow> windows = {
+      {RealTime::zero() + milliseconds(5), RealTime::zero() + milliseconds(10)},
+      {RealTime::zero() + milliseconds(15),
+       RealTime::zero() + milliseconds(20)}};
+  const std::vector<RealTime> cuts = {
+      windows[0].start, windows[0].end, windows[1].start, windows[1].end};
+  const auto run = [&](WorldBase& world) {
+    std::vector<CutTimerProbe*> probes;
+    for (NodeId id = 0; id < world.n(); ++id) {
+      world.clock(id).set_rate(1.0);
+      auto probe = std::make_unique<CutTimerProbe>(cuts);
+      probes.push_back(probe.get());
+      world.set_behavior(id, std::move(probe));
+    }
+    world.start();
+    world.run_until(RealTime::zero() + milliseconds(30));
+    return probes;
+  };
+
+  WorldConfig serial_config = duty_world_config();
+  serial_config.shards = 0;
+  World serial(serial_config);
+  const std::vector<CutTimerProbe*> expected = run(serial);
+
+  DutyWorld duty(duty_world_config(), windows);  // 2 shards, λ = 100 µs
+  ASSERT_TRUE(duty.sharded_active());
+  const std::vector<CutTimerProbe*> probes = run(duty);
+  EXPECT_EQ(duty.migrations(), cuts.size());
+  EXPECT_TRUE(duty.sharded_active());
+
+  for (NodeId id = 0; id < duty.n(); ++id) {
+    const CutTimerProbe& probe = *probes[id];
+    EXPECT_EQ(probe.fires(), expected[id]->fires()) << "node " << id;
+    for (std::size_t k = 0; k < cuts.size(); ++k) {
+      const auto count = [&](std::uint64_t cookie) {
+        return std::count_if(
+            probe.fires().begin(), probe.fires().end(),
+            [&](const CutTimerProbe::Fire& f) { return f.cookie == cookie; });
+      };
+      const auto label = [&] {
+        return "node " + std::to_string(id) + " cut " + std::to_string(k);
+      };
+      EXPECT_TRUE(probe.cancelled(k)) << label();
+      EXPECT_EQ(count(CutTimerProbe::kDoomed + k), 0) << label();
+      EXPECT_EQ(count(CutTimerProbe::kAtCut + k), 1) << label();
+      EXPECT_EQ(count(CutTimerProbe::kKept + k), 1) << label();
+      const auto at_cut = std::find_if(
+          probe.fires().begin(), probe.fires().end(),
+          [&](const CutTimerProbe::Fire& f) {
+            return f.cookie == CutTimerProbe::kAtCut + k;
+          });
+      ASSERT_NE(at_cut, probe.fires().end()) << label();
+      EXPECT_EQ(at_cut->at, probe.local(cuts[k])) << label();
+    }
+  }
+  EXPECT_EQ(duty.dispatched(), serial.dispatched());
 }
 
 }  // namespace

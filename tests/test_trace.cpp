@@ -23,6 +23,7 @@
 #include "harness/stats_registry.hpp"
 #include "harness/sweep.hpp"
 #include "harness/trace.hpp"
+#include "sim/duty_world.hpp"
 #include "sim/shard_world.hpp"
 
 namespace ssbft {
@@ -391,7 +392,7 @@ TEST(StatsRegistryTest, CollectsEngineNetworkSchedAndTracerStats) {
 }
 
 TEST(StatsRegistryTest, ExportsPeakGaugesAndTopologyCounters) {
-  // Serial engine: the queue/wheel capacity gauges only exist there.
+  // Serial engine: the queue capacity gauges only exist there.
   Scenario sc = trace_scenario(StackKind::kAgree, 1, false);
   sc.payload_bytes = 256;  // above Payload::kInlineCapacity ⇒ pooled
   Cluster cluster(sc);
@@ -410,6 +411,27 @@ TEST(StatsRegistryTest, ExportsPeakGaugesAndTopologyCounters) {
   // Flat topology: overlay counters exist and stay zero.
   EXPECT_EQ(value("net.topology_hops"), 0.0);
   EXPECT_EQ(value("net.fanout_msgs"), 0.0);
+
+  // The wheel gauges exist on every engine: the windowed engine's one
+  // wheel, and the alternating engine's (the one every cut moves along).
+  for (const bool chaos : {false, true}) {
+    Cluster sharded(trace_scenario(StackKind::kAgree, 2, chaos));
+    sharded.run();
+    WorldBase* engine = &sharded.world();
+    EXPECT_TRUE(chaos ? dynamic_cast<DutyWorld*>(engine) != nullptr
+                      : dynamic_cast<ShardWorld*>(engine) != nullptr)
+        << "chaos " << chaos;
+    const StatsRegistry engine_stats = collect_run_stats(sharded);
+    const auto leaf = [&](const char* path) {
+      const StatsEntry* entry = engine_stats.find(path);
+      EXPECT_NE(entry, nullptr) << path << " chaos " << chaos;
+      return entry == nullptr ? -1.0 : entry->value;
+    };
+    EXPECT_GE(leaf("wheel.armed"), 0.0);
+    EXPECT_GE(leaf("wheel.overflow"), 0.0);
+    EXPECT_GT(leaf("wheel.peak_records"), 0.0);
+    EXPECT_GE(leaf("wheel.peak_records"), leaf("wheel.live"));
+  }
 }
 
 TEST(StatsRegistryTest, FindMissesReturnNull) {
