@@ -13,8 +13,9 @@
 //     each recovery span) that the paper's repeated-stabilization claims
 //     are about.
 // Each engine of each row is timed as the median of kReps runs, serial and
-// alternating interleaved, so a burst of host load lands on both sides
-// instead of on one; speedup and migration time derive from those medians.
+// alternating interleaved (bench/engine_run.hpp), so a burst of host load
+// lands on both sides instead of on one; speedup and migration time derive
+// from those medians.
 // Speedup is reported per-machine, never gated: single-core containers
 // show ≈ 1×, the multi-core CI runners demonstrate the scaling.
 //
@@ -23,22 +24,17 @@
 // tools/bench_check.py hard-gates the parity keys).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
-#include "harness/metrics.hpp"
+#include "engine_run.hpp"
 #include "harness/report.hpp"
-#include "harness/runner.hpp"
-#include "sim/duty_world.hpp"
 
 namespace ssbft {
 namespace {
 
 constexpr std::uint32_t kShards = 4;
-constexpr std::size_t kReps = 5;  // timed runs per engine and row
 
 /// The measurement shape: scrambled node state, flooding Byzantine nodes,
 /// and a chaos window that RECURS — the stack must re-converge after every
@@ -79,65 +75,6 @@ Scenario duty_scenario(std::uint32_t n, std::uint32_t shards) {
                      NodeId(i % 4), 100 + i);
   }
   return sc;
-}
-
-struct EngineRun {
-  double events_per_sec = 0;
-  double wall_seconds = 0;
-  std::uint64_t events = 0;
-  std::uint64_t digest = 0;
-  std::uint32_t shards = 1;
-  std::size_t migrations = 0;  // engine switches performed (alternating only)
-  std::uint64_t migration_ns = 0;  // wall time inside those switches
-  std::vector<WindowStabilization> windows;
-
-  /// Wall time actually spent dispatching events, after subtracting the
-  /// engine switches' export → adopt → re-register span.
-  [[nodiscard]] std::uint64_t dispatch_ns() const {
-    const auto wall = std::uint64_t(wall_seconds * 1e9);
-    return wall > migration_ns ? wall - migration_ns : 0;
-  }
-};
-
-EngineRun run_engine(const Scenario& sc) {
-  Cluster cluster(sc);
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.run();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  EngineRun out;
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.events = cluster.world().dispatched();
-  out.digest = evaluate_stack(cluster).digest;
-  out.shards = cluster.shards();
-  out.windows = window_stabilization(cluster.scenario(), cluster.probe());
-  if (auto* duty = dynamic_cast<DutyWorld*>(&cluster.world())) {
-    out.migrations = duty->migrations();
-    out.migration_ns = duty->migration_ns();
-  }
-  if (out.wall_seconds > 0) {
-    out.events_per_sec = double(out.events) / out.wall_seconds;
-  }
-  return out;
-}
-
-/// One timed run standing for `runs`: the first run's outcome (every run
-/// is the same deterministic simulation) with the median wall time and
-/// median migration time.
-EngineRun median_run(const std::vector<EngineRun>& runs) {
-  const auto median = [&](auto field) {
-    std::vector<decltype(field(runs.front()))> values;
-    for (const EngineRun& run : runs) values.push_back(field(run));
-    std::nth_element(values.begin(), values.begin() + values.size() / 2,
-                     values.end());
-    return values[values.size() / 2];
-  };
-  EngineRun out = runs.front();
-  out.wall_seconds = median([](const EngineRun& r) { return r.wall_seconds; });
-  out.migration_ns = median([](const EngineRun& r) { return r.migration_ns; });
-  out.events_per_sec =
-      out.wall_seconds > 0 ? double(out.events) / out.wall_seconds : 0;
-  return out;
 }
 
 struct Row {

@@ -16,7 +16,10 @@
 // chaos window → windowed suffix, sim/duty_world.hpp) on the scramble +
 // chaos + agreement-storm workload, splitting its wall time into migration
 // (export/adopt) vs dispatch nanoseconds, with the same parity gate;
-// bench_dutycycle extends it to recurring duty cycles.
+// bench_dutycycle extends it to recurring duty cycles. Every n-row and the
+// post-chaos row time each engine as the median of kReps interleaved runs
+// (bench/engine_run.hpp), with parity required on every run; the large-n
+// row is one run per engine.
 //
 // Results go to stdout (table) and BENCH_shard.json (machine-readable,
 // tracked in-repo so future PRs can diff the perf trajectory).
@@ -24,17 +27,13 @@
 
 #include <sys/resource.h>
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "harness/metrics.hpp"
+#include "engine_run.hpp"
 #include "harness/report.hpp"
-#include "harness/runner.hpp"
-#include "sim/duty_world.hpp"
-#include "sim/shard_world.hpp"
 
 namespace ssbft {
 namespace {
@@ -124,55 +123,10 @@ Scenario chaos_bench_scenario(std::uint32_t n, std::uint32_t shards) {
   return sc;
 }
 
-struct EngineRun {
-  double events_per_sec = 0;
-  double wall_seconds = 0;
-  std::uint64_t events = 0;
-  std::uint64_t digest = 0;
-  std::uint32_t shards = 1;
-  WindowStats sched;       // windowed-engine scheduler health
-  std::uint64_t migration_ns = 0;  // engine-switch cost (alternating only)
-
-  /// Wall time actually spent dispatching, after subtracting the engine
-  /// switches' export/adopt/re-register span.
-  [[nodiscard]] std::uint64_t dispatch_ns() const {
-    const auto wall = std::uint64_t(wall_seconds * 1e9);
-    return wall > migration_ns ? wall - migration_ns : 0;
-  }
-};
-
-EngineRun run_engine(const Scenario& sc,
-                     Cluster::Engine engine = Cluster::Engine::kAuto) {
-  Cluster cluster(sc, engine);
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.run();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  EngineRun out;
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.events = cluster.world().dispatched();
-  out.digest = evaluate_stack(cluster).digest;
-  out.shards = cluster.shards();
-  if (auto* sharded = dynamic_cast<ShardWorld*>(&cluster.world())) {
-    out.sched = sharded->sched_stats();
-  } else if (auto* duty = dynamic_cast<DutyWorld*>(&cluster.world())) {
-    out.sched = duty->sched_stats();
-    out.migration_ns = duty->migration_ns();
-  }
-  if (out.wall_seconds > 0) {
-    out.events_per_sec = double(out.events) / out.wall_seconds;
-  }
-  return out;
-}
-
 double wall_ratio(const EngineRun& serial, const EngineRun& other) {
   return serial.wall_seconds > 0 && other.wall_seconds > 0
              ? serial.wall_seconds / other.wall_seconds
              : 0;
-}
-
-bool same_run(const EngineRun& serial, const EngineRun& other) {
-  return serial.digest == other.digest && serial.events == other.events;
 }
 
 struct Row {
@@ -180,17 +134,39 @@ struct Row {
   EngineRun serial;
   EngineRun one_thread;  // windowed engine, one shard: node-major only
   EngineRun sharded;
+  bool parity = true;  // every repetition matched its serial twin
   [[nodiscard]] double speedup() const {
     return wall_ratio(serial, sharded);
   }
   [[nodiscard]] double one_thread_speedup() const {
     return wall_ratio(serial, one_thread);
   }
-  [[nodiscard]] bool parity() const {
-    return same_run(serial, sharded) &&
-           (one_thread.events == 0 || same_run(serial, one_thread));
-  }
 };
+
+/// Time a row's engines as the median of `reps` interleaved repetitions
+/// (the one-thread engine only if `one_thread`). Parity must hold on every
+/// repetition, not just on the medians.
+template <typename MakeScenario>
+Row timed_row(std::uint32_t n, MakeScenario make, bool one_thread,
+              std::size_t reps = kReps) {
+  Row row;
+  row.n = n;
+  std::vector<EngineRun> serial, single, sharded;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    serial.push_back(run_engine(make(0)));
+    if (one_thread) {
+      single.push_back(run_engine(make(1), Cluster::Engine::kWindowed));
+      row.parity &= same_run(serial.back(), single.back());
+    }
+    sharded.push_back(run_engine(make(kShards)));
+    row.parity &= same_run(serial.back(), sharded.back()) &&
+                            same_run(serial.front(), serial.back());
+  }
+  row.serial = median_run(serial);
+  if (one_thread) row.one_thread = median_run(single);
+  row.sharded = median_run(sharded);
+  return row;
+}
 
 std::string fmt2(double v) {
   char buf[32];
@@ -200,19 +176,17 @@ std::string fmt2(double v) {
 
 void print_table() {
   std::printf("\nWindowed engine: one big run, serial vs node-major on 1 "
-              "thread vs %u shards (lookahead 100 us, %u hardware threads)\n",
-              kShards, std::thread::hardware_concurrency());
+              "thread vs %u shards (lookahead 100 us, %u hardware threads, "
+              "median of %zu interleaved runs)\n",
+              kShards, std::thread::hardware_concurrency(), kReps);
   Table table({"n", "events", "serial Mev/s", "1-thread Mev/s", "1-thread",
                "sharded Mev/s", "speedup", "imb mean", "steals",
                "digest parity"});
   std::vector<Row> rows;
   for (const std::uint32_t n : {32u, 128u, 512u}) {
-    Row row;
-    row.n = n;
-    row.serial = run_engine(shard_bench_scenario(n, 0));
-    row.one_thread =
-        run_engine(shard_bench_scenario(n, 1), Cluster::Engine::kWindowed);
-    row.sharded = run_engine(shard_bench_scenario(n, kShards));
+    const Row row = timed_row(
+        n, [n](std::uint32_t s) { return shard_bench_scenario(n, s); },
+        /*one_thread=*/true);
     table.add_row({std::to_string(n), Table::fmt_int(row.serial.events),
                    fmt2(row.serial.events_per_sec / 1e6),
                    fmt2(row.one_thread.events_per_sec / 1e6),
@@ -221,7 +195,7 @@ void print_table() {
                    fmt2(row.speedup()) + "x",
                    fmt2(row.sharded.sched.imbalance_mean()),
                    std::to_string(row.sharded.sched.steals),
-                   row.parity() ? "yes" : "NO — BUG"});
+                   row.parity ? "yes" : "NO — BUG"});
     rows.push_back(row);
   }
   table.print();
@@ -235,15 +209,15 @@ void print_table() {
   // scramble + chaos + agreement-storm shape the paper actually measures,
   // with the engine-switch cost split out of the wall time.
   std::printf("\nPost-chaos stabilization (chaos [0, %lld ms) runs serial on "
-              "both engines; the alternating engine shards the suffix)\n",
-              static_cast<long long>(kChaosMs));
+              "both engines; the alternating engine shards the suffix; median "
+              "of %zu interleaved runs)\n",
+              static_cast<long long>(kChaosMs), kReps);
   Table chaos_table({"n", "events", "serial Mev/s", "two-phase Mev/s",
                      "speedup", "migration us", "imb mean",
                      "digest parity"});
-  Row chaos_row;
-  chaos_row.n = 128;
-  chaos_row.serial = run_engine(chaos_bench_scenario(chaos_row.n, 0));
-  chaos_row.sharded = run_engine(chaos_bench_scenario(chaos_row.n, kShards));
+  const Row chaos_row = timed_row(
+      128, [](std::uint32_t s) { return chaos_bench_scenario(128, s); },
+      /*one_thread=*/false);
   chaos_table.add_row({std::to_string(chaos_row.n),
                        Table::fmt_int(chaos_row.serial.events),
                        fmt2(chaos_row.serial.events_per_sec / 1e6),
@@ -251,7 +225,7 @@ void print_table() {
                        fmt2(chaos_row.speedup()) + "x",
                        fmt2(double(chaos_row.sharded.migration_ns) * 1e-3),
                        fmt2(chaos_row.sharded.sched.imbalance_mean()),
-                       chaos_row.parity() ? "yes" : "NO — BUG"});
+                       chaos_row.parity ? "yes" : "NO — BUG"});
   chaos_table.print();
 
   // Scale pin: n = 4096 on the federated overlay, serial vs sharded, with
@@ -264,10 +238,8 @@ void print_table() {
   Table large_table({"n", "topology", "events", "serial Mev/s",
                      "sharded Mev/s", "speedup", "peak RSS MB",
                      "digest parity"});
-  Row large_row;
-  large_row.n = kLargeN;
-  large_row.serial = run_engine(large_n_scenario(0));
-  large_row.sharded = run_engine(large_n_scenario(kShards));
+  const Row large_row =
+      timed_row(kLargeN, large_n_scenario, /*one_thread=*/false, /*reps=*/1);
   const std::uint64_t large_rss_kb = peak_rss_kb();
   large_table.add_row(
       {std::to_string(large_row.n), "federated/64",
@@ -276,13 +248,13 @@ void print_table() {
        fmt2(large_row.sharded.events_per_sec / 1e6),
        fmt2(large_row.speedup()) + "x",
        Table::fmt_int(large_rss_kb / 1024),
-       large_row.parity() ? "yes" : "NO — BUG"});
+       large_row.parity ? "yes" : "NO — BUG"});
   large_table.print();
 
   bool all_parity = true;
-  for (const Row& row : rows) all_parity = all_parity && row.parity();
-  all_parity = all_parity && chaos_row.parity();
-  all_parity = all_parity && large_row.parity();
+  for (const Row& row : rows) all_parity = all_parity && row.parity;
+  all_parity = all_parity && chaos_row.parity;
+  all_parity = all_parity && large_row.parity;
 
   if (std::FILE* out = std::fopen("BENCH_shard.json", "w")) {
     std::fprintf(out, "{\n  \"shards\": %u,\n  \"hardware_threads\": %u,\n",
@@ -307,7 +279,7 @@ void print_table() {
                    row.speedup(), row.sharded.sched.imbalance_mean(),
                    row.sharded.sched.imbalance_max,
                    static_cast<unsigned long long>(row.sharded.sched.steals),
-                   row.parity() ? "true" : "false",
+                   row.parity ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
@@ -328,7 +300,7 @@ void print_table() {
                  static_cast<unsigned long long>(
                      chaos_row.sharded.dispatch_ns()),
                  chaos_row.sharded.sched.imbalance_mean(),
-                 chaos_row.parity() ? "true" : "false");
+                 chaos_row.parity ? "true" : "false");
     // The map-based protocol cores this PR's flat structures replaced,
     // measured on the n = 512 row at the commit that still carried them.
     // bench_check.py compares the fresh n = 512 serial throughput against
@@ -349,7 +321,7 @@ void print_table() {
                  large_row.serial.events_per_sec,
                  large_row.sharded.events_per_sec, large_row.speedup(),
                  static_cast<unsigned long long>(large_rss_kb),
-                 large_row.parity() ? "true" : "false");
+                 large_row.parity ? "true" : "false");
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("(wrote BENCH_shard.json)\n");

@@ -52,10 +52,6 @@ class PipelinedLogNode : public NodeBehavior {
   void on_message(NodeContext& ctx, const WireMessage& msg) override;
   void on_timer(NodeContext& ctx, std::uint64_t cookie) override;
   void scramble(NodeContext& ctx, Rng& rng) override;
-  void rebind(NodeContext& ctx) override {
-    ctx_ = &ctx;
-    agree_->rebind(ctx);
-  }
 
   // --- application API -----------------------------------------------------
   /// Queue a command; it is proposed in the next owned slot with capacity.

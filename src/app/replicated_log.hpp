@@ -49,10 +49,6 @@ class ReplicatedLogNode : public NodeBehavior {
   void on_message(NodeContext& ctx, const WireMessage& msg) override;
   void on_timer(NodeContext& ctx, std::uint64_t cookie) override;
   void scramble(NodeContext& ctx, Rng& rng) override;
-  void rebind(NodeContext& ctx) override {
-    ctx_ = &ctx;
-    agree_->rebind(ctx);
-  }
 
   // --- application API -----------------------------------------------------
   /// Queue a command; it is proposed when this node's slot comes up. The

@@ -40,7 +40,6 @@ class TpsNode : public NodeBehavior {
   void on_start(NodeContext& ctx) override;
   void on_message(NodeContext& ctx, const WireMessage& msg) override;
   void on_timer(NodeContext& ctx, std::uint64_t cookie) override;
-  void rebind(NodeContext& ctx) override { ctx_ = &ctx; }
 
   /// General role: queue value for dissemination at the phase-0 boundary.
   /// The optional application payload rides the dissemination broadcast.

@@ -54,10 +54,6 @@ class ClockSyncNode : public NodeBehavior {
   void on_message(NodeContext& ctx, const WireMessage& msg) override;
   void on_timer(NodeContext& ctx, std::uint64_t cookie) override;
   void scramble(NodeContext& ctx, Rng& rng) override;
-  void rebind(NodeContext& ctx) override {
-    ctx_ = &ctx;
-    pulse_->rebind(ctx);
-  }
 
   // --- clock API -----------------------------------------------------------
   /// Current synchronized clock reading. Meaningful (within the precision

@@ -64,7 +64,6 @@ class SsByzNode : public NodeBehavior {
   void on_message(NodeContext& ctx, const WireMessage& msg) override;
   void on_timer(NodeContext& ctx, std::uint64_t cookie) override;
   void scramble(NodeContext& ctx, Rng& rng) override;
-  void rebind(NodeContext& ctx) override { ctx_ = &ctx; }
 
   // --- General role (application API) -------------------------------------
   /// Initiate agreement on `m` with this node as General, on concurrent-

@@ -48,10 +48,6 @@ class PulseSyncNode : public NodeBehavior {
   void on_message(NodeContext& ctx, const WireMessage& msg) override;
   void on_timer(NodeContext& ctx, std::uint64_t cookie) override;
   void scramble(NodeContext& ctx, Rng& rng) override;
-  void rebind(NodeContext& ctx) override {
-    ctx_ = &ctx;
-    agree_->rebind(ctx);
-  }
 
   [[nodiscard]] std::uint64_t counter() const { return counter_; }
   [[nodiscard]] std::optional<LocalTime> last_pulse_at() const {

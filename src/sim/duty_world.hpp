@@ -20,9 +20,11 @@
 //     the reverse path, which is what lets the cycle repeat any number of
 //     times.
 // Both directions MOVE the engine's one TimerWheel and its NodeState
-// vector (clocks, behaviors, every RNG stream and key channel) whole, so
-// each timer keeps its (index, generation) ticket and each stream its
-// exact position; only behaviors are rebound to the adopter's contexts.
+// vector (each node's one NodeContext: clock, behavior, every RNG stream
+// and key channel) whole, so each timer keeps its (index, generation)
+// ticket, each stream its exact position, and each node its context
+// object; the adopter only re-points every record's host at itself, so no
+// behavior learns that the engine changed.
 // Every cut is exclusive (run_before): the pre-cut engine dispatches
 // everything strictly before the boundary, so the alternating run executes
 // the identical total (when, creator, seq) order an all-serial run would,

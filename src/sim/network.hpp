@@ -162,9 +162,6 @@ class Network {
   void set_faulty_until(RealTime t) {
     set_faulty_windows({ChaosWindow{RealTime::min(), t}});
   }
-  [[nodiscard]] RealTime faulty_until() const {
-    return windows_.empty() ? RealTime::min() : windows_.back().end;
-  }
 
   /// Recurring chaos duty cycle: the network misbehaves inside each window
   /// and is non-faulty between them. Windows must be sorted, non-overlapping
@@ -181,7 +178,6 @@ class Network {
   }
 
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Attach a wire-level observer (see sim/tap.hpp). Pass nullptr to detach.
   void set_tap(TapFn tap) { tap_ = std::move(tap); }

@@ -6,10 +6,12 @@
 // what makes the self-stabilization claims honest to measure.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
 #include "sim/clock.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/wire.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -18,8 +20,10 @@
 
 namespace ssbft {
 
-/// Per-node services provided by the World. Lifetime: owned by the World,
-/// outlives every behavior attached to the node.
+/// Per-node services provided by the simulator. Lifetime: one object per
+/// node for the whole run, whichever engine runs it (see NodeState); it
+/// outlives every behavior attached to the node, so a behavior may cache
+/// the reference it is handed.
 class NodeContext {
  public:
   virtual ~NodeContext() = default;
@@ -74,30 +78,99 @@ class NodeBehavior {
   /// Transient-fault hook: overwrite all protocol state with adversarially
   /// chosen garbage. Default: stateless behavior, nothing to scramble.
   virtual void scramble(NodeContext&, Rng&) {}
-
-  /// Engine-migration hook (sim/duty_world.hpp): this node's NodeContext
-  /// OBJECT is being replaced — the behavior now lives on another engine
-  /// and the old context is about to be destroyed, possibly many times
-  /// over one run (recurring chaos alternates engines at every window
-  /// edge). A behavior that caches the context pointer from on_start must
-  /// re-point it here (and forward to embedded sub-behaviors). Protocol
-  /// state must NOT change: the migration is invisible to the protocol by
-  /// construction. Default: no cached context, nothing to rebind.
-  virtual void rebind(NodeContext&) {}
 };
 
-/// One node's engine-side record: everything an engine keeps per node
-/// besides its NodeContext object. Both engines hold one vector of these
-/// indexed by NodeId, and a migration cut moves that vector whole to the
-/// adopting engine, which rebinds each behavior to its own contexts.
-struct NodeState {
+class NodeState;
+
+/// What a node's context needs from the engine running the node: now,
+/// routing, keyed timer records and the log sink. World and ShardWorld
+/// implement it; behaviors never see it.
+class NodeHost {
+ public:
+  [[nodiscard]] virtual RealTime now() const = 0;
+  virtual void send(NodeId from, NodeId dest, WireMessage msg) = 0;
+  virtual void send_all(NodeId from, const WireMessage& msg) = 0;
+  /// Arm `node`'s timer for its local time `when`; the fire instant and
+  /// key come from NodeState::next_timer.
+  virtual TimerHandle arm_timer(NodeState& node, LocalTime when,
+                                std::uint64_t cookie) = 0;
+  virtual bool cancel_timer(TimerHandle handle) = 0;
+  virtual Logger& node_log() = 0;
+
+ protected:
+  ~NodeHost() = default;
+};
+
+/// One node's record, and the node's one NodeContext for the whole run:
+/// clock, streams and key channels next to the behavior they serve, and a
+/// host for everything engine-specific. Both engines hold one vector of
+/// these indexed by NodeId, built once (derive_node_states) and only ever
+/// moved whole: a migration cut hands the vector to the adopting engine,
+/// which re-points each record's host. A record thus keeps its address for
+/// the whole run, and a behavior may cache the context it is handed.
+class NodeState final : public NodeContext {
+ public:
+  NodeState(NodeId id, std::uint32_t n, NodeHost& host, DriftingClock clock,
+            Rng rng, Rng link_rng)
+      : clock(clock), behavior_rng(rng), link_rng(link_rng), id_(id), n_(n),
+        host_(&host) {}
+
+  /// The adopting engine takes the node over at a migration cut.
+  void rehost(NodeHost& host) { host_ = &host; }
+
+  [[nodiscard]] NodeId id() const override { return id_; }
+  [[nodiscard]] std::uint32_t n() const override { return n_; }
+  [[nodiscard]] LocalTime local_now() const override {
+    return clock.local_at(host_->now());
+  }
+  void send(NodeId dest, WireMessage msg) override {
+    host_->send(id_, dest, std::move(msg));
+  }
+  void send_all(WireMessage msg) override { host_->send_all(id_, msg); }
+
+  TimerHandle set_timer(LocalTime when, std::uint64_t cookie) override {
+    return host_->arm_timer(*this, when, cookie);
+  }
+  TimerHandle set_timer_after(Duration local_delay,
+                              std::uint64_t cookie) override {
+    return set_timer(local_now() + local_delay, cookie);
+  }
+  bool cancel_timer(TimerHandle handle) override {
+    return host_->cancel_timer(handle);
+  }
+
+  Rng& rng() override { return behavior_rng; }
+  Logger& log() override { return host_->node_log(); }
+
+  /// The engine half of set_timer: a timer for local time `when`, armed at
+  /// real time `now`, fires at `fire` (never in the past) under `key`.
+  struct TimerArm {
+    RealTime fire;
+    EventKey key;
+  };
+  TimerArm next_timer(LocalTime when, RealTime now) {
+    // Odd-channel key: timers and network sends by the same node must not
+    // collide in the (creator, seq) space (EventKey doc). Every engine and
+    // timer backend arms under this one key, so their dispatch orders
+    // coincide.
+    return {std::max(clock.real_at(when), now), {id_, timer_seq++ * 2 + 1}};
+  }
+
   DriftingClock clock;
-  std::unique_ptr<NodeBehavior> behavior;  // may be null (no behavior set)
-  Rng rng{0};                   // behavior stream position
-  Rng link_rng{0};              // per-sender delay/chaos stream position
+  Rng behavior_rng;             // behavior stream position
+  Rng link_rng;                 // per-sender delay/chaos stream position
   std::uint64_t timer_seq = 0;  // odd-channel key position
   std::uint64_t send_seq = 0;   // even-channel key position
   bool started = false;
+
+ private:
+  NodeId id_;
+  std::uint32_t n_;
+  NodeHost* host_;
+
+ public:
+  /// Declared last, so destroyed first: the context outlives its behavior.
+  std::unique_ptr<NodeBehavior> behavior;  // may be null (no behavior set)
 };
 
 }  // namespace ssbft

@@ -9,78 +9,6 @@
 
 namespace ssbft {
 
-// NodeContext for a sharded node. Mirrors World::ContextImpl exactly —
-// same key channels, same stream draws — but routes through the shard.
-class Shard::ContextImpl final : public NodeContext {
- public:
-  ContextImpl(Shard& shard, NodeId id) : shard_(shard), id_(id) {}
-
-  [[nodiscard]] NodeId id() const override { return id_; }
-  [[nodiscard]] std::uint32_t n() const override { return shard_.world_.n(); }
-
-  [[nodiscard]] LocalTime local_now() const override {
-    return shard_.world_.local_now(id_);
-  }
-
-  void send(NodeId dest, WireMessage msg) override {
-    shard_.send(id_, dest, msg);
-  }
-
-  void send_all(WireMessage msg) override { shard_.send_all(id_, msg); }
-
-  TimerHandle set_timer(LocalTime when, std::uint64_t cookie) override {
-    const RealTime fire =
-        std::max(shard_.world_.real_at(id_, when), shard_.world_.now());
-    Shard& shard = shard_;
-    ShardWorld& world = shard.world_;
-    // Odd channel: timers (see World::ContextImpl::set_timer).
-    const EventKey key{id_, shard.state(id_).timer_seq++ * 2 + 1};
-    // Due wheel timers reach the node queues at plan time, so a fire INSIDE
-    // the current window cannot wait for the next pump — park it straight
-    // in the executing node's queue (timers are always self-node, and this
-    // worker owns that queue for the whole window).
-    const bool in_window =
-        ShardWorld::tl_exec_ != nullptr &&
-        (world.window_inclusive_ ? fire <= world.window_end_
-                                 : fire < world.window_end_);
-    if (!in_window && world.config().timer_wheel) {
-      return world.on_wheel([&](TimerWheel& timers) {
-        return timers.schedule(fire, key, id_, cookie);
-      });
-    }
-    const TimerHandle handle = world.on_wheel([&](TimerWheel& timers) {
-      return timers.arm_external(fire, key, id_, cookie);
-    });
-    shard.node_queue(id_).schedule(
-        fire, key, [&shard, handle] { shard.fire_timer(handle); });
-    return handle;
-  }
-
-  TimerHandle set_timer_after(Duration local_delay,
-                              std::uint64_t cookie) override {
-    return set_timer(local_now() + local_delay, cookie);
-  }
-
-  bool cancel_timer(TimerHandle handle) override {
-    return shard_.world_.on_wheel(
-        [&](TimerWheel& timers) { return timers.cancel(handle); });
-  }
-
-  Rng& rng() override { return shard_.state(id_).rng; }
-  Logger& log() override {
-    // Thieves must not write the owner's logger; the per-worker exec
-    // logger absorbs log output during windows.
-    if (ShardWorld::ExecContext* exec = ShardWorld::tl_exec_) {
-      return exec->logger;
-    }
-    return shard_.logger_;
-  }
-
- private:
-  Shard& shard_;
-  NodeId id_;
-};
-
 Shard::Shard(ShardWorld& world, std::uint32_t index, NodeId first_node,
              NodeId end_node)
     : world_(world),
@@ -89,13 +17,8 @@ Shard::Shard(ShardWorld& world, std::uint32_t index, NodeId first_node,
       end_node_(end_node),
       topo_(world.config().topology.resolved(world.config().n)),
       node_queues_(end_node - first_node),
-      logger_(world.config().log_level),
       auth_(world.config().auth, world.config().seed) {
   SSBFT_EXPECTS(first_node_ < end_node_);
-  contexts_.reserve(end_node_ - first_node_);
-  for (NodeId id = first_node_; id < end_node_; ++id) {
-    contexts_.push_back(std::make_unique<ContextImpl>(*this, id));
-  }
 }
 
 Shard::~Shard() = default;
@@ -103,11 +26,6 @@ Shard::~Shard() = default;
 NodeState& Shard::state(NodeId id) {
   SSBFT_EXPECTS(owns(id));
   return world_.nodes_[id];
-}
-
-NodeContext& Shard::context(NodeId id) {
-  SSBFT_EXPECTS(owns(id));
-  return *contexts_[id - first_node_];
 }
 
 EventQueue& Shard::node_queue(NodeId id) {
@@ -271,9 +189,8 @@ void Shard::schedule_timer(const TimerWheel::Due& due) {
 }
 
 void Shard::deliver(NodeId dest, const WireMessage& msg) {
-  if (NodeBehavior* behavior = state(dest).behavior.get()) {
-    behavior->on_message(context(dest), msg);
-  }
+  NodeState& node = state(dest);
+  if (node.behavior) node.behavior->on_message(node, msg);
 }
 
 void Shard::reject(NodeId dest) {
@@ -290,9 +207,8 @@ void Shard::fire_timer(TimerHandle handle) {
     return false;
   });
   if (!live) return;
-  if (NodeBehavior* fired = state(node).behavior.get()) {
-    fired->on_timer(context(node), cookie);
-  }
+  NodeState& fired = state(node);
+  if (fired.behavior) fired.behavior->on_timer(fired, cookie);
 }
 
 void Shard::build_steal_items(RealTime end, bool inclusive) {

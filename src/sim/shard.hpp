@@ -1,10 +1,10 @@
 // One shard of the windowed engine (sim/shard_world.hpp).
 //
-// A Shard owns a contiguous block of nodes: their NodeContexts, one slab
-// EventQueue PER NODE, and wire counters. The node records themselves
-// (clocks, behaviors, streams) sit in the engine's one NodeState vector,
-// and the timers in its one TimerWheel; a Shard touches only its own block
-// of the vector. Within a lookahead window every node's work is
+// A Shard owns a contiguous block of nodes: one slab EventQueue PER NODE,
+// and wire counters. The node records themselves (each node's
+// NodeContext: clock, behavior, streams) sit in the engine's one NodeState
+// vector, and the timers in its one TimerWheel; a Shard touches only its
+// own block of the vector. Within a lookahead window every node's work is
 // independent — any send lands at or after the window end, and only a
 // node's own timers create same-window work — so whole nodes are the unit
 // of dispatch: a worker claims a node and runs its whole window batch in
@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/auth.hpp"
@@ -31,8 +30,6 @@
 #include "sim/node.hpp"
 #include "sim/timer_wheel.hpp"
 #include "sim/world.hpp"
-#include "util/logging.hpp"
-#include "util/rng.hpp"
 
 namespace ssbft {
 
@@ -85,9 +82,6 @@ class Shard {
     return id >= first_node_ && id < end_node_;
   }
 
-  /// An owned node's NodeContext (the one its behavior is bound to).
-  [[nodiscard]] NodeContext& context(NodeId id);
-
   // --- engine surface -----------------------------------------------------
   /// Queue dispatches net of suppressed (cancelled-after-hand-over) timer
   /// pops — the engine-invariant event count (see World::dispatched).
@@ -134,8 +128,9 @@ class Shard {
   void schedule_action(RealTime when, EventKey key, NodeId target,
                        std::function<void()> action);
 
-  /// Park a due wheel timer's fire event in its node's queue (the timer
-  /// key's creator is the owning node). Plan time / serial phases only.
+  /// Park a timer's fire event in its node's queue (the timer key's
+  /// creator is the owning node): plan time and serial phases, or inside a
+  /// window by the worker running that node.
   void schedule_timer(const TimerWheel::Due& due);
 
   // --- window machinery (see ShardWorld::run_windows) ---------------------
@@ -151,7 +146,6 @@ class Shard {
 
  private:
   friend class ShardWorld;
-  class ContextImpl;
 
   /// An owned node's record in the engine's NodeState vector.
   [[nodiscard]] NodeState& state(NodeId id);
@@ -204,13 +198,10 @@ class Shard {
   std::vector<EventQueue> node_queues_;
   std::vector<NodeId> steal_items_;  // nodes with work this window
   std::uint64_t suppressed_timers_ = 0;  // cancelled-after-hand-over pops
-  Logger logger_;
   /// Same scheme + key as the serial Network's (both derive from the world
   /// seed), so a migrated run keeps verifying its own traffic.
   Authenticator auth_;
   NetworkStats stats_;
-  /// Contexts of the owned nodes, indexed by id − first_node_.
-  std::vector<std::unique_ptr<ContextImpl>> contexts_;
 };
 
 static_assert(EventQueue::stores_inline<Shard::Delivery>);

@@ -30,7 +30,7 @@ ShardWorld::ShardWorld(WorldConfig config)
     : WorldBase(config),
       rng_(config_.seed),
       logger_(config_.log_level),
-      nodes_(derive_node_states(config_)) {
+      nodes_(derive_node_states(config_, *this)) {
   lookahead_ = config_.lookahead();
   const std::uint32_t shards = effective_shards(config_);
   SSBFT_EXPECTS(shards == 1 || lookahead_ > Duration::zero());
@@ -68,13 +68,7 @@ ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration)
   rng_ = migration.world_rng;
   nodes_ = std::move(migration.nodes);
   timers_ = std::move(migration.timers);
-  // The serial engine's context objects die with it; behaviors that cached
-  // one (the protocol stacks do, at on_start) must point at this engine's.
-  for (NodeId id = 0; id < config_.n; ++id) {
-    if (nodes_[id].behavior) {
-      nodes_[id].behavior->rebind(shard_of(id).context(id));
-    }
-  }
+  for (NodeState& node : nodes_) node.rehost(*this);
   // In-flight deliveries and pending workload actions park straight in
   // their owner's queue with their original keys. A chaos delivery may land
   // well inside the first windows — that is fine: the conservative-window
@@ -99,7 +93,7 @@ void ShardWorld::set_behavior(NodeId id,
   node.behavior = std::move(behavior);
   node.started = false;
   if (started_ && node.behavior) {
-    node.behavior->on_start(shard_of(id).context(id));
+    node.behavior->on_start(node);
     node.started = true;
   }
 }
@@ -117,7 +111,7 @@ void ShardWorld::start() {
   for (NodeId id = 0; id < config_.n; ++id) {
     NodeState& node = nodes_[id];
     if (node.behavior && !node.started) {
-      node.behavior->on_start(shard_of(id).context(id));
+      node.behavior->on_start(node);
       node.started = true;
     }
   }
@@ -147,9 +141,7 @@ DriftingClock& ShardWorld::clock(NodeId id) {
 void ShardWorld::scramble_node(NodeId id) {
   SSBFT_EXPECTS(id < config_.n);
   NodeState& node = nodes_[id];
-  if (node.behavior) {
-    node.behavior->scramble(shard_of(id).context(id), node.rng);
-  }
+  if (node.behavior) node.behavior->scramble(node, node.behavior_rng);
 }
 
 void ShardWorld::schedule(RealTime when, NodeId target,
@@ -185,6 +177,45 @@ std::uint64_t ShardWorld::dispatched() const {
   std::uint64_t total = base_dispatched_;
   for (const auto& shard : shards_) total += shard->dispatched();
   return total;
+}
+
+void ShardWorld::send(NodeId from, NodeId dest, WireMessage msg) {
+  shard_of(from).send(from, dest, std::move(msg));
+}
+
+void ShardWorld::send_all(NodeId from, const WireMessage& msg) {
+  shard_of(from).send_all(from, msg);
+}
+
+TimerHandle ShardWorld::arm_timer(NodeState& node, LocalTime when,
+                                  std::uint64_t cookie) {
+  const auto [fire, key] = node.next_timer(when, now());
+  // Due wheel timers reach the node queues at plan time, so a fire INSIDE
+  // the current window cannot wait for the next pump — park it straight in
+  // the executing node's queue (timers are always self-node, and this
+  // worker owns that queue for the whole window).
+  const bool in_window =
+      tl_exec_ != nullptr &&
+      (window_inclusive_ ? fire <= window_end_ : fire < window_end_);
+  if (!in_window && config_.timer_wheel) {
+    return on_wheel([&](TimerWheel& timers) {
+      return timers.schedule(fire, key, node.id(), cookie);
+    });
+  }
+  const TimerHandle handle = on_wheel([&](TimerWheel& timers) {
+    return timers.arm_external(fire, key, node.id(), cookie);
+  });
+  shard_of(node.id()).schedule_timer({fire, key, handle});
+  return handle;
+}
+
+bool ShardWorld::cancel_timer(TimerHandle handle) {
+  return on_wheel([&](TimerWheel& timers) { return timers.cancel(handle); });
+}
+
+Logger& ShardWorld::node_log() {
+  if (ExecContext* exec = tl_exec_) return exec->logger;
+  return logger_;
 }
 
 Network& ShardWorld::network() {

@@ -59,16 +59,17 @@
 
 namespace ssbft {
 
-class ShardWorld final : public WorldBase {
+class ShardWorld final : public WorldBase, private NodeHost {
  public:
   explicit ShardWorld(WorldConfig config);
   /// Adoption form: continue a serial segment's run from its exported
-  /// snapshot (see WorldMigration). The node records and the timer wheel
-  /// move in whole; in-flight deliveries, pending world actions and the
-  /// wire/dispatch counters carry over; behaviors are rebound, NOT
-  /// re-started. The segment then dispatches the exact (when, creator, seq)
-  /// order the serial engine would have, and can itself be exported at the
-  /// next cut (reverse migration).
+  /// snapshot (see WorldMigration). The node records (each node's one
+  /// NodeContext) and the timer wheel move in whole; in-flight deliveries,
+  /// pending world actions and the wire/dispatch counters carry over; each
+  /// record is re-hosted here — behaviors are NOT re-started. The segment then
+  /// dispatches the exact (when, creator, seq) order the serial engine
+  /// would have, and can itself be exported at the next cut (reverse
+  /// migration).
   ShardWorld(WorldConfig config, WorldMigration&& migration);
   ~ShardWorld() override;
 
@@ -138,8 +139,8 @@ class ShardWorld final : public WorldBase {
 
   /// Per-worker execution context for windows: the thread's private send
   /// outbox (merged at the barrier in worker order), wire counters (folded
-  /// into the world totals at plan time), steal counters, and a logger
-  /// thieves may write without racing the shard's own.
+  /// into the world totals at plan time), steal counters, and the logger
+  /// every node it runs writes to (node_log).
   struct ExecContext {
     ExecContext(LogLevel level, std::uint32_t shard_count)
         : outbox(shard_count), logger(level) {}
@@ -157,6 +158,17 @@ class ShardWorld final : public WorldBase {
   [[nodiscard]] Shard& shard_of(NodeId id) {
     return *shards_[shard_index_[id]];
   }
+
+  // --- NodeHost: the engine side of every node's context -----------------
+  void send(NodeId from, NodeId dest, WireMessage msg) override;
+  void send_all(NodeId from, const WireMessage& msg) override;
+  /// A fire inside the current window parks straight in the node's queue;
+  /// any other goes to the wheel (heap path: always the node's queue).
+  TimerHandle arm_timer(NodeState& node, LocalTime when,
+                        std::uint64_t cookie) override;
+  bool cancel_timer(TimerHandle handle) override;
+  /// The executing worker's logger inside a window, the engine's outside.
+  Logger& node_log() override;
 
   /// Run `op` on the engine's one timer wheel. Inside a window with more
   /// than one shard, workers running different nodes race on it, so the op

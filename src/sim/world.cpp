@@ -1,6 +1,5 @@
 #include "sim/world.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "harness/trace.hpp"
@@ -28,17 +27,14 @@ DriftingClock derive_node_clock(const WorldConfig& config, NodeId id) {
   return DriftingClock{rate, offset};
 }
 
-std::vector<NodeState> derive_node_states(const WorldConfig& config) {
+std::vector<NodeState> derive_node_states(const WorldConfig& config,
+                                          NodeHost& host) {
   std::vector<NodeState> nodes;
-  nodes.reserve(config.n);
+  nodes.reserve(config.n);  // never reallocated: behaviors cache records
   for (NodeId id = 0; id < config.n; ++id) {
-    nodes.push_back({.clock = derive_node_clock(config, id),
-                     .behavior = nullptr,
-                     .rng = derive_node_rng(config.seed, id),
-                     .link_rng = derive_link_rng(config.seed, id),
-                     .timer_seq = 0,
-                     .send_seq = 0,
-                     .started = false});
+    nodes.emplace_back(id, config.n, host, derive_node_clock(config, id),
+                       derive_node_rng(config.seed, id),
+                       derive_link_rng(config.seed, id));
   }
   return nodes;
 }
@@ -52,77 +48,11 @@ WorldBase::WorldBase(const WorldConfig& config) : config_(config) {
 
 WorldBase::~WorldBase() = default;
 
-// Per-node implementation of the NodeContext interface. A thin forwarding
-// shim: all state lives in the World.
-class World::ContextImpl final : public NodeContext {
- public:
-  ContextImpl(World& world, NodeId id) : world_(world), id_(id) {}
-
-  [[nodiscard]] NodeId id() const override { return id_; }
-  [[nodiscard]] std::uint32_t n() const override { return world_.n(); }
-
-  [[nodiscard]] LocalTime local_now() const override {
-    return world_.local_now(id_);
-  }
-
-  void send(NodeId dest, WireMessage msg) override {
-    world_.network_->send(id_, dest, msg);
-  }
-
-  void send_all(WireMessage msg) override {
-    world_.network_->send_all(id_, msg);
-  }
-
-  TimerHandle set_timer(LocalTime when, std::uint64_t cookie) override {
-    const RealTime fire =
-        std::max(world_.real_at(id_, when), world_.now());
-    World& world = world_;
-    // Odd-channel key: timers and network sends by the same node must not
-    // collide in the (creator, seq) space (EventKey doc). Both timer
-    // backends mint the key here, so their dispatch orders coincide.
-    const EventKey key{id_, world.nodes_[id_].timer_seq++ * 2 + 1};
-    if (world.config().timer_wheel) {
-      // Wheel path: the record waits in O(1) slots; pump_timers hands it
-      // to the heap just before the engine reaches its window.
-      return world.timers_.schedule(fire, key, id_, cookie);
-    }
-    // Legacy path: park the fire event in the heap now. The record exists
-    // to give cancel_timer the same suppress-at-claim semantics — and to
-    // carry (when, key) across an engine migration, where the fire event
-    // dies with this queue and the recalled record re-materializes it.
-    const TimerHandle handle =
-        world.timers_.arm_external(fire, key, id_, cookie);
-    world.queue_.schedule(fire, key,
-                          [&world, handle] { world.fire_timer(handle); });
-    return handle;
-  }
-
-  TimerHandle set_timer_after(Duration local_delay,
-                              std::uint64_t cookie) override {
-    return set_timer(local_now() + local_delay, cookie);
-  }
-
-  bool cancel_timer(TimerHandle handle) override {
-    return world_.timers_.cancel(handle);
-  }
-
-  Rng& rng() override { return world_.nodes_[id_].rng; }
-  Logger& log() override { return world_.logger_; }
-
- private:
-  World& world_;
-  NodeId id_;
-};
-
 World::World(WorldConfig config)
     : WorldBase(config),
       rng_(config_.seed),
       logger_(config_.log_level),
-      nodes_(derive_node_states(config_)) {
-  contexts_.reserve(config_.n);
-  for (NodeId id = 0; id < config_.n; ++id) {
-    contexts_.push_back(std::make_unique<ContextImpl>(*this, id));
-  }
+      nodes_(derive_node_states(config_, *this)) {
   network_ = std::make_unique<Network>(
       queue_, nodes_, config_.link_delay, config_.proc_delay, config_.chaos,
       config_.seed,
@@ -139,14 +69,11 @@ World::World(WorldConfig config, WorldMigration&& migration)
   network_->adopt_world_counters(migration.forged_seq, migration.stats);
   rng_ = migration.world_rng;
   // Node records and the wheel move in whole; the Network reads its
-  // per-sender streams from nodes_, so they continue too. The old engine's
-  // context objects die with it: behaviors that cached one (the protocol
-  // stacks do, at on_start) must point at this world's.
+  // per-sender streams from nodes_, so they continue too. Each context
+  // keeps its address (behaviors may have cached it) and is re-hosted.
   nodes_ = std::move(migration.nodes);
   timers_ = std::move(migration.timers);
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id].behavior) nodes_[id].behavior->rebind(*contexts_[id]);
-  }
+  for (NodeState& node : nodes_) node.rehost(*this);
   for (const Network::PendingDelivery& pending : migration.deliveries) {
     network_->adopt_delivery(pending);
   }
@@ -166,7 +93,7 @@ void World::set_behavior(NodeId id, std::unique_ptr<NodeBehavior> behavior) {
   node.behavior = std::move(behavior);
   node.started = false;
   if (started_ && node.behavior) {
-    node.behavior->on_start(*contexts_[id]);
+    node.behavior->on_start(node);
     node.started = true;
   }
 }
@@ -182,7 +109,7 @@ void World::start() {
   for (NodeId id = 0; id < config_.n; ++id) {
     NodeState& node = nodes_[id];
     if (node.behavior && !node.started) {
-      node.behavior->on_start(*contexts_[id]);
+      node.behavior->on_start(node);
       node.started = true;
     }
   }
@@ -204,9 +131,8 @@ void World::fire_timer(TimerHandle handle) {
     ++suppressed_timers_;  // cancelled after hand-over: a no-op pop
     return;
   }
-  if (NodeBehavior* fired = nodes_[node].behavior.get()) {
-    fired->on_timer(*contexts_[node], cookie);
-  }
+  NodeState& fired = nodes_[node];
+  if (fired.behavior) fired.behavior->on_timer(fired, cookie);
 }
 
 void World::dispatch_to(RealTime bound, bool inclusive) {
@@ -280,7 +206,7 @@ DriftingClock& World::clock(NodeId id) {
 void World::scramble_node(NodeId id) {
   SSBFT_EXPECTS(id < config_.n);
   NodeState& node = nodes_[id];
-  if (node.behavior) node.behavior->scramble(*contexts_[id], node.rng);
+  if (node.behavior) node.behavior->scramble(node, node.behavior_rng);
 }
 
 void World::schedule(RealTime when, NodeId target,
@@ -295,9 +221,36 @@ void World::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
 }
 
 void World::deliver(NodeId dest, const WireMessage& msg) {
-  if (NodeBehavior* behavior = nodes_[dest].behavior.get()) {
-    behavior->on_message(*contexts_[dest], msg);
-  }
+  NodeState& node = nodes_[dest];
+  if (node.behavior) node.behavior->on_message(node, msg);
 }
+
+void World::send(NodeId from, NodeId dest, WireMessage msg) {
+  network_->send(from, dest, std::move(msg));
+}
+
+void World::send_all(NodeId from, const WireMessage& msg) {
+  network_->send_all(from, msg);
+}
+
+TimerHandle World::arm_timer(NodeState& node, LocalTime when,
+                             std::uint64_t cookie) {
+  const auto [fire, key] = node.next_timer(when, now());
+  if (config_.timer_wheel) {
+    // Wheel path: the record waits in O(1) slots; pump_timers hands it
+    // to the heap just before the engine reaches its window.
+    return timers_.schedule(fire, key, node.id(), cookie);
+  }
+  // Legacy path: park the fire event in the heap now. The record exists
+  // to give cancel_timer the same suppress-at-claim semantics — and to
+  // carry (when, key) across an engine migration, where the fire event
+  // dies with this queue and the recalled record re-materializes it.
+  const TimerHandle handle =
+      timers_.arm_external(fire, key, node.id(), cookie);
+  queue_.schedule(fire, key, [this, handle] { fire_timer(handle); });
+  return handle;
+}
+
+bool World::cancel_timer(TimerHandle handle) { return timers_.cancel(handle); }
 
 }  // namespace ssbft

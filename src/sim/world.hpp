@@ -112,7 +112,7 @@ struct WorldConfig {
   /// traffic. kNull ⇒ the legacy untagged model.
   AuthKind auth = AuthKind::kNull;
 
-  /// Route node timers (Context::set_timer) through the hierarchical timer
+  /// Route node timers (NodeContext::set_timer) through the hierarchical timer
   /// wheel: O(1) arm/cancel, batched hand-over to the event heap (see
   /// sim/timer_wheel.hpp). false ⇒ the legacy path that parks every timer
   /// in the binary heap at arm time. Observable histories are identical
@@ -175,9 +175,9 @@ struct WorldConfig {
                                               NodeId id);
 
 /// Every node's fresh record: clock, behavior and link streams at their
-/// (seed, node) origins, counters at zero, no behavior.
+/// (seed, node) origins, counters at zero, no behavior, hosted by `host`.
 [[nodiscard]] std::vector<NodeState> derive_node_states(
-    const WorldConfig& config);
+    const WorldConfig& config, NodeHost& host);
 
 /// A world-level action (workload injection) as it sits in an event queue:
 /// the node it touches and the closure. A named event type, so a migration
@@ -198,11 +198,12 @@ static_assert(EventQueue::stores_inline<WorldAction>);
 /// windows are where the windowed ShardWorld shines. DutyWorld
 /// (sim/duty_world.hpp) alternates: at each boundary the active engine
 /// exports this snapshot and the other adopts it. Two parts are MOVED
-/// whole, not translated: the node records (clock, behavior, every stream
-/// and key-channel position) and the timer wheel (records, tickets and
-/// slab, with handed-over records recalled into it). The in-flight
-/// deliveries and world actions are read out of the event queues; the
-/// world-level counters are copied. An N-cycle alternating run is therefore
+/// whole, not translated: the node records (each node's one NodeContext:
+/// clock, behavior, every stream and key-channel position — the adopter
+/// only re-points each record's host, so behaviors never learn the engine
+/// changed) and the timer wheel (records, tickets and slab, with handed-over records
+/// recalled into it). The in-flight deliveries and world actions are read
+/// out of the event queues; the world-level counters are copied. An N-cycle alternating run is therefore
 /// bit-identical to an all-serial one (test_duty pins the matrix). The cut
 /// is exclusive: every event strictly before the migration instant has
 /// dispatched, so everything here fires at or after it.
@@ -310,14 +311,15 @@ class WorldBase {
 };
 
 /// The serial engine.
-class World final : public WorldBase {
+class World final : public WorldBase, private NodeHost {
  public:
   explicit World(WorldConfig config);
   /// Adoption form: continue a sharded segment's run from its exported
   /// snapshot (the reverse migration — see WorldMigration). The node
-  /// records and the timer wheel move in whole, deliveries and world
-  /// actions re-materialize under their original keys, and behaviors are
-  /// rebound — NOT re-started.
+  /// records (each node's one NodeContext) and the timer wheel move in
+  /// whole, deliveries and world actions re-materialize under their
+  /// original keys, and each record is re-hosted here — behaviors are NOT
+  /// re-started.
   World(WorldConfig config, WorldMigration&& migration);
   ~World() override;
 
@@ -379,7 +381,13 @@ class World final : public WorldBase {
   }
 
  private:
-  class ContextImpl;
+  // --- NodeHost: the engine side of every node's context -----------------
+  void send(NodeId from, NodeId dest, WireMessage msg) override;
+  void send_all(NodeId from, const WireMessage& msg) override;
+  TimerHandle arm_timer(NodeState& node, LocalTime when,
+                        std::uint64_t cookie) override;
+  bool cancel_timer(TimerHandle handle) override;
+  Logger& node_log() override { return logger_; }
 
   void deliver(NodeId dest, const WireMessage& msg);
 
@@ -399,7 +407,6 @@ class World final : public WorldBase {
   std::vector<TimerWheel::Due> due_batch_;  // advance() scratch, reused
   std::uint64_t suppressed_timers_ = 0;     // cancelled-after-hand-over pops
   std::vector<NodeState> nodes_;            // the Network draws from these
-  std::vector<std::unique_ptr<ContextImpl>> contexts_;  // by NodeId
   std::unique_ptr<Network> network_;
   bool started_ = false;
   bool exported_ = false;  // export_migration happened; the world is dead

@@ -7,7 +7,8 @@
 // lands exactly on every boundary), fault injection after a reverse
 // migration, the per-window stabilization metrics, the Scenario duty-cycle
 // normalization/validation, the export-is-terminal guards on the sharded
-// engine, and timer handles that cross cuts in both directions.
+// engine, timer handles that cross cuts in both directions, and a cached
+// NodeContext that stays the node's one context across every cut.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -559,6 +560,130 @@ TEST(DutyWorldTest, TimerHandlesSurviveEveryCutBothDirections) {
       ASSERT_NE(at_cut, probe.fires().end()) << label();
       EXPECT_EQ(at_cut->at, probe.local(cuts[k])) << label();
     }
+  }
+  EXPECT_EQ(duty.dispatched(), serial.dispatched());
+}
+
+// --- one context per node across cuts --------------------------------------
+
+/// Caches the context it is handed at on_start and has no hook of its own
+/// for engine changes. A 100 µs tick checks that every callback is handed
+/// the cached context; a world action after each cut (act) then sends and
+/// arms a timer through the cached pointer. Every callback is logged as
+/// (what, detail, local time).
+class CachedContextProbe final : public NodeBehavior {
+ public:
+  enum : std::uint64_t { kTick = 1, kActionTimer = 2, kMessage = 3 };
+  struct Entry {
+    std::uint64_t what;
+    std::uint64_t detail;  // messages: sender * 1000 + value
+    LocalTime at;
+    friend bool operator==(const Entry&, const Entry&) = default;
+    friend void PrintTo(const Entry& e, std::ostream* os) {
+      *os << "{" << e.what << " " << e.detail << " at " << e.at.ns() << "}";
+    }
+  };
+
+  void on_start(NodeContext& ctx) override {
+    cached_ = &ctx;
+    ctx.set_timer_after(microseconds(100), kTick);
+  }
+  void on_message(NodeContext& ctx, const WireMessage& msg) override {
+    check(ctx);
+    log_.push_back(
+        {kMessage, std::uint64_t(msg.sender) * 1000 + msg.value,
+         ctx.local_now()});
+  }
+  void on_timer(NodeContext& ctx, std::uint64_t cookie) override {
+    check(ctx);
+    log_.push_back({cookie, 0, ctx.local_now()});
+    if (cookie == kTick) ctx.set_timer_after(microseconds(100), kTick);
+  }
+
+  /// Send and arm through the cached pointer. A pointer a callback has
+  /// already contradicted is counted, not dereferenced: it may dangle.
+  void act(Value value) {
+    if (stale_) {
+      ++stale_actions_;
+      return;
+    }
+    WireMessage msg;
+    msg.value = value;
+    cached_->send_all(msg);
+    cached_->set_timer_after(microseconds(300), kActionTimer);
+  }
+
+  [[nodiscard]] const std::vector<Entry>& log() const { return log_; }
+  [[nodiscard]] std::size_t foreign_contexts() const { return foreign_; }
+  [[nodiscard]] std::size_t stale_actions() const { return stale_actions_; }
+
+ private:
+  void check(NodeContext& ctx) {
+    if (&ctx == cached_) return;
+    ++foreign_;
+    stale_ = true;
+  }
+
+  NodeContext* cached_ = nullptr;
+  bool stale_ = false;
+  std::size_t foreign_ = 0;
+  std::size_t stale_actions_ = 0;
+  std::vector<Entry> log_;
+};
+
+// A node's context is one object for the whole run: a behavior that caches
+// it at on_start is handed that same address by every later callback, on
+// whichever engine runs it, and can keep sending and arming timers through
+// it after every cut. Four cuts, both directions, 2 shards, λ = 100 µs;
+// each node's log must equal an all-serial twin's.
+TEST(DutyWorldTest, CachedContextSurvivesEveryCut) {
+  const std::vector<ChaosWindow> windows = {
+      {RealTime::zero() + milliseconds(5), RealTime::zero() + milliseconds(10)},
+      {RealTime::zero() + milliseconds(15),
+       RealTime::zero() + milliseconds(20)}};
+  const std::vector<RealTime> cuts = {
+      windows[0].start, windows[0].end, windows[1].start, windows[1].end};
+  const auto run = [&](WorldBase& world) {
+    std::vector<CachedContextProbe*> probes;
+    for (NodeId id = 0; id < world.n(); ++id) {
+      auto probe = std::make_unique<CachedContextProbe>();
+      probes.push_back(probe.get());
+      world.set_behavior(id, std::move(probe));
+      for (std::size_t k = 0; k < cuts.size(); ++k) {
+        // A world action, as Cluster::inject schedules workload.
+        CachedContextProbe* target = probes.back();
+        world.schedule(cuts[k] + microseconds(500), id,
+                       [target, k] { target->act(Value(k + 1)); });
+      }
+    }
+    world.start();
+    world.run_until(RealTime::zero() + milliseconds(30));
+    return probes;
+  };
+
+  WorldConfig serial_config = duty_world_config();
+  serial_config.shards = 0;
+  World serial(serial_config);
+  serial.network().set_faulty_windows(windows);
+  const std::vector<CachedContextProbe*> expected = run(serial);
+
+  DutyWorld duty(duty_world_config(), windows);  // 2 shards, λ = 100 µs
+  ASSERT_TRUE(duty.sharded_active());
+  const std::vector<CachedContextProbe*> probes = run(duty);
+  EXPECT_EQ(duty.migrations(), cuts.size());
+
+  for (NodeId id = 0; id < duty.n(); ++id) {
+    const CachedContextProbe& probe = *probes[id];
+    EXPECT_EQ(probe.foreign_contexts(), 0u) << "node " << id;
+    EXPECT_EQ(probe.stale_actions(), 0u) << "node " << id;
+    EXPECT_EQ(std::count_if(probe.log().begin(), probe.log().end(),
+                            [](const CachedContextProbe::Entry& e) {
+                              return e.what ==
+                                     CachedContextProbe::kActionTimer;
+                            }),
+              std::ptrdiff_t(cuts.size()))
+        << "node " << id;
+    EXPECT_EQ(probe.log(), expected[id]->log()) << "node " << id;
   }
   EXPECT_EQ(duty.dispatched(), serial.dispatched());
 }
