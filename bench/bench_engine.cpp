@@ -86,34 +86,44 @@ class LegacyEventQueue {
 };
 
 // ---------------------------------------------------------- raw chains --
-// The hot-path event shape: a closure carrying destination + WireMessage
-// (as Network::route schedules), rescheduling itself to keep the in-flight
-// population constant.
+// The hot-path event shape: a closure exactly the size of a network
+// delivery (one pointer + destination + WireMessage, as Network::Delivery
+// carries), rescheduling itself to keep the in-flight population constant.
 template <class Queue>
-struct Chain {
-  Queue* queue;
-  std::uint64_t* fired;
-  std::uint64_t total;
-  NodeId dest;
-  WireMessage msg;
-  void operator()() const {
-    ++*fired;
-    if (*fired < total) queue->schedule(queue->now() + Duration{100}, *this);
-  }
+struct ChainState {
+  Queue queue;
+  std::uint64_t fired = 0;
+  std::uint64_t total = 0;
 };
 
 template <class Queue>
+struct Chain {
+  ChainState<Queue>* state;
+  NodeId dest;
+  WireMessage msg;
+  void operator()() const {
+    ++state->fired;
+    if (state->fired < state->total) {
+      state->queue.schedule(state->queue.now() + Duration{100}, *this);
+    }
+  }
+};
+static_assert(EventQueue::stores_inline<Chain<EventQueue>>);
+
+template <class Queue>
 double chain_events_per_sec(std::uint32_t in_flight, std::uint64_t total) {
-  Queue queue;
-  std::uint64_t fired = 0;
+  ChainState<Queue> state;
+  state.total = total;
   for (std::uint32_t i = 0; i < in_flight; ++i) {
-    queue.schedule(RealTime{std::int64_t(i)},
-                   Chain<Queue>{&queue, &fired, total, NodeId(i), WireMessage{}});
+    state.queue.schedule(RealTime{std::int64_t(i)},
+                         Chain<Queue>{&state, NodeId(i), WireMessage{}});
   }
   const auto t0 = std::chrono::steady_clock::now();
-  while (!queue.empty() && fired < total) queue.run_one();
+  while (!state.queue.empty() && state.fired < state.total) {
+    state.queue.run_one();
+  }
   const auto t1 = std::chrono::steady_clock::now();
-  return double(fired) / std::chrono::duration<double>(t1 - t0).count();
+  return double(state.fired) / std::chrono::duration<double>(t1 - t0).count();
 }
 
 struct RawResult {

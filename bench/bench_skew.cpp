@@ -10,7 +10,8 @@
 // Sweep-native: each case is one Scenario × 25 seeds on the SweepRunner
 // worker pool (one independent World per trial, all cores, per_run hook for
 // the per-execution skews). Results go to stdout, bench_skew.csv, and
-// BENCH_skew.json.
+// BENCH_skew.json; the exit status is 1 when any case's within_bounds is
+// false.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -83,7 +84,9 @@ SkewResult run_skew(AdversaryKind kind, bool correct_general,
   return result;
 }
 
-void print_table() {
+/// Prints the table and writes the artifacts; returns the artifact verdict:
+/// every case's `within_bounds`.
+bool print_table() {
   const Params params = Scenario{}.make_params();
   const double d_ms = params.d().millis();
   std::printf("\nE2: Timeliness-1 skew bounds (d=%.3fms; bounds: decision "
@@ -116,10 +119,20 @@ void print_table() {
       {"staggered", AdversaryKind::kStaggeredGeneral, false, 3.0},
       {"spamming", AdversaryKind::kSpamGeneral, false, 3.0},
   };
+  bool all_within = true;
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const Case& c = cases[i];
     auto r = run_skew(c.kind, c.correct, 25, 7000);
     const bool have = !r.decision_skew.empty();
+    const bool within =
+        r.agreement_violations == 0 &&
+        (!have || (r.decision_skew.max() * 1e-6 <= c.bound_d * d_ms &&
+                   r.tau_g_skew.max() * 1e-6 <= 6 * d_ms));
+    if (!within) {
+      std::fprintf(stderr, "E2 FAIL: %s General outside the skew bounds\n",
+                   c.name);
+      all_within = false;
+    }
     table.add_row(
         {c.name, Table::fmt_int(r.executions),
          have ? Table::fmt_ms(r.decision_skew.quantile(0.5)) : "-",
@@ -146,12 +159,7 @@ void print_table() {
           have ? r.decision_skew.quantile(0.5) * 1e-6 : 0.0,
           have ? r.decision_skew.max() * 1e-6 : 0.0, c.bound_d * d_ms,
           have ? r.tau_g_skew.max() * 1e-6 : 0.0, r.agreement_violations,
-          (r.agreement_violations == 0 &&
-           (!have || (r.decision_skew.max() * 1e-6 <= c.bound_d * d_ms &&
-                      r.tau_g_skew.max() * 1e-6 <= 6 * d_ms)))
-              ? "true"
-              : "false",
-          i + 1 < std::size(cases) ? "," : "");
+          within ? "true" : "false", i + 1 < std::size(cases) ? "," : "");
     }
   }
   table.print();
@@ -160,6 +168,7 @@ void print_table() {
     std::fclose(json);
     std::printf("(wrote BENCH_skew.json)\n");
   }
+  return all_within;
 }
 
 void BM_Skew(benchmark::State& state) {
@@ -180,6 +189,6 @@ BENCHMARK(BM_Skew)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  ssbft::print_table();
-  return 0;
+  // Exit 1 when a case breaks a paper bound, so CI fails on it.
+  return ssbft::print_table() ? 0 : 1;
 }

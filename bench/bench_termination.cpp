@@ -14,7 +14,8 @@
 //
 // Trial loops ride the SweepRunner worker pool (one independent World per
 // trial, all cores, per_run hook for the per-decision figures); results go
-// to stdout, bench_termination.csv, and BENCH_termination.json.
+// to stdout, bench_termination.csv, and BENCH_termination.json. The exit
+// status is 1 when any row misses ∆agr or a ⊥-flush is late.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -117,7 +118,10 @@ AbortResult run_abort_flush(std::uint32_t n, std::uint32_t f,
   return result;
 }
 
-void print_table() {
+/// Prints both tables and writes the artifact; returns its verdict: every
+/// E3a row has all_decided_pct = 100 and lat_max within ∆agr, and no E3b
+/// flush is late.
+bool print_table() {
   std::printf("\nE3a: decision latency vs actual faults f' (n=13, f=4; "
               "paper bound ∆agr=(2f+1)Φ; message-driven ⇒ latency stays at "
               "a few actual hops)\n");
@@ -130,8 +134,14 @@ void print_table() {
   if (json) std::fprintf(json, "{\n  \"latency_vs_actual_faults\": [\n");
   const std::uint32_t n = 13, f = 4;
   const Params params{n, f, Scenario{}.make_params().d()};
+  bool all_ok = true;
   for (std::uint32_t fa = 0; fa <= f; ++fa) {
     auto r = run_termination(n, f, fa, 30, 3000);
+    if (r.all_decided != r.trials ||
+        r.latency.max() > double(params.delta_agr().ns())) {
+      std::fprintf(stderr, "E3a FAIL: f'=%u misses the ∆agr bound\n", fa);
+      all_ok = false;
+    }
     table.add_row({std::to_string(fa), std::to_string(r.trials),
                    Table::fmt_ms(1e6 * 100.0 * r.all_decided / r.trials),
                    Table::fmt_ms(r.latency.quantile(0.5)),
@@ -168,6 +178,11 @@ void print_table() {
     auto r = run_abort_flush(nn, ff, 20, 4000);
     const Params p{nn, ff, Scenario{}.make_params().d()};
     const Duration budget = 2 * p.delta_agr() + p.phi();
+    if (r.late_flushes > 0) {
+      std::fprintf(stderr, "E3b FAIL: n=%u has %u late ⊥-flushes\n", nn,
+                   r.late_flushes);
+      all_ok = false;
+    }
     table2.add_row({std::to_string(nn), std::to_string(ff),
                     std::to_string(r.runs),
                     Table::fmt_int(r.abort_flush.size()),
@@ -191,6 +206,7 @@ void print_table() {
     std::fclose(json);
     std::printf("(wrote BENCH_termination.json)\n");
   }
+  return all_ok;
 }
 
 void BM_Termination(benchmark::State& state) {
@@ -209,6 +225,6 @@ BENCHMARK(BM_Termination)->Arg(0)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  ssbft::print_table();
-  return 0;
+  // Exit 1 when a row breaks a paper bound, so CI fails on it.
+  return ssbft::print_table() ? 0 : 1;
 }

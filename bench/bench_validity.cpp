@@ -9,7 +9,8 @@
 //
 // Trial loops ride the SweepRunner worker pool (one independent World per
 // trial, all cores, per_run hook for the per-decision figures); results go
-// to stdout and BENCH_validity.json.
+// to stdout and BENCH_validity.json. The exit status is 1 when any row
+// breaks Validity, its anchor window or the 4d bound.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -82,7 +83,9 @@ void BM_Validity(benchmark::State& state) {
 }
 BENCHMARK(BM_Validity)->Arg(4)->Arg(7)->Arg(10)->Arg(13)->Unit(benchmark::kMillisecond);
 
-void print_table() {
+/// Prints the table and writes the artifact; returns its verdict: every row
+/// has validity_ok_pct = 100, anchor_in_bounds, and lat_max within 4d.
+bool print_table() {
   std::printf("\nE1: Validity under a correct General (paper bound: decide "
               "within t0+4d; here d=%.3fms)\n",
               Scenario{}.make_params().d().millis());
@@ -91,6 +94,7 @@ void print_table() {
   std::FILE* json = std::fopen("BENCH_validity.json", "w");
   if (json) std::fprintf(json, "{\n  \"rows\": [\n");
   const std::uint32_t sizes[] = {4u, 7u, 10u, 13u, 16u, 25u};
+  bool all_ok = true;
   for (std::size_t i = 0; i < std::size(sizes); ++i) {
     const std::uint32_t n = sizes[i];
     const std::uint32_t f = (n - 1) / 3;
@@ -105,6 +109,13 @@ void print_table() {
     bool anchor_ok = true;
     for (double e : r.anchor_error.samples()) {
       if (e < -d_ns || e > 4 * d_ns) anchor_ok = false;
+    }
+    const bool row_ok = r.validity_ok == r.trials && anchor_ok &&
+                        (r.latency.empty() || r.latency.max() <= 4 * d_ns);
+    if (!row_ok) {
+      std::fprintf(stderr, "E1 FAIL: n=%u breaks Validity or its 4d bound\n",
+                   n);
+      all_ok = false;
     }
     table.add_row({std::to_string(n), std::to_string(f),
                    std::to_string(r.trials),
@@ -131,6 +142,7 @@ void print_table() {
     std::fclose(json);
     std::printf("(wrote BENCH_validity.json)\n");
   }
+  return all_ok;
 }
 
 }  // namespace
@@ -139,6 +151,6 @@ void print_table() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  ssbft::print_table();
-  return 0;
+  // Exit 1 when a row breaks a paper bound, so CI fails on it.
+  return ssbft::print_table() ? 0 : 1;
 }

@@ -4,9 +4,9 @@
 
 #include "harness/runner.hpp"
 #include "harness/trace.hpp"
-#include "sim/duty_world.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/payload.hpp"
-#include "sim/shard_world.hpp"
+#include "sim/world.hpp"
 
 namespace ssbft {
 
@@ -42,7 +42,22 @@ bool StatsRegistry::write_json(const std::string& path) const {
   return written == json.size() && flushed;
 }
 
-namespace {
+void QueueGauges::add(const EventQueue& queue) {
+  depth += double(queue.size());
+  slab_capacity += double(queue.slab_capacity());
+  peak_bytes += double(queue.peak_bytes());
+}
+
+void QueueGauges::report(StatsRegistry& reg) const {
+  reg.add("queue.depth", depth, "events",
+          "events pending in the event queues at the end of the run");
+  reg.add("queue.slab_capacity", slab_capacity, "slots",
+          "slab slots allocated (peak in-flight, chunk-rounded), summed "
+          "over the engine's queues");
+  reg.add("queue.peak_bytes", peak_bytes, "bytes",
+          "queue backing-store footprint (closure slab + heap; grow-only, "
+          "so current = peak), summed over the engine's queues");
+}
 
 void add_sched_stats(StatsRegistry& reg, const WindowStats& st) {
   reg.add("sched.windows", double(st.windows), "count",
@@ -65,8 +80,6 @@ void add_sched_stats(StatsRegistry& reg, const WindowStats& st) {
   reg.add("sched.owner_imbalance_max", st.owner_imbalance_max, "ratio",
           "worst per-window owner-shard imbalance");
 }
-
-}  // namespace
 
 StatsRegistry collect_run_stats(Cluster& cluster) {
   StatsRegistry reg;
@@ -104,27 +117,7 @@ StatsRegistry collect_run_stats(Cluster& cluster) {
   reg.add("net.fanout_msgs", double(net.fanout_msgs), "count",
           "message copies forwarded by topology relay duty");
 
-  if (auto* duty = dynamic_cast<DutyWorld*>(&world)) {
-    reg.add("duty.migrations", double(duty->migrations()), "count",
-            "engine switches performed");
-    reg.add("duty.migration_ns", double(duty->migration_ns()), "ns",
-            "wall time inside export/adopt (dispatch excluded)");
-    reg.add("duty.segments", double(duty->segments()), "count",
-            "sharded stabilization segments");
-    add_sched_stats(reg, duty->sched_stats());
-  } else if (auto* shard = dynamic_cast<ShardWorld*>(&world)) {
-    add_sched_stats(reg, shard->sched_stats());
-  } else if (auto* serial = dynamic_cast<World*>(&world)) {
-    // Serial-engine gauges, sampled now: how deep the event heap sits at
-    // the end of the run.
-    reg.add("queue.depth", double(serial->queue().size()), "events",
-            "events pending in the heap");
-    reg.add("queue.slab_capacity", double(serial->queue().slab_capacity()),
-            "slots", "slab slots allocated (peak in-flight, chunk-rounded)");
-    reg.add("queue.peak_bytes", double(serial->queue().peak_bytes()), "bytes",
-            "queue backing-store footprint (closure slab + heap; grow-only, "
-            "so current = peak)");
-  }
+  world.collect_stats(reg);  // queue.*, sched.*, duty.*
   // Every engine has exactly one wheel (DutyWorld's moves with each cut).
   const TimerWheel& wheel = world.timers();
   reg.add("wheel.armed", double(wheel.armed()), "count",

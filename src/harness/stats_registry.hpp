@@ -15,6 +15,8 @@
 namespace ssbft {
 
 class Cluster;
+class EventQueue;
+struct WindowStats;
 
 struct StatsEntry {
   std::string path;   // dotted, e.g. "sched.steals"
@@ -45,10 +47,26 @@ class StatsRegistry {
   std::vector<StatsEntry> entries_;
 };
 
+/// The queue.* gauges of one engine, summed over every event queue it runs
+/// (one on the serial engine, one per node on the windowed engine).
+struct QueueGauges {
+  double depth = 0;
+  double slab_capacity = 0;
+  double peak_bytes = 0;
+
+  void add(const EventQueue& queue);
+  void report(StatsRegistry& reg) const;
+};
+
+/// The sched.* leaves of a windowed run's scheduler counters.
+void add_sched_stats(StatsRegistry& reg, const WindowStats& st);
+
 /// Snapshot every statistic the deployed engine exposes: run totals, wire
 /// counters, shard-scheduler stats (executor- and owner-attributed
-/// imbalance), duty-cycle migration counts/costs, serial-engine queue depth
-/// and timer-wheel occupancy, and tracer health when tracing is on.
+/// imbalance), duty-cycle migration counts/costs, event-queue and
+/// timer-wheel occupancy, and tracer health when tracing is on. The
+/// engine-specific part comes from WorldBase::collect_stats, so every
+/// engine emits the same queue.*, wheel.* and net.* leaves.
 [[nodiscard]] StatsRegistry collect_run_stats(Cluster& cluster);
 
 }  // namespace ssbft

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "harness/stats_registry.hpp"
 #include "harness/trace.hpp"
 #include "util/assert.hpp"
 
@@ -189,6 +190,17 @@ NetworkStats DutyWorld::net_stats() const { return active().net_stats(); }
 std::uint64_t DutyWorld::dispatched() const { return active().dispatched(); }
 
 const TimerWheel& DutyWorld::timers() const { return active().timers(); }
+
+void DutyWorld::collect_stats(StatsRegistry& reg) const {
+  (sharded_ ? sharded_->queue_gauges() : serial_->queue_gauges()).report(reg);
+  reg.add("duty.migrations", double(migrations_), "count",
+          "engine switches performed");
+  reg.add("duty.migration_ns", double(migration_ns_), "ns",
+          "wall time inside export/adopt (dispatch excluded)");
+  reg.add("duty.segments", double(segments_), "count",
+          "sharded stabilization segments");
+  add_sched_stats(reg, sched_stats());
+}
 
 Network& DutyWorld::network() {
   SSBFT_EXPECTS(serial_ != nullptr);  // sharded segment: no single Network

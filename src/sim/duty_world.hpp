@@ -113,6 +113,9 @@ class DutyWorld final : public WorldBase {
   [[nodiscard]] std::uint64_t dispatched() const override;
   /// The active engine's wheel — the one wheel every cut moves along.
   [[nodiscard]] const TimerWheel& timers() const override;
+  /// The active engine's queue gauges, the duty.* counters, and sched.*
+  /// summed over every sharded segment.
+  void collect_stats(StatsRegistry& reg) const override;
 
   /// Serial surface: forwards during serial segments, aborts during
   /// sharded ones (no single Network/queue exists there).

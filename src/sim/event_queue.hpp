@@ -12,17 +12,20 @@
 // with an internal counter and thus keep plain insertion-order semantics
 // among themselves. A run remains a pure function of the seed either way.
 //
-// Hot-path layout: the priority heap orders 24-byte POD entries
-// (when, seq, creator, slot) while the callables themselves live in
-// fixed-size slots
-// of a slab recycled through a free list. A callable whose closure fits
-// kInlineCapacity is stored inline — scheduling and dispatching it performs
-// no heap allocation on the steady path (the slab and heap vectors only
-// grow until they cover the peak in-flight population). Oversized closures
-// are boxed transparently. Dispatch pops by *move*: the callable is
-// relocated to the stack frame and its slot freed before it runs, so
-// running events may freely schedule new ones (even reallocating the slab)
-// without invalidating themselves.
+// Hot-path layout: the callables live in fixed-size slots of a slab
+// recycled through a free list, and a 4-ary min-heap orders 16-byte
+// {when, creator, slot} entries. The seq half of the key is read only when
+// `when` and `creator` tie (the copies of a constant-delay broadcast, or
+// timers re-armed in lock-step), so it lives off the heap, in a dense
+// array indexed by slot: a tie costs two reads from that array rather than
+// two cache misses into the 160-byte slots. A callable whose closure fits
+// kInlineCapacity is built directly in its slot (emplace) — scheduling and
+// dispatching it performs no heap allocation on the steady path (the slab,
+// seq and heap vectors only grow until they cover the peak in-flight
+// population). Oversized closures are boxed transparently. Dispatch runs the callable IN PLACE, then destroys it and
+// frees its slot: slots live in address-stable chunks and a running slot
+// is not on the free list, so a running event may schedule freely (even
+// growing the slab) while it reads its own captures.
 #pragma once
 
 #include <cstddef>
@@ -63,11 +66,20 @@ class EventQueue {
  public:
   /// Closures up to this size (and std::max_align_t alignment) are stored
   /// inline in a slab slot; larger ones fall back to one boxed allocation.
-  /// 192 bytes covers every closure the simulator schedules on its hot path
-  /// (the largest is a network delivery: this + destination + WireMessage,
-  /// whose payload handle carries an inline body up to one cacheline —
-  /// pooled bodies ride as a slot reference, so the closure stays flat).
-  static constexpr std::size_t kInlineCapacity = 192;
+  /// 144 bytes is exactly a network delivery (engine pointer + destination
+  /// + WireMessage, whose payload handle carries an inline body up to one
+  /// cacheline — pooled bodies ride as a slot reference, so the closure
+  /// stays flat), the largest closure the simulator schedules.
+  static constexpr std::size_t kInlineCapacity = 144;
+
+  /// Slots per slab chunk. Slots live in fixed chunks so their addresses
+  /// are STABLE while events are pending or running: growing the slab must
+  /// never relocate a live stored closure (a byte-wise vector reallocation
+  /// would bypass its move constructor — undefined behavior for
+  /// self-referential captures like an SSO std::string — and would pull a
+  /// running event out from under itself). One allocation per kSlotChunk
+  /// slots at warm-up, none steady-state.
+  static constexpr std::uint32_t kSlotChunk = 64;
 
   /// Does a callable of type `Fn` live inline in its slot (not boxed)?
   template <class Fn>
@@ -95,18 +107,26 @@ class EventQueue {
   /// minted in monotone order.
   template <class F>
   void schedule(RealTime when, EventKey key, F&& action) {
-    using Fn = std::decay_t<F>;
+    emplace<std::decay_t<F>>(when, key, std::forward<F>(action));
+  }
+
+  /// Build an `Fn` from `args` directly in its slot and schedule it under
+  /// `key` — the one construction of the event, no temporary to move.
+  template <class Fn, class... Args>
+  void emplace(RealTime when, EventKey key, Args&&... args) {
     if constexpr (stores_inline<Fn>) {
       SSBFT_EXPECTS(when >= now_);
       const std::uint32_t index = acquire_slot();
       Slot& target = slot(index);
-      ::new (static_cast<void*>(target.storage)) Fn(std::forward<F>(action));
+      ::new (static_cast<void*>(target.storage))
+          Fn(std::forward<Args>(args)...);
       target.ops = &ops_for<Fn>();
-      push_entry(Entry{when, key.seq, key.creator, index});
+      seqs_[index] = key.seq;
+      push_entry(Entry{when, key.creator, index});
     } else {
       // Box the oversized closure; the slot then holds only the pointer.
-      schedule(when, key,
-               Boxed<Fn>{std::make_unique<Fn>(std::forward<F>(action))});
+      emplace<Boxed<Fn>>(
+          when, key, std::make_unique<Fn>(std::forward<Args>(args)...));
     }
   }
 
@@ -121,7 +141,7 @@ class EventQueue {
     for (const Entry& entry : heap_) {
       const Slot& pending = slot(entry.slot);
       if (pending.ops != ops) continue;
-      visit(entry.when, EventKey{entry.creator, entry.seq},
+      visit(entry.when, EventKey{entry.creator, seqs_[entry.slot]},
             *std::launder(reinterpret_cast<const Fn*>(pending.storage)));
     }
   }
@@ -174,11 +194,13 @@ class EventQueue {
     return slab_.size() * kSlotChunk;
   }
 
-  /// Bytes resident in the queue's backing stores (closure slab + heap
-  /// array). Both structures are grow-only, so the current footprint IS
+  /// Bytes resident in the queue's backing stores (closure slab, seq
+  /// array, heap array). All are grow-only, so the current footprint IS
   /// the peak footprint — no per-operation tracking needed.
   [[nodiscard]] std::size_t peak_bytes() const {
-    return slab_capacity() * sizeof(Slot) + heap_.capacity() * sizeof(Entry);
+    return slab_capacity() * sizeof(Slot) +
+           seqs_.capacity() * sizeof(std::uint64_t) +
+           heap_.capacity() * sizeof(Entry);
   }
 
  private:
@@ -187,10 +209,8 @@ class EventQueue {
   /// Type-erased operations on a stored callable. One static table per
   /// closure type — the slab slots stay POD-sized.
   struct Ops {
-    /// Pop-by-move dispatch: move the callable out of its slot into the
-    /// dispatch frame, destroy the slot copy, recycle the slot, then run.
-    /// Fused into one type-specific function so the whole pop path is a
-    /// single indirect call (and a plain memcpy for trivial closures).
+    /// In-place dispatch: run the callable where it lies, destroy it, then
+    /// recycle its slot — one indirect call for the whole dispatch.
     void (*run)(EventQueue& queue, std::uint32_t slot);
     void (*destroy)(void* obj);
   };
@@ -199,14 +219,14 @@ class EventQueue {
   [[nodiscard]] static const Ops& ops_for() {
     static constexpr Ops ops{
         [](EventQueue& queue, std::uint32_t index) {
-          Slot& slot = queue.slot(index);
-          Fn* stored = std::launder(reinterpret_cast<Fn*>(slot.storage));
-          Fn local(std::move(*stored));
+          // The slot's chunk never moves and the slot stays off the free
+          // list until release, so the action may schedule freely (even
+          // growing the slab) while it reads its own captures.
+          Fn* stored =
+              std::launder(reinterpret_cast<Fn*>(queue.slot(index).storage));
+          (*stored)();
           stored->~Fn();
-          // Slot recycled before dispatch: the action may schedule freely
-          // (even growing the slab) without invalidating itself.
           queue.release_slot(index);
-          local();
         },
         [](void* obj) { std::launder(reinterpret_cast<Fn*>(obj))->~Fn(); }};
     return ops;
@@ -224,14 +244,8 @@ class EventQueue {
     const Ops* ops = nullptr;
     std::uint32_t next_free = kNullSlot;
   };
+  static_assert(sizeof(Slot) == kInlineCapacity + 16);
 
-  // Slots live in fixed chunks so their addresses are STABLE while events
-  // are pending: growing the slab must never relocate a live stored
-  // closure (a byte-wise vector reallocation would bypass its move
-  // constructor — undefined behavior for self-referential captures like an
-  // SSO std::string). One allocation per kSlotChunk slots at warm-up, none
-  // steady-state.
-  static constexpr std::uint32_t kSlotChunk = 64;
   struct SlotChunk {
     Slot slots[kSlotChunk];
   };
@@ -243,30 +257,33 @@ class EventQueue {
     return slab_[index / kSlotChunk]->slots[index % kSlotChunk];
   }
 
-  /// Heap entry: trivially copyable, so sifts are plain word moves. Still
-  /// 24 bytes: the creator id rides in what used to be padding.
+  /// Heap entry: 16 trivially copyable bytes, four to a cacheline, so
+  /// sifts are plain word moves. The key's seq lives in seqs_.
   struct Entry {
     RealTime when;
-    std::uint64_t seq;
     std::uint32_t creator;
     std::uint32_t slot;
   };
+  static_assert(sizeof(Entry) == 16);
 
-  [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) {
+  /// (when, creator, seq) order; seq is fetched only on a (when, creator)
+  /// tie.
+  [[nodiscard]] bool earlier(const Entry& a, const Entry& b) const {
     if (a.when != b.when) return a.when < b.when;
     if (a.creator != b.creator) return a.creator < b.creator;
-    return a.seq < b.seq;
+    return seqs_[a.slot] < seqs_[b.slot];
   }
 
   [[nodiscard]] std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   void push_entry(Entry entry);
-  [[nodiscard]] Entry pop_entry();
+  void pop_entry();
   void clear();
 
   std::vector<std::unique_ptr<SlotChunk>> slab_;
   std::uint32_t free_head_ = kNullSlot;
-  std::vector<Entry> heap_;  // binary min-heap over (when, creator, seq)
+  std::vector<std::uint64_t> seqs_;  // by slot: a pending event's key seq
+  std::vector<Entry> heap_;  // 4-ary min-heap over (when, creator, seq)
   RealTime now_{};
   std::uint64_t global_seq_ = 0;  // world-level creator's counter
   std::uint64_t dispatched_ = 0;

@@ -35,38 +35,44 @@ Network::Network(EventQueue& queue, std::vector<NodeState>& nodes,
 void Network::send(NodeId from, NodeId dest, WireMessage msg) {
   // Unicast copies are always direct — a behavior echoing back a received
   // relay copy must not re-disseminate it.
-  admit(from, dest, std::move(msg), kRouteDirect);
+  stamp(from, msg, kRouteDirect);
+  admit(from, dest, msg);
 }
 
-void Network::admit(NodeId from, NodeId dest, WireMessage msg,
-                    std::uint8_t route_mark) {
-  SSBFT_EXPECTS(dest < n_);
+void Network::stamp(NodeId from, WireMessage& msg,
+                    std::uint8_t route_mark) const {
   msg.sender = from;        // authenticated identity (Def. 2.2)
   msg.route = route_mark;   // dissemination duty; outside the signed fields
   auth_.sign(msg);          // tag at origin (binds the sender)
+}
+
+void Network::admit(NodeId from, NodeId dest, const WireMessage& msg) {
+  SSBFT_EXPECTS(dest < n_);
   ++stats_.sent;
   stats_.per_kind[std::size_t(msg.kind)]++;
   stats_.payload_bytes += msg.payload.size();
   tap(TapEvent::Kind::kSent, from, dest, msg);
-  route(from, dest, std::move(msg));
+  route(from, dest, msg);
 }
 
 void Network::send_all(NodeId from, const WireMessage& msg) {
-  // Flat: plain per-destination fan-out. The payload pool makes this
-  // zero-copy already: each unicast copy of `msg` shares the pooled body by
-  // reference, so broadcast needs no separate pooled path (and the chaos
-  // and migration machinery has exactly one delivery funnel to reason
-  // about). Bookkeeping order (stats, tap, delay draws) per destination is
-  // the historical pooled-broadcast order, bit-identical by construction.
+  // The tag binds the sender and the content, never the destination or
+  // the route marker, so one stamped message serves every copy; each copy
+  // is then counted, tapped, delayed and keyed per destination — the
+  // order n unicast sends would produce, so seeded runs are bit-identical
+  // to them. A pooled payload body is shared by reference throughout.
+  WireMessage stamped = msg;
+  stamp(from, stamped, kRouteDirect);
   if (!topo_.active()) {
-    for (NodeId dest = 0; dest < n_; ++dest) send(from, dest, msg);
+    for (NodeId dest = 0; dest < n_; ++dest) admit(from, dest, stamped);
     return;
   }
   // Overlay: the origin emits only its own share of the fan-out; receivers
   // of route-marked copies forward the rest at delivery (relay()).
   topology_origin_targets(topo_, n_, from,
                           [&](NodeId dest, std::uint8_t route_mark) {
-                            admit(from, dest, msg, route_mark);
+                            stamped.route = route_mark;
+                            admit(from, dest, stamped);
                           });
 }
 
@@ -84,7 +90,7 @@ void Network::relay(NodeId self, const WireMessage& msg) {
         WireMessage copy = msg;
         copy.route = route_mark;
         ++stats_.fanout_msgs;
-        route(self, dest, std::move(copy));
+        route(self, dest, copy);
       });
 }
 
@@ -113,49 +119,56 @@ void Network::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
                     dest, msg, /*forged=*/true);
 }
 
-void Network::route(NodeId from, NodeId dest, WireMessage msg) {
+void Network::route(NodeId from, NodeId dest, const WireMessage& msg) {
   if (faulty_now()) {
-    // Chaos draws come from the AUTHENTIC sender's stream (corruption may
-    // rewrite msg.sender, never which stream paid for it).
-    Rng& rng = nodes_[from].link_rng;
-    if (rng.next_bool(chaos_.drop_prob)) {
-      ++stats_.dropped;
-      tap(TapEvent::Kind::kDropped, msg.sender, dest, msg);
-      trace::instant(TraceLayer::kWorkload, TraceName::kChaosDrop, dest);
-      return;
-    }
-    if (rng.next_bool(chaos_.corrupt_prob)) {
-      // A faulty network may tamper with anything, including the sender.
-      corrupt(from, msg);
-      ++stats_.corrupted;
-      trace::instant(TraceLayer::kWorkload, TraceName::kChaosCorrupt, dest);
-    }
-    const Duration delay{rng.next_in(0, chaos_.max_delay.ns())};
-    trace::instant(TraceLayer::kWorkload, TraceName::kChaosDelay, dest,
-                   std::int64_t(delay.ns()));
-    schedule_delivery(queue_.now() + delay, next_key(from), dest, msg,
-                      /*forged=*/false);
-    if (rng.next_bool(chaos_.duplicate_prob)) {
-      ++stats_.duplicated;
-      trace::instant(TraceLayer::kWorkload, TraceName::kChaosDuplicate, dest);
-      const Duration dup_delay{rng.next_in(0, chaos_.max_delay.ns())};
-      schedule_delivery(queue_.now() + dup_delay, next_key(from), dest, msg,
-                        /*forged=*/false);
-    }
+    route_chaos(from, dest, msg);
     return;
   }
-
   // Non-faulty: arrival within δ, processing within π of arrival. The
-  // destination handler runs once processing completes. The closure carries
-  // the payload inline in the event slab — no allocation, no further copy.
+  // destination handler runs once processing completes.
   const Duration delay = sample_delay(from, dest, msg);
   schedule_delivery(queue_.now() + delay, next_key(from), dest, msg,
                     /*forged=*/false);
 }
 
+void Network::route_chaos(NodeId from, NodeId dest, const WireMessage& msg) {
+  // Chaos draws come from the AUTHENTIC sender's stream (corruption may
+  // rewrite msg.sender, never which stream paid for it).
+  Rng& rng = nodes_[from].link_rng;
+  if (rng.next_bool(chaos_.drop_prob)) {
+    ++stats_.dropped;
+    tap(TapEvent::Kind::kDropped, msg.sender, dest, msg);
+    trace::instant(TraceLayer::kWorkload, TraceName::kChaosDrop, dest);
+    return;
+  }
+  // A faulty network may tamper with anything, including the sender. Only
+  // a corrupted copy gets a private message; the rest share the caller's.
+  std::optional<WireMessage> corrupted;
+  if (rng.next_bool(chaos_.corrupt_prob)) {
+    corrupted.emplace(msg);
+    corrupt(from, *corrupted);
+    ++stats_.corrupted;
+    trace::instant(TraceLayer::kWorkload, TraceName::kChaosCorrupt, dest);
+  }
+  const WireMessage& out = corrupted ? *corrupted : msg;
+  const Duration delay{rng.next_in(0, chaos_.max_delay.ns())};
+  trace::instant(TraceLayer::kWorkload, TraceName::kChaosDelay, dest,
+                 std::int64_t(delay.ns()));
+  schedule_delivery(queue_.now() + delay, next_key(from), dest, out,
+                    /*forged=*/false);
+  if (rng.next_bool(chaos_.duplicate_prob)) {
+    ++stats_.duplicated;
+    trace::instant(TraceLayer::kWorkload, TraceName::kChaosDuplicate, dest);
+    const Duration dup_delay{rng.next_in(0, chaos_.max_delay.ns())};
+    schedule_delivery(queue_.now() + dup_delay, next_key(from), dest, out,
+                      /*forged=*/false);
+  }
+}
+
 void Network::schedule_delivery(RealTime when, EventKey key, NodeId dest,
                                 const WireMessage& msg, bool forged) {
-  queue_.schedule(when, key, Delivery{this, dest, forged, msg});
+  // The one copy of the message: built straight into its queue slot.
+  queue_.emplace<Delivery>(when, key, this, dest, forged, msg);
 }
 
 void Network::Delivery::operator()() const {

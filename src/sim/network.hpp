@@ -131,14 +131,16 @@ class Network {
   /// the sender's pool slot by reference.
   void send(NodeId from, NodeId dest, WireMessage msg);
 
-  /// Broadcast to every node (self included). Flat topology: n unicast
-  /// sends in destination order, all sharing the message's pooled payload
-  /// slot — exactly the unicast path run n times, so seeded runs are
-  /// bit-exact with it by construction. Non-flat topologies
-  /// (set_topology) move the fan-out onto the dissemination overlay: the
-  /// origin emits only its topology_origin_targets and receivers forward
-  /// route-marked copies at delivery — every node still gets exactly one
-  /// copy.
+  /// Broadcast to every node (self included). The sender, route marker and
+  /// tag are stamped once — the tag binds sender and content, not the
+  /// destination, so all copies are identical — and each copy is then
+  /// counted, tapped, delayed and keyed per destination exactly as n
+  /// unicast sends in destination order would be, so seeded runs are
+  /// bit-exact with them. Every copy shares the message's pooled payload
+  /// slot. Non-flat topologies (set_topology) move the fan-out onto the
+  /// dissemination overlay: the origin emits only its
+  /// topology_origin_targets and receivers forward route-marked copies at
+  /// delivery — every node still gets exactly one copy.
   void send_all(NodeId from, const WireMessage& msg);
 
   /// Install the dissemination overlay (sim/topology.hpp). Must precede
@@ -267,24 +269,32 @@ class Network {
            queue_.now() >= windows_[window_cursor_].start;
   }
 
-  /// Sign-and-admit one copy with the given route marker — the shared body
-  /// of send() (kRouteDirect) and the overlay fan-out paths.
-  void admit(NodeId from, NodeId dest, WireMessage msg, std::uint8_t route);
+  /// Stamp the authenticated sender, the route marker and the tag at
+  /// origin — once per send or broadcast.
+  void stamp(NodeId from, WireMessage& msg, std::uint8_t route) const;
+  /// Admit one stamped copy for `dest`: count, tap, route — the shared body
+  /// of send() and both send_all fan-outs.
+  void admit(NodeId from, NodeId dest, const WireMessage& msg);
   /// Relay duty at the delivery instant: a verified copy whose route marker
   /// is non-direct is forwarded (topology_relay_targets) BEFORE the
   /// behavior sees it, preserving the origin's sender and tag. Runs first
   /// so the relay node's outgoing stream/key draws are a pure function of
   /// its arrival order — identical on both engines.
   void relay(NodeId self, const WireMessage& msg);
-  void route(NodeId from, NodeId dest, WireMessage msg);
+  /// Delay and key one copy and schedule its delivery; while faulty, hand
+  /// it to route_chaos instead.
+  void route(NodeId from, NodeId dest, const WireMessage& msg);
+  /// Chaos verdicts for one copy: drop, corrupt (a private copy), delay,
+  /// duplicate — all drawn from `from`'s stream.
+  void route_chaos(NodeId from, NodeId dest, const WireMessage& msg);
   void corrupt(NodeId from, WireMessage& msg);
   void tap(TapEvent::Kind kind, NodeId from, NodeId to, const WireMessage& msg);
 
-  /// Schedule one per-copy Delivery event. EVERY delivery path
-  /// (non-faulty unicast and broadcast fan-out, chaos, duplicates, forged
-  /// plants) funnels through here, so a migration that reads Delivery
-  /// events sees them all; a pooled payload body rides each copy as a slot
-  /// reference, never re-copied.
+  /// Build one per-copy Delivery event in its queue slot — the one copy of
+  /// the message each event makes. EVERY delivery path (non-faulty unicast
+  /// and broadcast fan-out, chaos, duplicates, forged plants) funnels
+  /// through here, so a migration that reads Delivery events sees them
+  /// all; a pooled payload body rides each copy as a slot reference.
   void schedule_delivery(RealTime when, EventKey key, NodeId dest,
                          const WireMessage& msg, bool forged);
   /// Delivery-side authenticator failure: count, tap, trace, discard.

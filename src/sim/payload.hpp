@@ -13,7 +13,7 @@
 //
 // Thread-safety: slot acquisition/free-listing is mutex-guarded and
 // refcounts are atomic, because shard workers copy and destroy handles
-// concurrently (mailbox pushes, event-closure moves, barrier drains). The
+// concurrently (mailbox pushes, barrier drains, delivery destruction). The
 // chunk directory never moves, so the lock-free readers need no lock while
 // another thread grows the pool. The bytes themselves are immutable once
 // acquired — corrupting a payload (sim/network.hpp chaos) clones a fresh

@@ -72,15 +72,19 @@ Duration Shard::sample_delay(NodeState& from) {
 void Shard::send(NodeId from, NodeId dest, WireMessage msg) {
   // Unicast copies are always direct — a behavior echoing back a received
   // relay copy must not re-disseminate it (see Network::send).
-  admit(from, dest, std::move(msg), kRouteDirect);
+  stamp(from, msg, kRouteDirect);
+  admit(from, dest, msg);
 }
 
-void Shard::admit(NodeId from, NodeId dest, WireMessage msg,
-                  std::uint8_t route_mark) {
-  SSBFT_EXPECTS(dest < world_.n());
+void Shard::stamp(NodeId from, WireMessage& msg,
+                  std::uint8_t route_mark) const {
   msg.sender = from;       // authenticated identity (Def. 2.2)
   msg.route = route_mark;  // dissemination duty; outside the signed fields
   auth_.sign(msg);         // tag at origin (binds the sender)
+}
+
+void Shard::admit(NodeId from, NodeId dest, const WireMessage& msg) {
+  SSBFT_EXPECTS(dest < world_.n());
   NetworkStats& stats = wire_stats();
   ++stats.sent;
   stats.per_kind[std::size_t(msg.kind)]++;
@@ -89,11 +93,11 @@ void Shard::admit(NodeId from, NodeId dest, WireMessage msg,
   const Duration delay = sample_delay(sender);
   const RealTime when = world_.now() + delay;
   const EventKey key{from, sender.send_seq++ * 2};  // even channel: network
-  dispatch_send(dest, when, key, std::move(msg));
+  dispatch_send(dest, when, key, msg);
 }
 
 void Shard::dispatch_send(NodeId dest, RealTime when, EventKey key,
-                          WireMessage msg) {
+                          const WireMessage& msg) {
   // Delay recomputed only for the lookahead assertions below.
   [[maybe_unused]] const Duration delay = when - world_.now();
   if (ShardWorld::ExecContext* exec = ShardWorld::tl_exec_) {
@@ -103,22 +107,25 @@ void Shard::dispatch_send(NodeId dest, RealTime when, EventKey key,
     // makes this safe — the delivery cannot precede the next window — and
     // the queue's key order makes the detour unobservable.
     SSBFT_ASSERT(delay >= world_.lookahead());
-    exec->outbox[world_.shard_index_[dest]].push(
-        Pending{when, key, dest, std::move(msg)});
+    exec->outbox[world_.shard_index_[dest]].push(when, key, dest, msg);
     return;
   }
   // Serial phase (on_start, scramble, piecewise runs): no concurrency,
   // insert straight into the owning shard.
-  world_.shard_of(dest).schedule_delivery(when, key, dest, std::move(msg),
+  world_.shard_of(dest).schedule_delivery(when, key, dest, msg,
                                           /*forged=*/false);
 }
 
 void Shard::send_all(NodeId from, const WireMessage& msg) {
-  // Flat: same per-destination loop as the serial Network::send_all (which
-  // shares one payload but samples, counts, and keys per destination in
-  // this exact order), so a seeded run is bit-identical either way.
+  // Stamped once, then counted, delayed and keyed per destination in the
+  // order of the serial Network::send_all, so a seeded run is
+  // bit-identical either way.
+  WireMessage stamped = msg;
+  stamp(from, stamped, kRouteDirect);
   if (!topo_.active()) {
-    for (NodeId dest = 0; dest < world_.n(); ++dest) send(from, dest, msg);
+    for (NodeId dest = 0; dest < world_.n(); ++dest) {
+      admit(from, dest, stamped);
+    }
     return;
   }
   // Overlay: the origin emits only its own share; receivers of route-marked
@@ -126,7 +133,8 @@ void Shard::send_all(NodeId from, const WireMessage& msg) {
   // serial engine's Network::send_all.
   topology_origin_targets(topo_, world_.n(), from,
                           [&](NodeId dest, std::uint8_t route_mark) {
-                            admit(from, dest, msg, route_mark);
+                            stamped.route = route_mark;
+                            admit(from, dest, stamped);
                           });
 }
 
@@ -149,15 +157,14 @@ void Shard::relay(NodeId self, const WireMessage& msg) {
         const Duration delay = sample_delay(relay_node);
         const RealTime when = world_.now() + delay;
         const EventKey key{self, relay_node.send_seq++ * 2};
-        dispatch_send(dest, when, key, std::move(copy));
+        dispatch_send(dest, when, key, copy);
       });
 }
 
 void Shard::schedule_delivery(RealTime when, EventKey key, NodeId dest,
-                              WireMessage msg, bool forged) {
+                              const WireMessage& msg, bool forged) {
   SSBFT_EXPECTS(owns(dest));
-  node_queue(dest).schedule(when, key,
-                            Delivery{this, dest, forged, std::move(msg)});
+  node_queue(dest).emplace<Delivery>(when, key, this, dest, forged, msg);
 }
 
 void Shard::Delivery::operator()() const {
@@ -236,9 +243,10 @@ std::uint64_t Shard::run_node_window(NodeId id, RealTime end, bool inclusive) {
 }
 
 void Shard::drain_inboxes() {
-  const auto sink = [this](Pending&& p) {
-    schedule_delivery(p.when, p.key, p.dest, std::move(p.msg),
-                      /*forged=*/false);
+  // Each parked message moves once more: straight into its Delivery slot.
+  const auto sink = [this](Pending& p) {
+    node_queue(p.dest).emplace<Delivery>(p.when, p.key, this, p.dest,
+                                         /*forged=*/false, std::move(p.msg));
   };
   // Key order makes the merge order unobservable; worker order keeps it
   // deterministic anyway.

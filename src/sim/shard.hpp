@@ -50,20 +50,24 @@ class Shard {
   /// A batch of deliveries moving between execution contexts under the
   /// engine's SPSC discipline: exactly one producer fills it (one worker's
   /// private execution context, inside a window) and exactly one consumer
-  /// drains it (the destination shard, at the barrier). Entries are MOVED
-  /// through, never copied: a Pending's WireMessage holds its body as a
-  /// refcounted pool handle (sim/payload.hpp), so the handoff transfers the
-  /// reference instead of bouncing the slot's refcount — the pool slot
-  /// filled at send() is the same one the destination behavior reads.
+  /// drains it (the destination shard, at the barrier). A message is
+  /// copied into the mailbox once and then MOVED into its Delivery slot at
+  /// drain: a Pending's WireMessage holds its body as a refcounted pool
+  /// handle (sim/payload.hpp), so the handoff transfers the reference —
+  /// the pool slot filled at send() is the same one the destination
+  /// behavior reads.
   class Mailbox {
    public:
-    void push(Pending&& p) { items_.push_back(std::move(p)); }
+    void push(RealTime when, EventKey key, NodeId dest,
+              const WireMessage& msg) {
+      items_.emplace_back(when, key, dest, msg);
+    }
     [[nodiscard]] bool empty() const { return items_.empty(); }
-    /// Hand every buffered delivery to `sink` by move, then reset (the
-    /// backing capacity is kept for the next window).
+    /// Hand every buffered delivery to `sink` (which may move from it),
+    /// then reset (the backing capacity is kept for the next window).
     template <typename Sink>
     void drain(Sink&& sink) {
-      for (Pending& p : items_) sink(std::move(p));
+      for (Pending& p : items_) sink(p);
       items_.clear();
     }
 
@@ -115,13 +119,12 @@ class Shard {
     void operator()() const;
   };
 
-  /// Schedule a Delivery on THIS shard (dest must be owned). Used by the
-  /// local send path, by drain_inboxes, by ShardWorld for serial-phase
-  /// cross-shard sends and forged plants, and by adoption. Takes the
-  /// message by value so in-engine callers can move the pool reference
-  /// straight into the event.
+  /// Build a Delivery in its slot on THIS shard (dest must be owned) —
+  /// the one copy of the message the event makes. Used by the serial-phase
+  /// send path, by ShardWorld for forged plants, and by adoption;
+  /// drain_inboxes moves parked messages in directly.
   void schedule_delivery(RealTime when, EventKey key, NodeId dest,
-                         WireMessage msg, bool forged);
+                         const WireMessage& msg, bool forged);
 
   /// Park a WorldAction for `target` in target's node queue.
   /// Serial phases / barrier only.
@@ -162,15 +165,19 @@ class Shard {
   /// stream and routes to the worker's outbox (inside a window) or straight
   /// into the destination shard (serial phases).
   void send(NodeId from, NodeId dest, WireMessage msg);
+  /// Stamp once, then admit one copy per destination (see
+  /// Network::send_all).
   void send_all(NodeId from, const WireMessage& msg);
-  /// Sign-and-admit one copy with a route marker — the shared body of
-  /// send() (kRouteDirect) and the topology fan-out (see Network::admit).
-  void admit(NodeId from, NodeId dest, WireMessage msg, std::uint8_t route);
+  /// Stamp the sender, route marker and tag at origin (Network::stamp).
+  void stamp(NodeId from, WireMessage& msg, std::uint8_t route) const;
+  /// Admit one stamped copy: count, delay, key, park — the shared body of
+  /// send() and both send_all fan-outs (see Network::admit).
+  void admit(NodeId from, NodeId dest, const WireMessage& msg);
   /// Park one keyed delivery where it belongs: the executing worker's
   /// outbox, or (serial phases) straight into the owning shard — the
   /// routing tail shared by admit() and relay().
   void dispatch_send(NodeId dest, RealTime when, EventKey key,
-                     WireMessage msg);
+                     const WireMessage& msg);
   /// Relay duty at the delivery instant (mirrors Network::relay): forward a
   /// verified route-marked copy BEFORE the behavior sees it, preserving the
   /// origin's sender/tag, drawing delays and keys from the relay node's own

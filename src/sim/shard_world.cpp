@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "harness/stats_registry.hpp"
 #include "harness/trace.hpp"
 #include "util/assert.hpp"
 #include "util/spin_barrier.hpp"
@@ -164,7 +165,7 @@ void ShardWorld::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
   // this plant (engine-independent dispatch order; see kForgedCreator).
   shard_of(dest).schedule_delivery(now() + delay,
                                    EventKey{kForgedCreator, forged_seq_++},
-                                   dest, std::move(msg), /*forged=*/true);
+                                   dest, msg, /*forged=*/true);
 }
 
 NetworkStats ShardWorld::net_stats() const {
@@ -177,6 +178,19 @@ std::uint64_t ShardWorld::dispatched() const {
   std::uint64_t total = base_dispatched_;
   for (const auto& shard : shards_) total += shard->dispatched();
   return total;
+}
+
+QueueGauges ShardWorld::queue_gauges() const {
+  QueueGauges gauges;
+  for (const auto& shard : shards_) {
+    for (const EventQueue& q : shard->node_queues_) gauges.add(q);
+  }
+  return gauges;
+}
+
+void ShardWorld::collect_stats(StatsRegistry& reg) const {
+  queue_gauges().report(reg);
+  add_sched_stats(reg, sched_stats_);
 }
 
 void ShardWorld::send(NodeId from, NodeId dest, WireMessage msg) {

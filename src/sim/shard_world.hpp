@@ -130,6 +130,10 @@ class ShardWorld final : public WorldBase, private NodeHost {
   [[nodiscard]] NetworkStats net_stats() const override;
   [[nodiscard]] std::uint64_t dispatched() const override;
   [[nodiscard]] const TimerWheel& timers() const override { return timers_; }
+  /// Gauges summed over every node queue (also what DutyWorld reports in
+  /// sharded segments).
+  [[nodiscard]] QueueGauges queue_gauges() const;
+  void collect_stats(StatsRegistry& reg) const override;
 
   [[nodiscard]] Network& network() override;   // aborts: serial-only surface
   [[nodiscard]] EventQueue& queue() override;  // aborts: serial-only surface

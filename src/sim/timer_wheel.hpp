@@ -2,7 +2,7 @@
 //
 // Every protocol layer in the stack is driven by short-horizon timers —
 // round deadlines, pulse watchdogs, stabilization back-offs. Keeping those
-// in the engine's binary heap costs an O(log n) sift per arm/fire, and the
+// in the engine's event heap costs an O(log n) sift per arm/fire, and the
 // 4096-in-flight row of bench_engine shows that sift becoming the hot path
 // once allocation is gone. The wheel replaces it with O(1) schedule/cancel:
 //

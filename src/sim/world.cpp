@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "harness/stats_registry.hpp"
 #include "harness/trace.hpp"
 #include "util/assert.hpp"
 
@@ -186,6 +187,16 @@ WorldMigration World::export_migration() {
   m.timers = std::move(timers_);
   m.timers.recall_handed_over();  // their fire events die with queue_
   return m;
+}
+
+QueueGauges World::queue_gauges() const {
+  QueueGauges gauges;
+  gauges.add(queue_);
+  return gauges;
+}
+
+void World::collect_stats(StatsRegistry& reg) const {
+  queue_gauges().report(reg);
 }
 
 LocalTime World::local_now(NodeId id) const {

@@ -33,6 +33,8 @@
 namespace ssbft {
 
 class Tracer;  // harness/trace.hpp; engines only carry the pointer
+class StatsRegistry;  // harness/stats_registry.hpp
+struct QueueGauges;   // harness/stats_registry.hpp
 
 /// Scheduler-level counters for the windowed engine: how many λ-windows
 /// ran, how (im)balanced their per-worker dispatch counts were, and how
@@ -115,7 +117,7 @@ struct WorldConfig {
   /// Route node timers (NodeContext::set_timer) through the hierarchical timer
   /// wheel: O(1) arm/cancel, batched hand-over to the event heap (see
   /// sim/timer_wheel.hpp). false ⇒ the legacy path that parks every timer
-  /// in the binary heap at arm time. Observable histories are identical
+  /// in the event heap at arm time. Observable histories are identical
   /// either way (test_timer_wheel pins it); only dispatched() may differ —
   /// a timer cancelled while still in the wheel never becomes an event,
   /// while the heap path dispatches a suppressed no-op.
@@ -301,6 +303,11 @@ class WorldBase {
   [[nodiscard]] virtual std::uint64_t dispatched() const = 0;
   /// The engine's one timer wheel (occupancy gauges for StatsRegistry).
   [[nodiscard]] virtual const TimerWheel& timers() const = 0;
+  /// Register the engine's own gauges (harness/stats_registry.hpp): the
+  /// queue.* leaves, summed over every event queue the engine runs, plus
+  /// its scheduler's sched.* and duty.* counters. Wire, wheel and run
+  /// totals are engine-independent; collect_run_stats adds those.
+  virtual void collect_stats(StatsRegistry& reg) const = 0;
 
   /// Serial-engine internals; the sharded engine aborts (see class comment).
   [[nodiscard]] virtual Network& network() = 0;
@@ -361,6 +368,10 @@ class World final : public WorldBase, private NodeHost {
     return queue_;
   }
   [[nodiscard]] const TimerWheel& timers() const override { return timers_; }
+  /// The one queue's gauges (also what DutyWorld reports in serial
+  /// segments).
+  [[nodiscard]] QueueGauges queue_gauges() const;
+  void collect_stats(StatsRegistry& reg) const override;
   [[nodiscard]] Rng& rng() override { return rng_; }
   [[nodiscard]] Logger& log() override { return logger_; }
 

@@ -14,50 +14,12 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
 }
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  SSBFT_EXPECTS(bound > 0);
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = -bound % bound;
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
-  }
-}
-
-std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) {
-  SSBFT_EXPECTS(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  // span == 0 means the full 64-bit range.
-  if (span == 0) return static_cast<std::int64_t>(next_u64());
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-double Rng::next_double() {
-  return double(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) { return next_double() < p; }
 
 double Rng::next_exp_truncated(double mean, double cap) {
   SSBFT_EXPECTS(mean > 0 && cap >= 0);

@@ -17,19 +17,45 @@ class Rng {
   explicit Rng(std::uint64_t seed);
 
   /// Uniform over all 64-bit values.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0.
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    SSBFT_EXPECTS(bound > 0);
+    // Rejection sampling to avoid modulo bias: reject r below
+    // 2^64 mod bound (= -bound % bound). That threshold is below `bound`,
+    // so a draw r >= bound is accepted without computing it — the common
+    // case pays one division, not two.
+    for (;;) {
+      const std::uint64_t r = next_u64();
+      if (r >= bound || r >= -bound % bound) return r % bound;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t next_in(std::int64_t lo, std::int64_t hi);
+  std::int64_t next_in(std::int64_t lo, std::int64_t hi) {
+    SSBFT_EXPECTS(lo <= hi);
+    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    // span == 0 means the full 64-bit range.
+    if (span == 0) return static_cast<std::int64_t>(next_u64());
+    return lo + static_cast<std::int64_t>(next_below(span));
+  }
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() { return double(next_u64() >> 11) * 0x1.0p-53; }
 
   /// true with probability p.
-  bool next_bool(double p);
+  bool next_bool(double p) { return next_double() < p; }
 
   /// Exponential with the given mean, truncated to [0, cap].
   double next_exp_truncated(double mean, double cap);
@@ -47,6 +73,10 @@ class Rng {
                                   std::uint64_t index);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <new>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -162,9 +164,9 @@ TEST(EventQueueTest, RandomizedLoadMatchesReferenceOrder) {
   }
 }
 
-// The pop path must move the stored callable, never copy it (the seed
-// implementation copied the Entry out of priority_queue::top()).
-TEST(EventQueueTest, PopPathMovesTheCallable) {
+// Dispatch runs the stored callable in place: scheduling an rvalue moves
+// it into its slot once, and nothing on the dispatch path copies it.
+TEST(EventQueueTest, DispatchNeverCopiesTheCallable) {
   struct Counting {
     int* copies;
     int* runs;
@@ -315,6 +317,227 @@ TEST(EventQueueTest, SteadyStateDispatchAllocatesNothing) {
   while (!q.empty()) q.run_one();
   EXPECT_GE(fired, 20'000u);
   EXPECT_LT(fired, 20'064u);
+}
+
+// ------------------------------------------- event queue properties --
+// The 4-ary heap keeps (when, creator) in its entries and the seq in a
+// per-slot array; these properties pin its order against a reference sort
+// and the in-place dispatch invariants.
+
+struct RefKey {
+  std::int64_t when;
+  std::uint32_t creator;
+  std::uint64_t seq;
+  auto operator<=>(const RefKey&) const = default;
+};
+
+// Random schedule/run_one interleavings against a reference ordered set of
+// (when, creator, seq). A narrow time range makes (when, creator) ties —
+// the ones only the per-slot seq breaks — common.
+TEST(EventQueuePropertyTest, RandomInterleavingsMatchReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    std::set<RefKey> pending;
+    std::vector<std::uint64_t> next_seq(5, 0);
+    std::vector<RefKey> fired;
+    const auto check_next = [&](int step) {
+      const RefKey expected = *pending.begin();
+      pending.erase(pending.begin());
+      q.run_one();
+      ASSERT_FALSE(fired.empty());
+      EXPECT_TRUE(fired.back() == expected)
+          << "seed " << seed << " step " << step << ": fired ("
+          << fired.back().when << ", " << fired.back().creator << ", "
+          << fired.back().seq << ") expected (" << expected.when << ", "
+          << expected.creator << ", " << expected.seq << ")";
+      EXPECT_EQ(q.now().ns(), expected.when);
+    };
+    for (int step = 0; step < 3000; ++step) {
+      if (pending.empty() || rng.next_below(5) < 3) {
+        const auto c = std::uint32_t(rng.next_below(next_seq.size()));
+        const std::uint32_t creator = c == 4 ? kForgedCreator : c;
+        next_seq[c] += 1 + rng.next_below(3);
+        const RefKey key{q.now().ns() + rng.next_in(0, 40), creator,
+                         next_seq[c]};
+        pending.insert(key);
+        q.schedule(RealTime{key.when}, EventKey{key.creator, key.seq},
+                   [&fired, key] { fired.push_back(key); });
+      } else {
+        check_next(step);
+      }
+      ASSERT_EQ(q.size(), pending.size());
+    }
+    while (!pending.empty()) check_next(-1);
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+// A constant-delay broadcast: every copy has the same (when, creator), so
+// the per-slot seq is the only thing that orders them. Scheduled shuffled,
+// amid other creators at the same instant.
+TEST(EventQueuePropertyTest, EqualTimeBurstFromOneCreatorDispatchesBySeq) {
+  EventQueue q;
+  std::vector<std::uint64_t> seqs(300);
+  for (std::size_t i = 0; i < seqs.size(); ++i) seqs[i] = 2 * i;
+  Rng rng(7);
+  for (std::size_t i = seqs.size(); i > 1; --i) {
+    std::swap(seqs[i - 1], seqs[rng.next_below(i)]);
+  }
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> order;
+  const RealTime when{1'000};
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    q.schedule(when, EventKey{7, seqs[i]}, [&order, s = seqs[i]] {
+      order.emplace_back(7, s);
+    });
+    if (i % 50 == 0) {
+      for (const std::uint32_t other : {3u, 9u}) {
+        q.schedule(when, EventKey{other, i}, [&order, other, i] {
+          order.emplace_back(other, i);
+        });
+      }
+    }
+  }
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> expected = order;
+  for (std::size_t i = 0; i < seqs.size(); i += 50) {
+    expected.emplace_back(3, i);
+    expected.emplace_back(9, i);
+  }
+  for (const std::uint64_t s : seqs) expected.emplace_back(7, s);
+  std::sort(expected.begin(), expected.end());
+  q.run_until(when);
+  EXPECT_EQ(order, expected);
+}
+
+// A running event is dispatched in place: its slot stays off the free list
+// while it runs, so it can schedule well over two chunks of new events —
+// growing the slab — and still read its own captures, including a
+// self-referential SSO string. It is destroyed exactly once, after it ran.
+TEST(EventQueuePropertyTest, RunningEventKeepsItsCapturesWhileGrowingTheSlab) {
+  struct Probe {
+    std::array<std::uint64_t, 7> pattern;
+    std::string sso;
+    int* destroyed;
+    Probe(const Probe&) = default;
+    Probe(std::uint64_t base, std::string s, int* d) : sso(std::move(s)),
+                                                        destroyed(d) {
+      for (std::size_t i = 0; i < pattern.size(); ++i) pattern[i] = base + i;
+    }
+    ~Probe() {
+      if (destroyed != nullptr) ++*destroyed;
+    }
+  };
+  EventQueue q;
+  int destroyed = 0;
+  int intact_checks = 0;
+  int children = 0;
+  const std::uint32_t spawn = 3 * EventQueue::kSlotChunk + 5;
+  auto parent = [&q, &intact_checks, &children, spawn,
+                 probe = Probe(0xabc0, "sso", &destroyed)] {
+    const auto intact = [&] {
+      for (std::size_t i = 0; i < probe.pattern.size(); ++i) {
+        if (probe.pattern[i] != 0xabc0 + i) return false;
+      }
+      return probe.sso == "sso";
+    };
+    for (std::uint32_t i = 0; i < spawn; ++i) {
+      // A child the same size as the parent: were the parent's slot free,
+      // the first child would be built over it.
+      q.schedule(q.now() + Duration{1 + i},
+                 [&children, filler = Probe(0xdead0, "sso", nullptr)] {
+                   (void)filler;
+                   ++children;
+                 });
+      if (intact()) ++intact_checks;
+    }
+  };
+  static_assert(EventQueue::stores_inline<decltype(parent)>);
+  q.schedule(RealTime{1}, std::move(parent));
+  const int before_run = destroyed;  // moved-from temporaries
+  q.run_one();
+  EXPECT_EQ(intact_checks, int(spawn));
+  EXPECT_EQ(destroyed, before_run + 1);  // the stored parent, once
+  EXPECT_GE(q.slab_capacity(), std::size_t(3) * EventQueue::kSlotChunk);
+  q.run_until(RealTime{10'000});
+  EXPECT_EQ(children, int(spawn));
+  EXPECT_EQ(destroyed, before_run + 1);
+}
+
+// Closures above kInlineCapacity are boxed: they keep their key order among
+// inline ones and are destroyed, not leaked, whether they ran or not.
+TEST(EventQueuePropertyTest, BoxedClosuresKeepKeyOrderAndAreDestroyed) {
+  struct Big {
+    std::array<std::byte, EventQueue::kInlineCapacity + 8> pad{};
+  };
+  auto tracker = std::make_shared<int>(0);
+  std::vector<std::uint64_t> order;
+  {
+    EventQueue q;
+    for (std::uint64_t seq = 0; seq < 40; ++seq) {
+      if (seq % 3 == 0) {
+        auto boxed = [&order, seq, big = Big{}, t = tracker] {
+          (void)big;
+          order.push_back(seq);
+        };
+        static_assert(!EventQueue::stores_inline<decltype(boxed)>);
+        q.schedule(RealTime{5}, EventKey{2, 39 - seq}, std::move(boxed));
+      } else {
+        q.schedule(RealTime{5}, EventKey{2, 39 - seq},
+                   [&order, seq] { order.push_back(seq); });
+      }
+    }
+    // A boxed event still pending when the queue dies.
+    q.schedule(RealTime{9}, [big = Big{}, t = tracker] { (void)big; });
+    q.run_until(RealTime{5});
+    EXPECT_GT(tracker.use_count(), 1);
+  }
+  EXPECT_EQ(tracker.use_count(), 1);
+  std::vector<std::uint64_t> expected(40);
+  for (std::uint64_t i = 0; i < 40; ++i) expected[i] = 39 - i;
+  EXPECT_EQ(order, expected);
+}
+
+// for_each_pending<Network::Delivery> returns every copy in flight under
+// the key it was minted with: (sender, even per-sender seq), one seq per
+// copy in destination order, even when a constant delay gives the whole
+// fan-out one delivery instant.
+TEST(EventQueuePropertyTest, ForEachPendingReturnsEveryDeliveryUnderItsKey) {
+  WorldConfig config;
+  config.n = 5;
+  config.link_delay = DelayModel::constant(microseconds(100));
+  config.proc_delay = DelayModel::constant(Duration::zero());
+  config.has_delay_models = true;
+  World world(config);
+  WireMessage msg;
+  msg.kind = MsgKind::kSupport;
+  msg.value = 9;
+  world.network().send_all(0, msg);
+  world.network().send_all(2, msg);
+  world.network().send_all(0, msg);
+  world.network().send(3, 1, msg);
+
+  std::map<std::pair<std::uint32_t, std::uint64_t>, NodeId> seen;
+  world.queue().for_each_pending<Network::Delivery>(
+      [&](RealTime when, EventKey key, const Network::Delivery& d) {
+        EXPECT_EQ(when, RealTime::zero() + microseconds(100));
+        EXPECT_EQ(key.creator, d.msg.sender);
+        EXPECT_EQ(d.msg.value, 9u);
+        EXPECT_FALSE(d.forged);
+        EXPECT_TRUE(seen.emplace(std::make_pair(key.creator, key.seq), d.dest)
+                        .second);
+      });
+  std::map<std::pair<std::uint32_t, std::uint64_t>, NodeId> expected;
+  for (NodeId dest = 0; dest < config.n; ++dest) {
+    expected[{0, 2 * dest}] = dest;
+    expected[{2, 2 * dest}] = dest;
+    expected[{0, 2 * (config.n + dest)}] = dest;
+  }
+  expected[{3, 0}] = 1;
+  EXPECT_EQ(seen, expected);
+
+  world.run_until(RealTime::zero() + milliseconds(1));
+  EXPECT_EQ(world.net_stats().delivered, expected.size());
+  EXPECT_TRUE(world.queue().empty());
 }
 
 // ---------------------------------------------------------------- clock --

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -392,7 +393,6 @@ TEST(StatsRegistryTest, CollectsEngineNetworkSchedAndTracerStats) {
 }
 
 TEST(StatsRegistryTest, ExportsPeakGaugesAndTopologyCounters) {
-  // Serial engine: the queue capacity gauges only exist there.
   Scenario sc = trace_scenario(StackKind::kAgree, 1, false);
   sc.payload_bytes = 256;  // above Payload::kInlineCapacity ⇒ pooled
   Cluster cluster(sc);
@@ -432,6 +432,50 @@ TEST(StatsRegistryTest, ExportsPeakGaugesAndTopologyCounters) {
     EXPECT_GT(leaf("wheel.peak_records"), 0.0);
     EXPECT_GE(leaf("wheel.peak_records"), leaf("wheel.live"));
   }
+}
+
+// Every engine emits the same queue.*, wheel.* and net.* leaves, so one
+// artifact reads the same whichever engine ran: the serial engine's one
+// queue, the windowed engine's node queues summed, and the alternating
+// engine's active queues.
+TEST(StatsRegistryTest, EveryEngineEmitsTheSameQueueWheelAndNetLeaves) {
+  struct Case {
+    const char* label;
+    std::uint32_t shards;
+    bool chaos;
+  };
+  std::map<std::string, std::set<std::string>> leaves;
+  for (const Case& c : {Case{"serial", 1, false}, Case{"windowed", 2, false},
+                        Case{"alternating", 2, true}}) {
+    Cluster cluster(trace_scenario(StackKind::kAgree, c.shards, c.chaos));
+    cluster.run();
+    WorldBase* engine = &cluster.world();
+    if (c.chaos) {
+      EXPECT_NE(dynamic_cast<DutyWorld*>(engine), nullptr) << c.label;
+    } else if (c.shards > 1) {
+      EXPECT_NE(dynamic_cast<ShardWorld*>(engine), nullptr) << c.label;
+    } else {
+      EXPECT_NE(dynamic_cast<World*>(engine), nullptr) << c.label;
+    }
+    const StatsRegistry stats = collect_run_stats(cluster);
+    std::set<std::string>& names = leaves[c.label];
+    for (const StatsEntry& entry : stats.entries()) {
+      for (const char* prefix : {"queue.", "wheel.", "net."}) {
+        if (entry.path.rfind(prefix, 0) == 0) names.insert(entry.path);
+      }
+    }
+    const StatsEntry* peak = stats.find("queue.peak_bytes");
+    ASSERT_NE(peak, nullptr) << c.label;
+    EXPECT_GT(peak->value, 0.0) << c.label;
+    const StatsEntry* slab = stats.find("queue.slab_capacity");
+    ASSERT_NE(slab, nullptr) << c.label;
+    EXPECT_GT(slab->value, 0.0) << c.label;
+  }
+  EXPECT_EQ(leaves["serial"].count("queue.depth"), 1u);
+  EXPECT_EQ(leaves["serial"].count("wheel.peak_records"), 1u);
+  EXPECT_EQ(leaves["serial"].count("net.sent"), 1u);
+  EXPECT_EQ(leaves["windowed"], leaves["serial"]);
+  EXPECT_EQ(leaves["alternating"], leaves["serial"]);
 }
 
 TEST(StatsRegistryTest, FindMissesReturnNull) {
