@@ -9,7 +9,9 @@
 // A correct General then proposes at a steady cadence; "convergence" is the
 // first proposal after ι0 that yields a unanimous, correct decision.
 // Measured convergence should be ≪ the ∆stb worst-case bound, and the
-// fraction of runs converged by ∆stb must be 100%.
+// fraction of runs converged by ∆stb must be 100%. The exit status is 1
+// when any row has a post-∆stb violation or converges by ∆stb in fewer
+// than 100% of its runs.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -93,7 +95,8 @@ ConvergenceResult run_convergence(std::uint32_t n, std::uint32_t f,
   return result;
 }
 
-void print_table() {
+/// Prints the table; false when a row breaks the ∆stb claim.
+bool print_table() {
   std::printf("\nE5: convergence from arbitrary state (scrambled nodes + "
               "forged in-flight messages + faulty network until ι0)\n");
   Table table({"n", "f", "junk/node", "runs", "conv p50 (ms)", "conv max (ms)",
@@ -104,10 +107,18 @@ void print_table() {
   struct Case {
     std::uint32_t n, f, spurious;
   };
+  bool all_ok = true;
   for (const Case& c : {Case{4, 1, 32}, Case{7, 2, 32}, Case{7, 2, 128},
                         Case{10, 3, 64}, Case{13, 4, 64}}) {
     const Params params{c.n, c.f, Scenario{}.make_params().d()};
     auto r = run_convergence(c.n, c.f, c.spurious, 20, 8000);
+    if (r.post_stb_agreement_violations != 0 || r.converged_by_stb != r.runs) {
+      std::fprintf(stderr,
+                   "E5 FAIL: n=%u f=%u junk=%u has a post-∆stb violation or "
+                   "converges by ∆stb in fewer than 100%% of runs\n",
+                   c.n, c.f, c.spurious);
+      all_ok = false;
+    }
     table.add_row({std::to_string(c.n), std::to_string(c.f),
                    std::to_string(c.spurious), std::to_string(r.runs),
                    r.convergence.empty() ? "-"
@@ -126,6 +137,7 @@ void print_table() {
   std::printf("(Paper: stability within ∆stb = 2∆reset after coherence; "
               "measured convergence is typically a small fraction of the "
               "bound, and post-∆stb violations must be 0.)\n");
+  return all_ok;
 }
 
 void BM_Convergence(benchmark::State& state) {
@@ -143,6 +155,6 @@ BENCHMARK(BM_Convergence)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  ssbft::print_table();
-  return 0;
+  // Exit 1 when a row breaks the ∆stb claim, so CI fails on it.
+  return ssbft::print_table() ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 // systematically enumerated extreme-delay prefixes plus randomized tails,
 // under four adversary/initial-state regimes, and reports trials, explored
 // prefix trees, executions checked, and safety violations (expected: 0).
+// The exit status is 1 when any regime reports a violation.
 //
 // Provenance note: this harness is not decorative — an earlier revision of
 // the codebase failed the transient-start regime here (dormant scrambled
@@ -95,14 +96,21 @@ void BM_Explore(benchmark::State& state) {
 }
 BENCHMARK(BM_Explore)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
 
-void print_table() {
+/// Prints the table; false when any regime found a violation.
+bool print_table() {
   std::printf(
       "\nE13: adversarial-schedule exploration (palette: ~0 / d/2 / delta+pi; "
       "exhaustive prefix tree + random tails)\n");
   Table t({"regime", "trials", "prefix tree", "executions", "decisions",
            "violations"});
+  bool all_ok = true;
   for (const auto& regime : regimes()) {
     const auto report = explore(regime.config);
+    if (!report.violations.empty()) {
+      std::fprintf(stderr, "E13 FAIL: regime %s has %zu violations\n",
+                   regime.name, report.violations.size());
+      all_ok = false;
+    }
     t.add_row({regime.name, std::to_string(report.trials),
                std::to_string(report.prefix_combinations),
                std::to_string(report.executions_checked),
@@ -110,6 +118,7 @@ void print_table() {
                std::to_string(report.violations.size())});
   }
   t.print();
+  return all_ok;
 }
 
 }  // namespace
@@ -118,6 +127,6 @@ void print_table() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  ssbft::print_table();
-  return 0;
+  // Exit 1 when any regime found a violation, so CI fails on it.
+  return ssbft::print_table() ? 0 : 1;
 }

@@ -18,7 +18,9 @@
 // the SweepRunner worker pool (one independent World per trial, all cores,
 // per_run hook for the per-trial metrics). Results go to stdout and
 // BENCH_quorum.json (registered with tools/bench_check.py: events_per_sec
-// ratio-gated, deterministic flag = repeated-cell digest equality).
+// ratio-gated, deterministic flag = repeated-cell digest equality). The
+// exit status is 1 when a crash-liveness row has a safety violation or the
+// determinism gate fails.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -98,7 +100,8 @@ BENCHMARK(BM_QuorumPolicy)
     ->ArgsProduct({{7, 13, 19, 25}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-void print_tables() {
+/// Prints the tables; false when a safety violation occurred.
+bool print_tables() {
   std::FILE* json = std::fopen("BENCH_quorum.json", "w");
 
   std::printf(
@@ -189,6 +192,11 @@ void print_tables() {
     std::fprintf(stderr, "bench_quorum: DETERMINISM FAILED\n");
     std::exit(1);
   }
+  if (total_violations != 0) {
+    std::fprintf(stderr, "E10 FAIL: %u safety violations\n",
+                 total_violations);
+  }
+  return total_violations == 0;
 }
 
 }  // namespace
@@ -197,6 +205,6 @@ void print_tables() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  ssbft::print_tables();
-  return 0;
+  // Exit 1 on a safety violation, so CI fails on it.
+  return ssbft::print_tables() ? 0 : 1;
 }

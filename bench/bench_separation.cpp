@@ -6,7 +6,8 @@
 //
 // The attacker here is a spamming General violating the Sending Validity
 // Criteria at will; the correct nodes' own pacing state (last(G), last(G,m))
-// must enforce the separation regardless.
+// must enforce the separation regardless. The exit status is 1 when either
+// violation column is non-zero in any row.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -73,7 +74,8 @@ SeparationResult run_separation(Duration spam_period, std::uint32_t trials,
   return result;
 }
 
-void print_table() {
+/// Prints the table; false when a row has a separation violation.
+bool print_table() {
   const Params params = Scenario{}.make_params();
   std::printf("\nE6: separation under a spamming General (bounds: distinct "
               "values > 4d = %.3fms apart; same value ≤ 6d or > 2∆rmv−3d = "
@@ -83,9 +85,15 @@ void print_table() {
   Table table({"spam period (ms)", "decisions", "≠value pairs",
                "min ≠value gap (ms)", "≠value violations",
                "=value pairs", "=value violations"});
+  bool all_ok = true;
   for (auto period : {microseconds(500), milliseconds(1), milliseconds(2),
                       milliseconds(5)}) {
     auto r = run_separation(period, 15, 9000);
+    if (r.diff_value_violations != 0 || r.same_value_violations != 0) {
+      std::fprintf(stderr, "E6 FAIL: spam period %.3f ms breaks separation\n",
+                   period.millis());
+      all_ok = false;
+    }
     table.add_row(
         {Table::fmt_ms(double(period.ns())), Table::fmt_int(r.decisions),
          Table::fmt_int(r.diff_value_pairs),
@@ -96,6 +104,7 @@ void print_table() {
   }
   table.print();
   std::printf("(Both violation columns must be 0.)\n");
+  return all_ok;
 }
 
 void BM_Separation(benchmark::State& state) {
@@ -112,6 +121,6 @@ BENCHMARK(BM_Separation)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  ssbft::print_table();
-  return 0;
+  // Exit 1 when a row breaks separation, so CI fails on it.
+  return ssbft::print_table() ? 0 : 1;
 }

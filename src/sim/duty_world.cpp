@@ -203,7 +203,7 @@ void DutyWorld::collect_stats(StatsRegistry& reg) const {
 }
 
 Network& DutyWorld::network() {
-  SSBFT_EXPECTS(serial_ != nullptr);  // sharded segment: no single Network
+  SSBFT_EXPECTS(serial_ != nullptr);  // sharded segment: serial-only surface
   return serial_->network();
 }
 

@@ -32,13 +32,15 @@
 // StackKinds × shards {1, 2, 4}; bench_dutycycle hard-gates it in CI).
 //
 // Both exports read the in-flight set straight out of the event queues:
-// deliveries and workload actions are named event types (Network::Delivery,
-// Shard::Delivery, WorldAction) that EventQueue::for_each_pending visits,
-// and each re-materializes under its ORIGINAL key. schedule() is a plain
-// forward to the active engine.
+// deliveries and workload actions are named event types (Network::Delivery
+// — the one delivery type of both engines' one wire layer — and
+// WorldAction) that EventQueue::for_each_pending visits, and each
+// re-materializes under its ORIGINAL key. schedule() is a plain forward to
+// the active engine.
 //
 // The serial surface (network(), queue()) forwards during serial segments
-// and aborts during sharded ones, exactly like ShardWorld's.
+// and aborts during sharded ones, exactly like ShardWorld's. Chaos windows
+// are installed only on the serial World of each chaos segment.
 #pragma once
 
 #include <cstdint>
@@ -118,7 +120,8 @@ class DutyWorld final : public WorldBase {
   void collect_stats(StatsRegistry& reg) const override;
 
   /// Serial surface: forwards during serial segments, aborts during
-  /// sharded ones (no single Network/queue exists there).
+  /// sharded ones (no single queue exists there, and taps and delay
+  /// oracles are not safe to call from the shard workers).
   [[nodiscard]] Network& network() override;
   [[nodiscard]] EventQueue& queue() override;
 

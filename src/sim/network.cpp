@@ -8,17 +8,15 @@
 
 namespace ssbft {
 
-Network::Network(EventQueue& queue, std::vector<NodeState>& nodes,
+Network::Network(NodeHost& host, std::vector<NodeState>& nodes,
                  DelayModel link_delay, DelayModel proc_delay,
-                 ChaosConfig chaos, std::uint64_t seed, DeliverFn deliver,
-                 AuthKind auth)
-    : queue_(queue),
+                 ChaosConfig chaos, std::uint64_t seed, AuthKind auth)
+    : host_(host),
       nodes_(nodes),
       n_(std::uint32_t(nodes.size())),
       link_delay_(link_delay),
       proc_delay_(proc_delay),
       chaos_(chaos),
-      deliver_(std::move(deliver)),
       auth_(auth, seed) {
   SSBFT_EXPECTS(n_ > 0);
   SSBFT_EXPECTS(chaos_.max_delay >= Duration::zero());
@@ -36,7 +34,7 @@ void Network::send(NodeId from, NodeId dest, WireMessage msg) {
   // Unicast copies are always direct — a behavior echoing back a received
   // relay copy must not re-disseminate it.
   stamp(from, msg, kRouteDirect);
-  admit(from, dest, msg);
+  admit(counters(), host_.now(), from, dest, msg);
 }
 
 void Network::stamp(NodeId from, WireMessage& msg,
@@ -46,13 +44,14 @@ void Network::stamp(NodeId from, WireMessage& msg,
   auth_.sign(msg);          // tag at origin (binds the sender)
 }
 
-void Network::admit(NodeId from, NodeId dest, const WireMessage& msg) {
+void Network::admit(NetworkStats& stats, RealTime now, NodeId from,
+                    NodeId dest, const WireMessage& msg) {
   SSBFT_EXPECTS(dest < n_);
-  ++stats_.sent;
-  stats_.per_kind[std::size_t(msg.kind)]++;
-  stats_.payload_bytes += msg.payload.size();
+  ++stats.sent;
+  stats.per_kind[std::size_t(msg.kind)]++;
+  stats.payload_bytes += msg.payload.size();
   tap(TapEvent::Kind::kSent, from, dest, msg);
-  route(from, dest, msg);
+  route(now, from, dest, msg);
 }
 
 void Network::send_all(NodeId from, const WireMessage& msg) {
@@ -63,8 +62,12 @@ void Network::send_all(NodeId from, const WireMessage& msg) {
   // to them. A pooled payload body is shared by reference throughout.
   WireMessage stamped = msg;
   stamp(from, stamped, kRouteDirect);
+  NetworkStats& stats = counters();
+  const RealTime now = host_.now();
   if (!topo_.active()) {
-    for (NodeId dest = 0; dest < n_; ++dest) admit(from, dest, stamped);
+    for (NodeId dest = 0; dest < n_; ++dest) {
+      admit(stats, now, from, dest, stamped);
+    }
     return;
   }
   // Overlay: the origin emits only its own share of the fan-out; receivers
@@ -72,15 +75,17 @@ void Network::send_all(NodeId from, const WireMessage& msg) {
   topology_origin_targets(topo_, n_, from,
                           [&](NodeId dest, std::uint8_t route_mark) {
                             stamped.route = route_mark;
-                            admit(from, dest, stamped);
+                            admit(stats, now, from, dest, stamped);
                           });
 }
 
-void Network::relay(NodeId self, const WireMessage& msg) {
+void Network::relay(NetworkStats& stats, NodeId self,
+                    const WireMessage& msg) {
   if (!topo_.active() || msg.route == kRouteDirect) return;
-  ++stats_.topology_hops;
+  ++stats.topology_hops;
   trace::instant(TraceLayer::kWorkload, TraceName::kRelay, self,
                  std::int64_t(msg.route));
+  const RealTime now = host_.now();
   topology_relay_targets(
       topo_, n_, self, msg.sender, msg.route,
       [&](NodeId dest, std::uint8_t route_mark) {
@@ -89,8 +94,8 @@ void Network::relay(NodeId self, const WireMessage& msg) {
         // the copy is not re-counted as sent — fanout_msgs tracks it.
         WireMessage copy = msg;
         copy.route = route_mark;
-        ++stats_.fanout_msgs;
-        route(self, dest, copy);
+        ++stats.fanout_msgs;
+        route(now, self, dest, copy);
       });
 }
 
@@ -115,28 +120,32 @@ void Network::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
   tap(TapEvent::Kind::kForged, kNoNode, dest, msg);
   trace::instant(TraceLayer::kWorkload, TraceName::kForged, dest,
                  std::int64_t(delay.ns()));
-  schedule_delivery(queue_.now() + delay, EventKey{kForgedCreator, forged_seq_++},
-                    dest, msg, /*forged=*/true);
+  schedule_delivery(host_.now() + delay,
+                    EventKey{kForgedCreator, forged_seq_++}, dest, msg,
+                    /*forged=*/true);
 }
 
-void Network::route(NodeId from, NodeId dest, const WireMessage& msg) {
-  if (faulty_now()) {
-    route_chaos(from, dest, msg);
+void Network::route(RealTime now, NodeId from, NodeId dest,
+                    const WireMessage& msg) {
+  if (faulty_at(now)) {
+    route_chaos(now, from, dest, msg);
     return;
   }
   // Non-faulty: arrival within δ, processing within π of arrival. The
   // destination handler runs once processing completes.
   const Duration delay = sample_delay(from, dest, msg);
-  schedule_delivery(queue_.now() + delay, next_key(from), dest, msg,
+  schedule_delivery(now + delay, next_key(from), dest, msg,
                     /*forged=*/false);
 }
 
-void Network::route_chaos(NodeId from, NodeId dest, const WireMessage& msg) {
+void Network::route_chaos(RealTime now, NodeId from, NodeId dest,
+                          const WireMessage& msg) {
   // Chaos draws come from the AUTHENTIC sender's stream (corruption may
   // rewrite msg.sender, never which stream paid for it).
   Rng& rng = nodes_[from].link_rng;
+  NetworkStats& stats = counters();
   if (rng.next_bool(chaos_.drop_prob)) {
-    ++stats_.dropped;
+    ++stats.dropped;
     tap(TapEvent::Kind::kDropped, msg.sender, dest, msg);
     trace::instant(TraceLayer::kWorkload, TraceName::kChaosDrop, dest);
     return;
@@ -147,48 +156,44 @@ void Network::route_chaos(NodeId from, NodeId dest, const WireMessage& msg) {
   if (rng.next_bool(chaos_.corrupt_prob)) {
     corrupted.emplace(msg);
     corrupt(from, *corrupted);
-    ++stats_.corrupted;
+    ++stats.corrupted;
     trace::instant(TraceLayer::kWorkload, TraceName::kChaosCorrupt, dest);
   }
   const WireMessage& out = corrupted ? *corrupted : msg;
   const Duration delay{rng.next_in(0, chaos_.max_delay.ns())};
   trace::instant(TraceLayer::kWorkload, TraceName::kChaosDelay, dest,
                  std::int64_t(delay.ns()));
-  schedule_delivery(queue_.now() + delay, next_key(from), dest, out,
-                    /*forged=*/false);
+  schedule_delivery(now + delay, next_key(from), dest, out, /*forged=*/false);
   if (rng.next_bool(chaos_.duplicate_prob)) {
-    ++stats_.duplicated;
+    ++stats.duplicated;
     trace::instant(TraceLayer::kWorkload, TraceName::kChaosDuplicate, dest);
     const Duration dup_delay{rng.next_in(0, chaos_.max_delay.ns())};
-    schedule_delivery(queue_.now() + dup_delay, next_key(from), dest, out,
+    schedule_delivery(now + dup_delay, next_key(from), dest, out,
                       /*forged=*/false);
   }
-}
-
-void Network::schedule_delivery(RealTime when, EventKey key, NodeId dest,
-                                const WireMessage& msg, bool forged) {
-  // The one copy of the message: built straight into its queue slot.
-  queue_.emplace<Delivery>(when, key, this, dest, forged, msg);
 }
 
 void Network::Delivery::operator()() const {
   // Verification happens here, at the delivery instant: the check is a pure
   // function of message content, so serial, sharded, and migrated runs
   // reject the same copies at the same points of the total order.
+  NetworkStats& stats = net->counters();
   if (!net->auth_.verify(msg)) {
-    net->reject(dest, msg);
+    net->reject(stats, dest, msg);
     return;
   }
-  net->relay(dest, msg);  // relay duty precedes local processing
+  net->relay(stats, dest, msg);  // relay duty precedes local processing
   if (!forged) {
-    ++net->stats_.delivered;
+    ++stats.delivered;
     net->tap(TapEvent::Kind::kDelivered, msg.sender, dest, msg);
   }
-  net->deliver_(dest, msg);
+  NodeState& node = net->nodes_[dest];
+  if (node.behavior) node.behavior->on_message(node, msg);
 }
 
-void Network::reject(NodeId dest, const WireMessage& msg) {
-  ++stats_.auth_rejected;
+void Network::reject(NetworkStats& stats, NodeId dest,
+                     const WireMessage& msg) {
+  ++stats.auth_rejected;
   tap(TapEvent::Kind::kRejected, msg.sender, dest, msg);
   trace::instant(TraceLayer::kWorkload, TraceName::kAuthReject, dest);
 }
@@ -228,7 +233,7 @@ void Network::tap(TapEvent::Kind kind, NodeId from, NodeId to,
   if (!tap_) return;
   TapEvent event;
   event.kind = kind;
-  event.at = queue_.now();
+  event.at = host_.now();
   event.from = from;
   event.to = to;
   event.msg = msg;

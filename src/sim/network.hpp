@@ -15,12 +15,21 @@
 // one copy of a pooled body — copying a WireMessage bumps a refcount, it
 // never copies payload bytes. See docs/wire-format.md.
 //
-// Every copy in flight is one Network::Delivery event in the queue, and
-// nothing else records it: an engine migration reads the in-flight set
-// straight out of the queue (EventQueue::for_each_pending).
+// One wire layer for every engine: the serial World and the windowed
+// ShardWorld each own one Network and route every send, relay, verify and
+// delivery through it. Only two things differ between them, and both are
+// NodeHost hooks (sim/node.hpp): where a keyed copy lands (place_delivery —
+// the serial queue, a node queue, or inside a window the executing worker's
+// outbox) and which counters the calling thread bumps (window_stats). Taps,
+// delay oracles and chaos windows are serial-only: the windowed engine
+// never installs them, so its workers only read the Network's own state.
+//
+// Every copy in flight is one Network::Delivery event in an event queue,
+// and nothing else records it: an engine migration reads the in-flight set
+// straight out of the queues (EventQueue::for_each_pending).
 //
 // Per-sender streams (delay/chaos RNG, even-channel key seq) are not the
-// Network's own: it draws them from the owning World's NodeState vector
+// Network's own: it draws them from the owning engine's NodeState vector
 // (sim/node.hpp), so the node records a migration cut moves already carry
 // every sender's position.
 #pragma once
@@ -28,7 +37,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -88,9 +96,10 @@ struct NetworkStats {
   std::uint64_t fanout_msgs = 0;
   std::array<std::uint64_t, std::size_t(MsgKind::kNumKinds)> per_kind{};
 
-  /// Field-wise sum — how the sharded engine aggregates per-shard counters.
-  /// Lives next to the fields so a new counter cannot be added without the
-  /// aggregation (and run_digest) coming into view.
+  /// Field-wise sum — how the windowed engine folds each worker's window
+  /// counters into the Network's. Lives next to the fields so a new counter
+  /// cannot be added without the aggregation (and run_digest) coming into
+  /// view.
   NetworkStats& operator+=(const NetworkStats& other) {
     sent += other.sent;
     delivered += other.delivered;
@@ -107,23 +116,23 @@ struct NetworkStats {
     }
     return *this;
   }
+
+  bool operator==(const NetworkStats&) const = default;
 };
 
 class Network {
  public:
-  using DeliverFn = std::function<void(NodeId dest, const WireMessage&)>;
-
-  /// `deliver` is invoked at the (real) instant the destination finishes
-  /// processing the message — i.e. arrival + processing delay. All random
-  /// draws (delays, chaos misbehaviour) come from per-SENDER streams —
-  /// `nodes[sender].link_rng`, derived from `(seed, sender)` (see
+  /// The destination behavior's on_message runs at the (real) instant it
+  /// finishes processing the message — i.e. arrival + processing delay.
+  /// All random draws (delays, chaos misbehaviour) come from per-SENDER
+  /// streams — `nodes[sender].link_rng`, derived from `(seed, sender)` (see
   /// derive_link_rng) — so sampling depends only on each sender's own send
-  /// history, never on the global interleaving; the sharded engine draws
-  /// from the same records. `nodes` (one per node) must outlive the Network.
-  Network(EventQueue& queue, std::vector<NodeState>& nodes,
+  /// history, never on the global interleaving or the engine. `host` (the
+  /// engine: clock, placement, counters) and `nodes` (one per node) must
+  /// outlive the Network.
+  Network(NodeHost& host, std::vector<NodeState>& nodes,
           DelayModel link_delay, DelayModel proc_delay, ChaosConfig chaos,
-          std::uint64_t seed, DeliverFn deliver,
-          AuthKind auth = AuthKind::kNull);
+          std::uint64_t seed, AuthKind auth = AuthKind::kNull);
 
   /// Authenticated send: `msg.sender` is overwritten with `from` and the
   /// tag stamped under the configured scheme. A pooled payload body is
@@ -207,11 +216,16 @@ class Network {
   /// The delivery-side verifier (tests; key derives from the world seed).
   [[nodiscard]] const Authenticator& authenticator() const { return auth_; }
 
+  /// Fold one worker's window counters into the totals (the windowed
+  /// engine's barrier step; the caller resets its copy).
+  void add_stats(const NetworkStats& window) { stats_ += window; }
+
   // --- engine-migration surface (sim/duty_world.hpp) -----------------------
 
-  /// One copy in flight, as it sits in the event queue: verify, relay,
-  /// count, then deliver — at the delivery instant, on every engine.
-  /// Forged plants (inject_raw) skip the delivered/tap accounting.
+  /// One copy in flight, as it sits in an event queue: verify, relay,
+  /// count, then hand to the destination behavior — at the delivery
+  /// instant, on every engine. Forged plants (inject_raw) skip the
+  /// delivered/tap accounting.
   struct Delivery {
     Network* net;
     NodeId dest;
@@ -220,15 +234,16 @@ class Network {
     void operator()() const;
   };
 
-  /// One delivery event in flight, read out of the queue at a migration
-  /// cut: everything needed to re-materialize it — with its original key —
-  /// in another engine's queue.
+  /// One delivery event in flight outside a queue — read out at a
+  /// migration cut, or parked in a windowed-engine mailbox until the
+  /// barrier: everything needed to re-materialize it, with its original
+  /// key, in any engine's queue.
   struct PendingDelivery {
     RealTime when;
     EventKey key;
     NodeId dest = 0;
-    WireMessage msg{};
     bool forged = false;  // inject_raw plant: no delivered/tap accounting
+    WireMessage msg{};
   };
 
   /// Forged-channel key seq position (migrated at a handoff).
@@ -258,56 +273,69 @@ class Network {
     return EventKey{from, nodes_[from].send_seq++ * 2};
   }
 
-  /// Is the network faulty at the current simulation instant? Advances the
-  /// window cursor monotonically (queue time never rewinds).
-  [[nodiscard]] bool faulty_now() {
+  /// The counters the calling thread bumps: inside a windowed-engine
+  /// window the executing worker's, otherwise the Network's own.
+  [[nodiscard]] NetworkStats& counters() {
+    NetworkStats* window = host_.window_stats();
+    return window != nullptr ? *window : stats_;
+  }
+
+  /// Is the network faulty at `now`, the current simulation instant?
+  /// Advances the window cursor monotonically (time never rewinds). Never
+  /// writes without windows, so the windowed engine's workers may call it
+  /// concurrently.
+  [[nodiscard]] bool faulty_at(RealTime now) {
     while (window_cursor_ < windows_.size() &&
-           queue_.now() >= windows_[window_cursor_].end) {
+           now >= windows_[window_cursor_].end) {
       ++window_cursor_;
     }
     return window_cursor_ < windows_.size() &&
-           queue_.now() >= windows_[window_cursor_].start;
+           now >= windows_[window_cursor_].start;
   }
 
   /// Stamp the authenticated sender, the route marker and the tag at
   /// origin — once per send or broadcast.
   void stamp(NodeId from, WireMessage& msg, std::uint8_t route) const;
-  /// Admit one stamped copy for `dest`: count, tap, route — the shared body
-  /// of send() and both send_all fan-outs.
-  void admit(NodeId from, NodeId dest, const WireMessage& msg);
+  /// Admit one stamped copy for `dest` at `now`: count (into `stats`), tap,
+  /// route — the shared body of send() and both send_all fan-outs.
+  void admit(NetworkStats& stats, RealTime now, NodeId from, NodeId dest,
+             const WireMessage& msg);
   /// Relay duty at the delivery instant: a verified copy whose route marker
   /// is non-direct is forwarded (topology_relay_targets) BEFORE the
   /// behavior sees it, preserving the origin's sender and tag. Runs first
   /// so the relay node's outgoing stream/key draws are a pure function of
   /// its arrival order — identical on both engines.
-  void relay(NodeId self, const WireMessage& msg);
-  /// Delay and key one copy and schedule its delivery; while faulty, hand
-  /// it to route_chaos instead.
-  void route(NodeId from, NodeId dest, const WireMessage& msg);
+  void relay(NetworkStats& stats, NodeId self, const WireMessage& msg);
+  /// Delay and key one copy sent at `now` and schedule its delivery; while
+  /// faulty, hand it to route_chaos instead.
+  void route(RealTime now, NodeId from, NodeId dest, const WireMessage& msg);
   /// Chaos verdicts for one copy: drop, corrupt (a private copy), delay,
   /// duplicate — all drawn from `from`'s stream.
-  void route_chaos(NodeId from, NodeId dest, const WireMessage& msg);
+  void route_chaos(RealTime now, NodeId from, NodeId dest,
+                   const WireMessage& msg);
   void corrupt(NodeId from, WireMessage& msg);
   void tap(TapEvent::Kind kind, NodeId from, NodeId to, const WireMessage& msg);
 
-  /// Build one per-copy Delivery event in its queue slot — the one copy of
-  /// the message each event makes. EVERY delivery path (non-faulty unicast
-  /// and broadcast fan-out, chaos, duplicates, forged plants) funnels
-  /// through here, so a migration that reads Delivery events sees them
-  /// all; a pooled payload body rides each copy as a slot reference.
+  /// Hand one keyed copy to the engine (NodeHost::place_delivery), which
+  /// builds its Delivery event in a queue slot or parks it in a worker
+  /// outbox. EVERY delivery path (non-faulty unicast and broadcast fan-out,
+  /// relay, chaos, duplicates, forged plants, adoption) funnels through
+  /// here, so a migration that reads Delivery events sees them all; a
+  /// pooled payload body rides each copy as a slot reference.
   void schedule_delivery(RealTime when, EventKey key, NodeId dest,
-                         const WireMessage& msg, bool forged);
+                         const WireMessage& msg, bool forged) {
+    host_.place_delivery(when, key, dest, msg, forged);
+  }
   /// Delivery-side authenticator failure: count, tap, trace, discard.
-  void reject(NodeId dest, const WireMessage& msg);
+  void reject(NetworkStats& stats, NodeId dest, const WireMessage& msg);
 
-  EventQueue& queue_;
-  std::vector<NodeState>& nodes_;  // per-sender streams (the World's)
+  NodeHost& host_;
+  std::vector<NodeState>& nodes_;  // per-node records (the engine's)
   std::uint32_t n_;
   DelayModel link_delay_;
   DelayModel proc_delay_;
   ChaosConfig chaos_;
   std::uint64_t forged_seq_ = 0;  // forged-channel key seq
-  DeliverFn deliver_;
   // Chaos duty schedule (sorted, disjoint) + monotone lookup cursor.
   std::vector<ChaosWindow> windows_;
   std::size_t window_cursor_ = 0;

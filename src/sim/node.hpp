@@ -81,15 +81,25 @@ class NodeBehavior {
 };
 
 class NodeState;
+struct NetworkStats;  // sim/network.hpp
 
-/// What a node's context needs from the engine running the node: now,
-/// routing, keyed timer records and the log sink. World and ShardWorld
-/// implement it; behaviors never see it.
+/// What a node's context, and the engine's one Network, need from the
+/// engine running the node: now, routing, keyed timer records, the log
+/// sink, and the two wire hooks on which the engines differ. World and
+/// ShardWorld implement it; behaviors never see it.
 class NodeHost {
  public:
   [[nodiscard]] virtual RealTime now() const = 0;
   virtual void send(NodeId from, NodeId dest, WireMessage msg) = 0;
   virtual void send_all(NodeId from, const WireMessage& msg) = 0;
+  /// Where one keyed copy in flight lands: build its Network::Delivery in
+  /// the queue that dispatches `dest` — or, inside a windowed-engine
+  /// window, park it in the executing worker's outbox.
+  virtual void place_delivery(RealTime when, EventKey key, NodeId dest,
+                              const WireMessage& msg, bool forged) = 0;
+  /// The wire counters the calling thread bumps: the executing worker's
+  /// inside a window, null (the Network's own) everywhere else.
+  [[nodiscard]] virtual NetworkStats* window_stats() = 0;
   /// Arm `node`'s timer for its local time `when`; the fire instant and
   /// key come from NodeState::next_timer.
   virtual TimerHandle arm_timer(NodeState& node, LocalTime when,

@@ -31,7 +31,10 @@ ShardWorld::ShardWorld(WorldConfig config)
     : WorldBase(config),
       rng_(config_.seed),
       logger_(config_.log_level),
-      nodes_(derive_node_states(config_, *this)) {
+      nodes_(derive_node_states(config_, *this)),
+      network_(*this, nodes_, config_.link_delay, config_.proc_delay,
+               config_.chaos, config_.seed, config_.auth) {
+  network_.set_topology(config_.topology.resolved(config_.n));
   lookahead_ = config_.lookahead();
   const std::uint32_t shards = effective_shards(config_);
   SSBFT_EXPECTS(shards == 1 || lookahead_ > Duration::zero());
@@ -63,8 +66,7 @@ ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration)
   global_now_ = migration.now;
   started_ = true;
   world_seq_ = migration.world_seq;
-  forged_seq_ = migration.forged_seq;
-  world_stats_ = migration.stats;
+  network_.adopt_world_counters(migration.forged_seq, migration.stats);
   base_dispatched_ = migration.dispatched;
   rng_ = migration.world_rng;
   nodes_ = std::move(migration.nodes);
@@ -75,9 +77,8 @@ ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration)
   // well inside the first windows — that is fine: the conservative-window
   // argument constrains only traffic GENERATED during a window, and the
   // post-cut network is non-faulty (every new send respects λ).
-  for (const Network::PendingDelivery& p : migration.deliveries) {
-    shard_of(p.dest).schedule_delivery(p.when, p.key, p.dest, p.msg,
-                                       p.forged);
+  for (const Network::PendingDelivery& pending : migration.deliveries) {
+    network_.adopt_delivery(pending);
   }
   for (WorldMigration::PendingAction& a : migration.actions) {
     shard_of(a.target).schedule_action(a.when, a.key, a.target,
@@ -160,19 +161,10 @@ void ShardWorld::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
   SSBFT_EXPECTS(dest < config_.n);
   SSBFT_EXPECTS(tl_exec_ == nullptr);  // serial phases only
   SSBFT_EXPECTS(!exported_);
-  ++world_stats_.forged;
-  // Forged channel: the same content-based key the serial Network mints for
-  // this plant (engine-independent dispatch order; see kForgedCreator).
-  shard_of(dest).schedule_delivery(now() + delay,
-                                   EventKey{kForgedCreator, forged_seq_++},
-                                   dest, msg, /*forged=*/true);
+  network_.inject_raw(dest, std::move(msg), delay);
 }
 
-NetworkStats ShardWorld::net_stats() const {
-  NetworkStats total = world_stats_;
-  for (const auto& shard : shards_) total += shard->stats();
-  return total;
-}
+NetworkStats ShardWorld::net_stats() const { return network_.stats(); }
 
 std::uint64_t ShardWorld::dispatched() const {
   std::uint64_t total = base_dispatched_;
@@ -194,11 +186,35 @@ void ShardWorld::collect_stats(StatsRegistry& reg) const {
 }
 
 void ShardWorld::send(NodeId from, NodeId dest, WireMessage msg) {
-  shard_of(from).send(from, dest, std::move(msg));
+  network_.send(from, dest, std::move(msg));
 }
 
 void ShardWorld::send_all(NodeId from, const WireMessage& msg) {
-  shard_of(from).send_all(from, msg);
+  network_.send_all(from, msg);
+}
+
+void ShardWorld::place_delivery(RealTime when, EventKey key, NodeId dest,
+                                const WireMessage& msg, bool forged) {
+  const std::uint32_t shard = shard_index_[dest];
+  if (ExecContext* exec = tl_exec_) {
+    // Inside a window even a same-shard destination may be executing on
+    // another worker right now, so EVERY copy parks in the worker's private
+    // outbox and merges at the barrier. The bounded-delay model is what
+    // makes this safe — the delivery cannot precede the next window — and
+    // the queue's key order makes the detour unobservable.
+    SSBFT_ASSERT(when - now() >= lookahead_);
+    exec->outbox[shard].push(when, key, dest, msg, forged);
+    return;
+  }
+  // Serial phase (on_start, scramble, plants, adoption): no concurrency,
+  // build the event straight in the destination's node queue.
+  shards_[shard]->node_queue(dest).emplace<Network::Delivery>(
+      when, key, &network_, dest, forged, msg);
+}
+
+NetworkStats* ShardWorld::window_stats() {
+  if (ExecContext* exec = tl_exec_) return &exec->stats;
+  return nullptr;
 }
 
 TimerHandle ShardWorld::arm_timer(NodeState& node, LocalTime when,
@@ -233,8 +249,8 @@ Logger& ShardWorld::node_log() {
 }
 
 Network& ShardWorld::network() {
-  SSBFT_EXPECTS(!"network() is a serial-engine surface; sharded runs have no "
-                 "single Network (taps/oracles/chaos run serial)");
+  SSBFT_EXPECTS(!"network() is a serial-engine surface; taps and delay "
+                 "oracles are not safe to call from shard workers");
   std::abort();
 }
 
@@ -270,7 +286,7 @@ void ShardWorld::account_window() {
   for (auto& exec : exec_) {
     const std::uint64_t e = exec->window_events;
     exec->window_events = 0;
-    world_stats_ += exec->stats;
+    network_.add_stats(exec->stats);
     exec->stats = NetworkStats{};
     sched_stats_.steals += exec->steals;
     sched_stats_.stolen_events += exec->stolen_events;
@@ -512,13 +528,11 @@ WorldMigration ShardWorld::export_migration() {
   m.now = global_now_;
   m.dispatched = dispatched();
   m.world_seq = world_seq_;
-  m.forged_seq = forged_seq_;
-  m.stats = net_stats();
+  m.forged_seq = network_.forged_seq();
+  m.stats = network_.stats();
   m.world_rng = rng_;
   for (const auto& shard : shards_) {
-    for (const EventQueue& q : shard->node_queues_) {
-      m.read_pending<Shard::Delivery>(q);
-    }
+    for (const EventQueue& q : shard->node_queues_) m.read_pending(q);
   }
   m.nodes = std::move(nodes_);
   m.timers = std::move(timers_);

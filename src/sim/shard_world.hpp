@@ -12,8 +12,11 @@
 // node-major: at plan time each shard lists its nodes with runnable window
 // work, and S workers claim whole nodes (own shard first, then the busiest
 // peer) via atomic cursors and run each node's window batch in key order.
-// Sends park in per-worker outboxes that each shard drains at the window
-// barrier.
+// The wire is the engine's one Network (sim/network.hpp), the same wire
+// layer the serial World routes through: inside a window it parks every
+// copy in the executing worker's outbox (each shard drains its own at the
+// window barrier) and bumps that worker's counters (folded in at plan
+// time); outside a window copies land straight in their node queues.
 //
 // Determinism is the headline constraint. Three shared mechanisms make a
 // windowed run bit-identical to the serial World on the same Scenario+seed:
@@ -43,8 +46,8 @@
 // a full state migration at every boundary (sim/duty_world.hpp; the
 // adoption constructor and export_migration below are the two directions)
 // — chaos means serial SEGMENTS, not a serial run. Wire taps and delay
-// oracles are serial-engine features; network()/queue() abort here by
-// contract.
+// oracles are serial-engine features (neither is safe to call from the
+// workers), so network()/queue() abort here by contract.
 #pragma once
 
 #include <atomic>
@@ -143,8 +146,8 @@ class ShardWorld final : public WorldBase, private NodeHost {
 
   /// Per-worker execution context for windows: the thread's private send
   /// outbox (merged at the barrier in worker order), wire counters (folded
-  /// into the world totals at plan time), steal counters, and the logger
-  /// every node it runs writes to (node_log).
+  /// into the Network's at plan time), steal counters, and the logger every
+  /// node it runs writes to (node_log).
   struct ExecContext {
     ExecContext(LogLevel level, std::uint32_t shard_count)
         : outbox(shard_count), logger(level) {}
@@ -173,6 +176,12 @@ class ShardWorld final : public WorldBase, private NodeHost {
   bool cancel_timer(TimerHandle handle) override;
   /// The executing worker's logger inside a window, the engine's outside.
   Logger& node_log() override;
+  /// Inside a window: the executing worker's outbox (a same-shard
+  /// destination may be running on another worker). Otherwise straight
+  /// into the destination's node queue.
+  void place_delivery(RealTime when, EventKey key, NodeId dest,
+                      const WireMessage& msg, bool forged) override;
+  NetworkStats* window_stats() override;
 
   /// Run `op` on the engine's one timer wheel. Inside a window with more
   /// than one shard, workers running different nodes race on it, so the op
@@ -221,17 +230,14 @@ class ShardWorld final : public WorldBase, private NodeHost {
   Logger logger_;
   Duration lookahead_{};
   std::vector<NodeState> nodes_;  // by NodeId; shard s owns its block
+  Network network_;               // the wire, over nodes_
   TimerWheel timers_;
   std::vector<TimerWheel::Due> due_batch_;  // advance() scratch, reused
   std::mutex timer_mutex_;  // wheel ops inside multi-shard windows
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::uint32_t> shard_index_;  // node id → owning shard
   std::uint64_t world_seq_ = 0;
-  std::uint64_t forged_seq_ = 0;  // forged-channel key seq (kForgedCreator)
-  // World-level counters: inject_raw forged accounting, plus — after an
-  // engine handoff — the serial prefix's wire and dispatch totals.
-  NetworkStats world_stats_;
-  std::uint64_t base_dispatched_ = 0;
+  std::uint64_t base_dispatched_ = 0;  // the serial prefix's, after a handoff
   RealTime global_now_{};
   bool started_ = false;
   bool exported_ = false;  // export_migration happened; the engine is dead

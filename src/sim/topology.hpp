@@ -1,9 +1,10 @@
 // Topology-aware dissemination for broadcast fan-out.
 //
-// Network::send_all / Shard::send_all historically fan a broadcast out as n
-// independent unicasts — O(n) work at the ORIGIN per broadcast, which is the
-// scaling wall for 10k-node worlds (every broadcaster pays n sends, and the
-// origin's in-flight burst peaks at n copies). The topology axis keeps the
+// Network::send_all (the one wire layer both engines route through)
+// historically fans a broadcast out as n independent unicasts — O(n) work
+// at the ORIGIN per broadcast, which is the scaling wall for 10k-node
+// worlds (every broadcaster pays n sends, and the origin's in-flight burst
+// peaks at n copies). The topology axis keeps the
 // destination set identical (every node still receives exactly one copy)
 // while moving the fan-out work onto an overlay:
 //

@@ -53,13 +53,10 @@ World::World(WorldConfig config)
     : WorldBase(config),
       rng_(config_.seed),
       logger_(config_.log_level),
-      nodes_(derive_node_states(config_, *this)) {
-  network_ = std::make_unique<Network>(
-      queue_, nodes_, config_.link_delay, config_.proc_delay, config_.chaos,
-      config_.seed,
-      [this](NodeId dest, const WireMessage& msg) { deliver(dest, msg); },
-      config_.auth);
-  network_->set_topology(config_.topology.resolved(config_.n));
+      nodes_(derive_node_states(config_, *this)),
+      network_(*this, nodes_, config_.link_delay, config_.proc_delay,
+               config_.chaos, config_.seed, config_.auth) {
+  network_.set_topology(config_.topology.resolved(config_.n));
 }
 
 World::World(WorldConfig config, WorldMigration&& migration)
@@ -67,7 +64,7 @@ World::World(WorldConfig config, WorldMigration&& migration)
   SSBFT_EXPECTS(migration.nodes.size() == nodes_.size());
   // Counter/clock positions first: the queue must be pristine.
   queue_.adopt(migration.now, migration.world_seq, migration.dispatched);
-  network_->adopt_world_counters(migration.forged_seq, migration.stats);
+  network_.adopt_world_counters(migration.forged_seq, migration.stats);
   rng_ = migration.world_rng;
   // Node records and the wheel move in whole; the Network reads its
   // per-sender streams from nodes_, so they continue too. Each context
@@ -76,7 +73,7 @@ World::World(WorldConfig config, WorldMigration&& migration)
   timers_ = std::move(migration.timers);
   for (NodeState& node : nodes_) node.rehost(*this);
   for (const Network::PendingDelivery& pending : migration.deliveries) {
-    network_->adopt_delivery(pending);
+    network_.adopt_delivery(pending);
   }
   for (WorldMigration::PendingAction& a : migration.actions) {
     queue_.schedule(a.when, a.key, WorldAction{a.target, std::move(a.action)});
@@ -179,10 +176,10 @@ WorldMigration World::export_migration() {
   m.now = queue_.now();
   m.dispatched = dispatched();
   m.world_seq = queue_.global_seq();
-  m.forged_seq = network_->forged_seq();
-  m.stats = network_->stats();
+  m.forged_seq = network_.forged_seq();
+  m.stats = network_.stats();
   m.world_rng = rng_;
-  m.read_pending<Network::Delivery>(queue_);
+  m.read_pending(queue_);
   m.nodes = std::move(nodes_);
   m.timers = std::move(timers_);
   m.timers.recall_handed_over();  // their fire events die with queue_
@@ -231,17 +228,12 @@ void World::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
   network().inject_raw(dest, msg, delay);
 }
 
-void World::deliver(NodeId dest, const WireMessage& msg) {
-  NodeState& node = nodes_[dest];
-  if (node.behavior) node.behavior->on_message(node, msg);
-}
-
 void World::send(NodeId from, NodeId dest, WireMessage msg) {
-  network_->send(from, dest, std::move(msg));
+  network_.send(from, dest, std::move(msg));
 }
 
 void World::send_all(NodeId from, const WireMessage& msg) {
-  network_->send_all(from, msg);
+  network_.send_all(from, msg);
 }
 
 TimerHandle World::arm_timer(NodeState& node, LocalTime when,

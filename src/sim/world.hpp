@@ -5,8 +5,9 @@
 // interface. Tests and the harness use the World's omniscient accessors to
 // check the paper's real-time bounds (skews, convergence times).
 //
-// Two engines implement the deployment surface (WorldBase):
-//   World       — the serial engine: one event queue, one Network.
+// Two engines implement the deployment surface (WorldBase), each over one
+// Network (sim/network.hpp) — the one wire layer both route through:
+//   World       — the serial engine: one event queue.
 //   ShardWorld  — windowed (sim/shard_world.hpp): nodes are partitioned
 //                 across shards that advance in lock-step lookahead
 //                 windows, each node's window work dispatched as a batch.
@@ -232,11 +233,10 @@ struct WorldMigration {
 
   /// Append the Delivery events and WorldActions pending in `queue` —
   /// the in-flight set both engines export.
-  template <class Delivery>
   void read_pending(const EventQueue& queue) {
-    queue.for_each_pending<Delivery>(
-        [&](RealTime when, EventKey key, const Delivery& d) {
-          deliveries.push_back({when, key, d.dest, d.msg, d.forged});
+    queue.for_each_pending<Network::Delivery>(
+        [&](RealTime when, EventKey key, const Network::Delivery& d) {
+          deliveries.push_back({when, key, d.dest, d.forged, d.msg});
         });
     queue.for_each_pending<WorldAction>(
         [&](RealTime when, EventKey key, const WorldAction& a) {
@@ -249,8 +249,9 @@ struct WorldMigration {
 /// the protocol-facing observation paths need, implemented by both engines.
 /// `network()` and `queue()` expose the serial engine's internals for tests
 /// and tools that drive them directly (taps, delay oracles, hand-scheduled
-/// events); the sharded engine has no single queue or network and aborts —
-/// callers using them are serial-only by construction.
+/// events); the sharded engine aborts — it has no single queue, and taps
+/// and oracles are not safe to call from its workers — so callers using
+/// them are serial-only by construction.
 class WorldBase {
  public:
   explicit WorldBase(const WorldConfig& config);
@@ -361,7 +362,7 @@ class World final : public WorldBase, private NodeHost {
   /// dead world would be missing from the snapshot.
   [[nodiscard]] Network& network() override {
     SSBFT_EXPECTS(!exported_);
-    return *network_;
+    return network_;
   }
   [[nodiscard]] EventQueue& queue() override {
     SSBFT_EXPECTS(!exported_);
@@ -381,7 +382,7 @@ class World final : public WorldBase, private NodeHost {
                 std::function<void()> action) override;
   void inject_raw(NodeId dest, WireMessage msg, Duration delay) override;
   [[nodiscard]] NetworkStats net_stats() const override {
-    return network_->stats();
+    return network_.stats();
   }
   [[nodiscard]] std::uint64_t dispatched() const override {
     // Net of suppressed timer fires: a timer cancelled after hand-over
@@ -399,8 +400,12 @@ class World final : public WorldBase, private NodeHost {
                         std::uint64_t cookie) override;
   bool cancel_timer(TimerHandle handle) override;
   Logger& node_log() override { return logger_; }
-
-  void deliver(NodeId dest, const WireMessage& msg);
+  /// Every copy lands in the one queue, and every counter is the Network's.
+  void place_delivery(RealTime when, EventKey key, NodeId dest,
+                      const WireMessage& msg, bool forged) override {
+    queue_.emplace<Network::Delivery>(when, key, &network_, dest, forged, msg);
+  }
+  NetworkStats* window_stats() override { return nullptr; }
 
   /// The one dispatch loop behind run_until, run_before and
   /// run_to_quiescence: pump due wheel timers, then dispatch every event at
@@ -418,7 +423,7 @@ class World final : public WorldBase, private NodeHost {
   std::vector<TimerWheel::Due> due_batch_;  // advance() scratch, reused
   std::uint64_t suppressed_timers_ = 0;     // cancelled-after-hand-over pops
   std::vector<NodeState> nodes_;            // the Network draws from these
-  std::unique_ptr<Network> network_;
+  Network network_;
   bool started_ = false;
   bool exported_ = false;  // export_migration happened; the world is dead
 };

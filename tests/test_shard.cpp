@@ -405,8 +405,7 @@ TEST(ShardEngineTest, SingleShardDirectConstructionMatchesSerial) {
 
   EXPECT_EQ(sharded.now(), serial.now());
   EXPECT_EQ(sharded.dispatched(), serial.dispatched());
-  EXPECT_EQ(sharded.net_stats().sent, serial.net_stats().sent);
-  EXPECT_EQ(sharded.net_stats().delivered, serial.net_stats().delivered);
+  EXPECT_EQ(sharded.net_stats(), serial.net_stats());
   for (NodeId id = 0; id < wc.n; ++id) {
     EXPECT_EQ(sharded.local_now(id), serial.local_now(id)) << "node " << id;
   }
@@ -467,8 +466,7 @@ TEST(WorkStealingTest, SkewedLoadStealsAndKeepsParity) {
 
   EXPECT_EQ(sharded.now(), serial.now());
   EXPECT_EQ(sharded.dispatched(), serial.dispatched());
-  EXPECT_EQ(sharded.net_stats().sent, serial.net_stats().sent);
-  EXPECT_EQ(sharded.net_stats().delivered, serial.net_stats().delivered);
+  EXPECT_EQ(sharded.net_stats(), serial.net_stats());
   for (NodeId id = 0; id < wc.n; ++id) {
     EXPECT_EQ(sharded.local_now(id), serial.local_now(id)) << "node " << id;
   }
@@ -520,8 +518,7 @@ TEST(WorkStealingTest, StealingDoesNotMaskOwnerImbalance) {
   // Attribution changes accounting only — the physics stay bit-identical.
   EXPECT_EQ(sharded.now(), serial.now());
   EXPECT_EQ(sharded.dispatched(), serial.dispatched());
-  EXPECT_EQ(sharded.net_stats().sent, serial.net_stats().sent);
-  EXPECT_EQ(sharded.net_stats().delivered, serial.net_stats().delivered);
+  EXPECT_EQ(sharded.net_stats(), serial.net_stats());
   for (NodeId id = 0; id < wc.n; ++id) {
     EXPECT_EQ(sharded.local_now(id), serial.local_now(id)) << "node " << id;
   }

@@ -321,13 +321,21 @@ TEST(TimerWheelEquivalence, EveryStackEveryShardCountMatchesHeapPath) {
     // dispatched() is net of suppressed no-op pops, so even the event
     // count is backend-invariant.
     EXPECT_EQ(wheel_serial.events, heap.events) << stack << " serial";
-    for (std::uint32_t shards : {1u, 2u, 4u}) {
-      const SweepRun sharded = SweepRunner::run_cell(
-          wheel_scenario(StackKind(k), shards, /*timer_wheel=*/true), 21);
-      EXPECT_EQ(sharded.digest, heap.digest) << stack << " shards " << shards;
-      EXPECT_EQ(sharded.messages, heap.messages)
-          << stack << " shards " << shards;
-      EXPECT_EQ(sharded.events, heap.events) << stack << " shards " << shards;
+    // The windowed engine on both backends: timer_wheel = false takes
+    // ShardWorld::arm_timer's all-external branch, every fire parked in
+    // its node queue at arm time.
+    for (const bool timer_wheel : {true, false}) {
+      for (std::uint32_t shards : {1u, 2u, 4u}) {
+        const SweepRun sharded = SweepRunner::run_cell(
+            wheel_scenario(StackKind(k), shards, timer_wheel), 21);
+        const char* backend = timer_wheel ? " wheel" : " heap";
+        EXPECT_EQ(sharded.digest, heap.digest)
+            << stack << " shards " << shards << backend;
+        EXPECT_EQ(sharded.messages, heap.messages)
+            << stack << " shards " << shards << backend;
+        EXPECT_EQ(sharded.events, heap.events)
+            << stack << " shards " << shards << backend;
+      }
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/metrics.hpp"
@@ -265,6 +266,38 @@ TEST(TopologyDeterminism, SameSeedSameDigestAndEngineParity) {
       EXPECT_EQ(run.events, serial.events)
           << to_string(topology) << " shards " << shards;
       EXPECT_EQ(run.messages, serial.messages)
+          << to_string(topology) << " shards " << shards;
+    }
+  }
+
+  // Whole wire-counter parity: HMAC tags, pooled bodies (above the inline
+  // capacity) and forged plants from a transient scramble, so every
+  // counter — overlay hops and fan-out, per-kind sends, payload bytes,
+  // auth rejections — is exercised on both engines and must agree field
+  // by field, not just in the digest's subset.
+  for (const Topology topology : {Topology::kFederated, Topology::kGossip}) {
+    Scenario base = overlay_scenario(topology);
+    base.auth = AuthKind::kHmac;
+    base.payload_bytes = 300;
+    base.transient_scramble = true;
+    const auto run = [](const Scenario& sc) {
+      Cluster cluster(sc);
+      cluster.run();
+      return std::pair{run_digest(cluster.probe(), cluster.world().net_stats()),
+                       cluster.world().net_stats()};
+    };
+    const auto [serial_digest, serial_stats] = run(base);
+    EXPECT_GT(serial_stats.topology_hops, 0u) << to_string(topology);
+    EXPECT_GT(serial_stats.fanout_msgs, 0u) << to_string(topology);
+    EXPECT_GT(serial_stats.auth_rejected, 0u) << to_string(topology);
+    EXPECT_GT(serial_stats.payload_bytes, 0u) << to_string(topology);
+    for (const std::uint32_t shards : {2u, 4u}) {
+      Scenario sc = base;
+      sc.shards = shards;
+      const auto [digest, stats] = run(sc);
+      EXPECT_EQ(digest, serial_digest)
+          << to_string(topology) << " shards " << shards;
+      EXPECT_EQ(stats, serial_stats)
           << to_string(topology) << " shards " << shards;
     }
   }
