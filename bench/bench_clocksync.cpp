@@ -10,6 +10,9 @@
 //       correct clocks are back inside the precision envelope;
 //   (c) effective rate: logical-clock advance per unit real time (digital
 //       clock sync trades rate for bounded precision).
+// The exit status is 1 when an E11a row has no settled sample or a settled
+// skew above precision_bound(), or when an E11b row converges in fewer
+// than all of its trials.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -108,7 +111,8 @@ void BM_ClockPrecision(benchmark::State& state) {
 }
 BENCHMARK(BM_ClockPrecision)->Arg(4)->Arg(7)->Arg(13)->Unit(benchmark::kMillisecond);
 
-void print_tables() {
+bool print_tables() {
+  bool ok = true;
   std::printf(
       "\nE11a: clock-sync precision (f Byzantine noise nodes in rotation; "
       "400 samples)\n");
@@ -120,9 +124,19 @@ void print_tables() {
     auto row = measure_precision(n, f, f, 42);
     char rate[32];
     std::snprintf(rate, sizeof rate, "%.6f", row.rate);
-    char p50[32], mx[32], bd[32], tr[32];
-    std::snprintf(p50, sizeof p50, "%.1f", row.skew.quantile(0.5) * 1e-3);
-    std::snprintf(mx, sizeof mx, "%.1f", row.skew.max() * 1e-3);
+    const bool settled = !row.skew.empty();
+    const bool within = settled && row.skew.max() <= double(row.bound.ns());
+    if (!within) {
+      std::fprintf(stderr, "E11a FAIL: n=%u: %s\n", n,
+                   settled ? "settled skew above precision_bound()"
+                           : "no settled sample");
+      ok = false;
+    }
+    char p50[32] = "-", mx[32] = "-", bd[32], tr[32];
+    if (settled) {
+      std::snprintf(p50, sizeof p50, "%.1f", row.skew.quantile(0.5) * 1e-3);
+      std::snprintf(mx, sizeof mx, "%.1f", row.skew.max() * 1e-3);
+    }
     std::snprintf(bd, sizeof bd, "%.1f", double(row.bound.ns()) * 1e-3);
     std::snprintf(tr, sizeof tr, "%.1f",
                   row.transition_skew.empty()
@@ -130,7 +144,7 @@ void print_tables() {
                       : row.transition_skew.max() * 1e-3);
     precision.add_row({std::to_string(n), std::to_string(f),
                        Table::fmt_ms(double(row.cycle.ns())), p50, mx, bd,
-                       row.skew.max() <= double(row.bound.ns()) ? "yes" : "NO",
+                       within ? "yes" : "NO",
                        tr, rate});
   }
   precision.print();
@@ -144,10 +158,16 @@ void print_tables() {
     const std::uint32_t f = (n - 1) / 3;
     SampleSet times;
     Duration cycle{};
-    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    constexpr std::uint64_t kTrials = 10;
+    for (std::uint64_t seed = 1; seed <= kTrials; ++seed) {
       const auto r = measure_convergence(n, f, seed);
       cycle = r.cycle;
       if (r.time != Duration::max()) times.add(r.time);
+    }
+    if (times.size() < kTrials) {
+      std::fprintf(stderr, "E11b FAIL: n=%u: %zu of %llu trials converged\n",
+                   n, times.size(), static_cast<unsigned long long>(kTrials));
+      ok = false;
     }
     char cyc[32];
     std::snprintf(cyc, sizeof cyc, "%.2f",
@@ -159,6 +179,7 @@ void print_tables() {
                   times.empty() ? "-" : Table::fmt_ms(times.max()), cyc});
   }
   conv.print();
+  return ok;
 }
 
 }  // namespace
@@ -167,6 +188,7 @@ void print_tables() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  ssbft::print_tables();
-  return 0;
+  // Exit 1 when a row breaks its precision or convergence bound, so CI
+  // fails on it.
+  return ssbft::print_tables() ? 0 : 1;
 }

@@ -8,6 +8,8 @@
 //   - cycle-length stability
 //   - convergence of pulsing after a transient scramble
 //   - tolerance of Byzantine nodes occupying rotation slots
+// The exit status is 1 when a row has no complete pulse, or a complete
+// pulse whose skew exceeds 3d.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -43,11 +45,12 @@ PulseStats run_pulse(std::uint32_t n, std::uint32_t f, std::uint32_t byz,
                          cycle);
 }
 
-void print_table() {
+bool print_table() {
   const Params params = Scenario{}.make_params();
+  const Duration bound = 3 * params.d();
   std::printf("\nE9 (extension): pulse synchronization atop ss-Byz-Agree "
               "(pulse = decision instant; skew bound = 3d = %.3fms)\n",
-              (3 * params.d()).millis());
+              bound.millis());
   Table table({"n", "f'", "scramble", "complete", "partial",
                "skew p50 (ms)", "skew max (ms)", "cycle err p50 (ms)",
                "first pulse (ms)"});
@@ -55,6 +58,7 @@ void print_table() {
     std::uint32_t n, f, byz;
     bool scramble;
   };
+  bool ok = true;
   for (const Case& c :
        {Case{4, 1, 0, false}, Case{7, 2, 0, false}, Case{7, 2, 2, false},
         Case{7, 2, 2, true}, Case{10, 3, 3, true}}) {
@@ -72,6 +76,13 @@ void print_table() {
         agg.converged = true;
       }
     }
+    const bool none = agg.complete_pulses == 0 || agg.skew.empty();
+    if (none || agg.skew.max() > double(bound.ns())) {
+      std::fprintf(stderr, "E9 FAIL: n=%u f'=%u scramble=%s: %s\n", c.n,
+                   c.byz, c.scramble ? "yes" : "no",
+                   none ? "no complete pulse" : "pulse skew above 3d");
+      ok = false;
+    }
     table.add_row({std::to_string(c.n), std::to_string(c.byz),
                    c.scramble ? "yes" : "no",
                    Table::fmt_int(agg.complete_pulses),
@@ -88,6 +99,7 @@ void print_table() {
   table.print();
   std::printf("(Skew must stay ≤ 3d for every complete pulse; partial pulses "
               "only occur during convergence windows.)\n");
+  return ok;
 }
 
 void BM_Pulse(benchmark::State& state) {
@@ -104,6 +116,6 @@ BENCHMARK(BM_Pulse)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  ssbft::print_table();
-  return 0;
+  // Exit 1 when a row breaks the pulse bound, so CI fails on it.
+  return ssbft::print_table() ? 0 : 1;
 }

@@ -19,6 +19,10 @@
 //     the node queues back into one snapshot the serial World adopts —
 //     the reverse path, which is what lets the cycle repeat any number of
 //     times.
+// Both engines derive from one EngineCore (sim/world.hpp), which writes
+// the engine-independent half of each direction once (export_core,
+// adopt_core); an engine adds only its clock and world channel, its queue
+// read-out and where a pending workload action re-lands.
 // Both directions MOVE the engine's one TimerWheel and its NodeState
 // vector (each node's one NodeContext: clock, behavior, every RNG stream
 // and key channel) whole, so each timer keeps its (index, generation)

@@ -1,12 +1,30 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <ostream>
 #include <utility>
 
 #include "harness/trace.hpp"
 #include "util/assert.hpp"
 
 namespace ssbft {
+
+std::ostream& operator<<(std::ostream& os, const NetworkStats& stats) {
+  os << "{sent=" << stats.sent << " delivered=" << stats.delivered
+     << " dropped=" << stats.dropped << " duplicated=" << stats.duplicated
+     << " corrupted=" << stats.corrupted << " forged=" << stats.forged
+     << " auth_rejected=" << stats.auth_rejected
+     << " payload_bytes=" << stats.payload_bytes
+     << " topology_hops=" << stats.topology_hops
+     << " fanout_msgs=" << stats.fanout_msgs << " per_kind={";
+  const char* sep = "";
+  for (std::size_t k = 0; k < stats.per_kind.size(); ++k) {
+    if (stats.per_kind[k] == 0) continue;
+    os << sep << to_string(MsgKind(k)) << '=' << stats.per_kind[k];
+    sep = " ";
+  }
+  return os << "}}";
+}
 
 Network::Network(NodeHost& host, std::vector<NodeState>& nodes,
                  DelayModel link_delay, DelayModel proc_delay,

@@ -15,9 +15,10 @@
 // one copy of a pooled body — copying a WireMessage bumps a refcount, it
 // never copies payload bytes. See docs/wire-format.md.
 //
-// One wire layer for every engine: the serial World and the windowed
-// ShardWorld each own one Network and route every send, relay, verify and
-// delivery through it. Only two things differ between them, and both are
+// One wire layer for every engine: the engine core both the serial World
+// and the windowed ShardWorld derive from (EngineCore, sim/world.hpp) owns
+// one Network and routes every send, relay, verify and delivery through
+// it. Only two things differ between the engines, and both are
 // NodeHost hooks (sim/node.hpp): where a keyed copy lands (place_delivery —
 // the serial queue, a node queue, or inside a window the executing worker's
 // outbox) and which counters the calling thread bumps (window_stats). Taps,
@@ -37,6 +38,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <vector>
 
@@ -119,6 +121,10 @@ struct NetworkStats {
 
   bool operator==(const NetworkStats&) const = default;
 };
+
+/// Every counter by name, and the non-zero per_kind entries by kind — so a
+/// failing whole-struct comparison names the diverging counter.
+std::ostream& operator<<(std::ostream& os, const NetworkStats& stats);
 
 class Network {
  public:

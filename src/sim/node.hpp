@@ -85,8 +85,9 @@ struct NetworkStats;  // sim/network.hpp
 
 /// What a node's context, and the engine's one Network, need from the
 /// engine running the node: now, routing, keyed timer records, the log
-/// sink, and the two wire hooks on which the engines differ. World and
-/// ShardWorld implement it; behaviors never see it.
+/// sink, and the two wire hooks on which the engines differ. EngineCore
+/// implements the shared part, World and ShardWorld the rest; behaviors
+/// never see it.
 class NodeHost {
  public:
   [[nodiscard]] virtual RealTime now() const = 0;

@@ -27,123 +27,42 @@ std::uint32_t ShardWorld::effective_shards(const WorldConfig& config) {
   return shards;
 }
 
-ShardWorld::ShardWorld(WorldConfig config)
-    : WorldBase(config),
-      rng_(config_.seed),
-      logger_(config_.log_level),
-      nodes_(derive_node_states(config_, *this)),
-      network_(*this, nodes_, config_.link_delay, config_.proc_delay,
-               config_.chaos, config_.seed, config_.auth) {
-  network_.set_topology(config_.topology.resolved(config_.n));
+ShardWorld::ShardWorld(WorldConfig config) : EngineCore(config) {
   lookahead_ = config_.lookahead();
   const std::uint32_t shards = effective_shards(config_);
   SSBFT_EXPECTS(shards == 1 || lookahead_ > Duration::zero());
   // Contiguous equal blocks [floor(s·n/S), floor((s+1)·n/S)), fixed for the
   // engine's lifetime.
-  shards_.reserve(shards);
+  exec_.reserve(shards);
   shard_index_.assign(config_.n, 0);
   for (std::uint32_t s = 0; s < shards; ++s) {
     const NodeId first = NodeId(std::size_t(s) * config_.n / shards);
     const NodeId end = NodeId(std::size_t(s + 1) * config_.n / shards);
     SSBFT_EXPECTS(first < end);
     for (NodeId id = first; id < end; ++id) shard_index_[id] = s;
-    shards_.push_back(std::make_unique<Shard>(*this, s, first, end));
-  }
-  exec_.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    exec_.push_back(std::make_unique<ExecContext>(config_.log_level, shards));
+    exec_.push_back(
+        std::make_unique<ExecContext>(config_.log_level, shards, first, end));
   }
   steal_cursor_ = std::vector<std::atomic<std::uint32_t>>(shards);
-  last_shard_dispatched_.assign(shards, 0);
 }
 
 ShardWorld::ShardWorld(WorldConfig config, WorldMigration&& migration)
     : ShardWorld(std::move(config)) {
-  SSBFT_EXPECTS(migration.nodes.size() == config_.n);
-  // Counters and stream positions continue where the serial prefix stopped:
-  // the suffix must mint the exact keys and draws an uninterrupted serial
-  // run would have.
   global_now_ = migration.now;
-  started_ = true;
   world_seq_ = migration.world_seq;
-  network_.adopt_world_counters(migration.forged_seq, migration.stats);
   base_dispatched_ = migration.dispatched;
-  rng_ = migration.world_rng;
-  nodes_ = std::move(migration.nodes);
-  timers_ = std::move(migration.timers);
-  for (NodeState& node : nodes_) node.rehost(*this);
-  // In-flight deliveries and pending workload actions park straight in
-  // their owner's queue with their original keys. A chaos delivery may land
-  // well inside the first windows — that is fine: the conservative-window
-  // argument constrains only traffic GENERATED during a window, and the
-  // post-cut network is non-faulty (every new send respects λ).
-  for (const Network::PendingDelivery& pending : migration.deliveries) {
-    network_.adopt_delivery(pending);
-  }
+  adopt_core(migration);
   for (WorldMigration::PendingAction& a : migration.actions) {
-    shard_of(a.target).schedule_action(a.when, a.key, a.target,
-                                       std::move(a.action));
+    place_action(a.when, a.key, a.target, std::move(a.action));
   }
 }
 
 ShardWorld::~ShardWorld() = default;
 
-void ShardWorld::set_behavior(NodeId id,
-                              std::unique_ptr<NodeBehavior> behavior) {
-  SSBFT_EXPECTS(id < config_.n);
-  NodeState& node = nodes_[id];
-  node.behavior = std::move(behavior);
-  node.started = false;
-  if (started_ && node.behavior) {
-    node.behavior->on_start(node);
-    node.started = true;
-  }
-}
-
-NodeBehavior* ShardWorld::behavior(NodeId id) {
-  SSBFT_EXPECTS(id < config_.n);
-  return nodes_[id].behavior.get();
-}
-
-void ShardWorld::start() {
-  started_ = true;
-  const trace::Scope traced(config_.tracer, &global_now_);
-  // Same node order as the serial World::start — on_start handlers may send
-  // immediately, and those sends must mint the same keys and stream draws.
-  for (NodeId id = 0; id < config_.n; ++id) {
-    NodeState& node = nodes_[id];
-    if (node.behavior && !node.started) {
-      node.behavior->on_start(node);
-      node.started = true;
-    }
-  }
-}
-
 RealTime ShardWorld::now() const {
   // Inside a window "now" is the claimed node queue's clock.
   if (const EventQueue* q = tl_current_queue_) return q->now();
   return global_now_;
-}
-
-LocalTime ShardWorld::local_now(NodeId id) const {
-  SSBFT_EXPECTS(id < config_.n);
-  return nodes_[id].clock.local_at(now());
-}
-
-RealTime ShardWorld::real_at(NodeId id, LocalTime tau) const {
-  SSBFT_EXPECTS(id < config_.n);
-  return nodes_[id].clock.real_at(tau);
-}
-
-DriftingClock& ShardWorld::clock(NodeId id) {
-  SSBFT_EXPECTS(id < config_.n);
-  return nodes_[id].clock;
-}
-
-void ShardWorld::scramble_node(NodeId id) {
-  SSBFT_EXPECTS(id < config_.n);
-  NodeState& node = nodes_[id];
-  if (node.behavior) node.behavior->scramble(node, node.behavior_rng);
 }
 
 void ShardWorld::schedule(RealTime when, NodeId target,
@@ -153,29 +72,35 @@ void ShardWorld::schedule(RealTime when, NodeId target,
   SSBFT_EXPECTS(!exported_);
   // World-level key: matches the serial queue's key-less counter
   // call-for-call.
-  shard_of(target).schedule_action(
-      when, EventKey{kGlobalCreator, world_seq_++}, target, std::move(action));
+  place_action(when, EventKey{kGlobalCreator, world_seq_++}, target,
+               std::move(action));
 }
 
-void ShardWorld::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
-  SSBFT_EXPECTS(dest < config_.n);
-  SSBFT_EXPECTS(tl_exec_ == nullptr);  // serial phases only
-  SSBFT_EXPECTS(!exported_);
-  network_.inject_raw(dest, std::move(msg), delay);
+void ShardWorld::place_action(RealTime when, EventKey key, NodeId target,
+                              std::function<void()> action) {
+  node_queue(target).schedule(when, key,
+                              WorldAction{target, std::move(action)});
 }
 
-NetworkStats ShardWorld::net_stats() const { return network_.stats(); }
+void ShardWorld::place_timer(const TimerWheel::Due& due) {
+  node_queue(NodeId(due.key.creator))
+      .schedule(due.when, due.key, [this, handle = due.handle] {
+        fire_timer(handle, [this](auto&& op) { return on_wheel(op); });
+      });
+}
 
 std::uint64_t ShardWorld::dispatched() const {
   std::uint64_t total = base_dispatched_;
-  for (const auto& shard : shards_) total += shard->dispatched();
-  return total;
+  for (const auto& shard : exec_) {
+    for (const EventQueue& q : shard->queues) total += q.dispatched();
+  }
+  return total - suppressed_timers_;
 }
 
 QueueGauges ShardWorld::queue_gauges() const {
   QueueGauges gauges;
-  for (const auto& shard : shards_) {
-    for (const EventQueue& q : shard->node_queues_) gauges.add(q);
+  for (const auto& shard : exec_) {
+    for (const EventQueue& q : shard->queues) gauges.add(q);
   }
   return gauges;
 }
@@ -185,17 +110,8 @@ void ShardWorld::collect_stats(StatsRegistry& reg) const {
   add_sched_stats(reg, sched_stats_);
 }
 
-void ShardWorld::send(NodeId from, NodeId dest, WireMessage msg) {
-  network_.send(from, dest, std::move(msg));
-}
-
-void ShardWorld::send_all(NodeId from, const WireMessage& msg) {
-  network_.send_all(from, msg);
-}
-
 void ShardWorld::place_delivery(RealTime when, EventKey key, NodeId dest,
                                 const WireMessage& msg, bool forged) {
-  const std::uint32_t shard = shard_index_[dest];
   if (ExecContext* exec = tl_exec_) {
     // Inside a window even a same-shard destination may be executing on
     // another worker right now, so EVERY copy parks in the worker's private
@@ -203,13 +119,14 @@ void ShardWorld::place_delivery(RealTime when, EventKey key, NodeId dest,
     // makes this safe — the delivery cannot precede the next window — and
     // the queue's key order makes the detour unobservable.
     SSBFT_ASSERT(when - now() >= lookahead_);
-    exec->outbox[shard].push(when, key, dest, msg, forged);
+    exec->outbox[shard_index_[dest]].emplace_back(when, key, dest, forged,
+                                                  msg);
     return;
   }
   // Serial phase (on_start, scramble, plants, adoption): no concurrency,
   // build the event straight in the destination's node queue.
-  shards_[shard]->node_queue(dest).emplace<Network::Delivery>(
-      when, key, &network_, dest, forged, msg);
+  node_queue(dest).emplace<Network::Delivery>(when, key, &network_, dest,
+                                              forged, msg);
 }
 
 NetworkStats* ShardWorld::window_stats() {
@@ -224,10 +141,8 @@ TimerHandle ShardWorld::arm_timer(NodeState& node, LocalTime when,
   // the current window cannot wait for the next pump — park it straight in
   // the executing node's queue (timers are always self-node, and this
   // worker owns that queue for the whole window).
-  const bool in_window =
-      tl_exec_ != nullptr &&
-      (window_inclusive_ ? fire <= window_end_ : fire < window_end_);
-  if (!in_window && config_.timer_wheel) {
+  const bool this_window = tl_exec_ != nullptr && within_window(fire);
+  if (!this_window && config_.timer_wheel) {
     return on_wheel([&](TimerWheel& timers) {
       return timers.schedule(fire, key, node.id(), cookie);
     });
@@ -235,7 +150,7 @@ TimerHandle ShardWorld::arm_timer(NodeState& node, LocalTime when,
   const TimerHandle handle = on_wheel([&](TimerWheel& timers) {
     return timers.arm_external(fire, key, node.id(), cookie);
   });
-  shard_of(node.id()).schedule_timer({fire, key, handle});
+  place_timer({fire, key, handle});
   return handle;
 }
 
@@ -262,16 +177,17 @@ EventQueue& ShardWorld::queue() {
 
 void ShardWorld::account_window() {
   // Owner-attributed view: a node's queue stays resident on its owning
-  // shard even when a thief worker runs it, so each shard's dispatched()
+  // shard even when a thief worker runs it, so each shard's queue-pop
   // delta counts the work its OWN nodes consumed this window regardless of
   // which worker executed it — the skew of the node blocks themselves.
   std::uint64_t owner_max = 0;
   std::uint64_t owner_min = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t owner_total = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::uint64_t d = shards_[s]->dispatched();
-    const std::uint64_t e = d - last_shard_dispatched_[s];
-    last_shard_dispatched_[s] = d;
+  for (auto& shard : exec_) {
+    std::uint64_t d = 0;
+    for (const EventQueue& q : shard->queues) d += q.dispatched();
+    const std::uint64_t e = d - shard->owner_dispatched;
+    shard->owner_dispatched = d;
     owner_max = std::max(owner_max, e);
     owner_min = std::min(owner_min, e);
     owner_total += e;
@@ -355,8 +271,10 @@ void ShardWorld::plan_next_window() {
   // fast-forwarded past (the bound is conservative — a stale-low wheel
   // lower bound only costs an extra empty window, never correctness).
   RealTime earliest = timers_.next_due();
-  for (const auto& shard : shards_) {
-    earliest = std::min(earliest, shard->next_pending_time());
+  for (const auto& shard : exec_) {
+    for (const EventQueue& q : shard->queues) {
+      if (!q.empty()) earliest = std::min(earliest, q.next_time());
+    }
   }
   if (quiescence_ && earliest > target_) {
     stop_ = true;  // nothing left at or before the deadline
@@ -387,8 +305,14 @@ void ShardWorld::plan_next_window() {
   // A timer landing AT an exclusive window edge enters its queue now and
   // waits there.
   pump_timers(window_end_);
-  for (auto& shard : shards_) {
-    shard->build_steal_items(window_end_, window_inclusive_);
+  for (auto& shard : exec_) {
+    shard->steal_items.clear();
+    for (NodeId id = shard->first; id < shard->end; ++id) {
+      const EventQueue& q = shard->queues[id - shard->first];
+      if (!q.empty() && within_window(q.next_time())) {
+        shard->steal_items.push_back(id);
+      }
+    }
   }
   for (auto& cursor : steal_cursor_) {
     cursor.store(0, std::memory_order_relaxed);
@@ -397,15 +321,13 @@ void ShardWorld::plan_next_window() {
 
 void ShardWorld::pump_timers(RealTime bound) {
   timers_.advance(bound, due_batch_);
-  for (const TimerWheel::Due& due : due_batch_) {
-    shard_of(NodeId(due.key.creator)).schedule_timer(due);
-  }
+  for (const TimerWheel::Due& due : due_batch_) place_timer(due);
 }
 
 void ShardWorld::run_steal_window(std::uint32_t worker) {
   ExecContext* exec = exec_[worker].get();
   tl_exec_ = exec;
-  const std::uint32_t shards = std::uint32_t(shards_.size());
+  const std::uint32_t shards = std::uint32_t(exec_.size());
   std::uint64_t events = 0;
   while (true) {
     // Own shard's items first (cache-warm, usually uncontended); once they
@@ -413,12 +335,12 @@ void ShardWorld::run_steal_window(std::uint32_t worker) {
     // race is benign: an overshot fetch_add just retries the scan.
     std::uint32_t victim = shards;
     if (steal_cursor_[worker].load(std::memory_order_relaxed) <
-        shards_[worker]->steal_items().size()) {
+        exec->steal_items.size()) {
       victim = worker;
     } else {
       std::size_t best_left = 0;
       for (std::uint32_t s = 0; s < shards; ++s) {
-        const std::size_t size = shards_[s]->steal_items().size();
+        const std::size_t size = exec_[s]->steal_items.size();
         const std::uint32_t cur =
             steal_cursor_[s].load(std::memory_order_relaxed);
         const std::size_t left = cur < size ? size - cur : 0;
@@ -429,17 +351,25 @@ void ShardWorld::run_steal_window(std::uint32_t worker) {
       }
       if (victim == shards) break;  // every item everywhere is claimed
     }
-    Shard* owner = shards_[victim].get();
+    const ExecContext& owner = *exec_[victim];
     const std::uint32_t idx =
         steal_cursor_[victim].fetch_add(1, std::memory_order_relaxed);
-    if (idx >= owner->steal_items().size()) continue;
-    const NodeId node = owner->steal_items()[idx];
+    if (idx >= owner.steal_items.size()) continue;
+    const NodeId node = owner.steal_items[idx];
     // Claiming a node claims its whole window batch: the node queue, its
     // in-window self-timers, everything — per-node key order preserved.
-    tl_current_queue_ = &owner->node_queue(node);
-    const std::uint64_t ran =
-        owner->run_node_window(node, window_end_, window_inclusive_);
+    EventQueue& queue = node_queue(node);
+    const std::uint64_t before = queue.dispatched();
+    tl_current_queue_ = &queue;
+    {
+      const trace::Scope traced(config_.tracer, queue.now_ptr());
+      while (!queue.empty() && within_window(queue.next_time())) {
+        queue.run_one();
+        exec->logger.set_now(queue.now());
+      }
+    }
     tl_current_queue_ = nullptr;
+    const std::uint64_t ran = queue.dispatched() - before;
     events += ran;
     if (victim != worker) {
       ++exec->steals;
@@ -470,12 +400,12 @@ void ShardWorld::run_windows(RealTime target, bool quiescence) {
   if (!stop_) {
     // Per window: process → barrier (every outbox final) → drain own
     // inboxes → barrier, whose completion plans the next window.
-    SpinBarrier barrier(std::uint32_t(shards_.size()));
+    SpinBarrier barrier(std::uint32_t(exec_.size()));
     const auto worker = [&](std::uint32_t w) {
       while (true) {
         run_steal_window(w);
         barrier.arrive_and_wait();
-        shards_[w]->drain_inboxes();
+        drain_inboxes(w);
         barrier.arrive_and_wait([this] { plan_next_window(); });
         if (stop_) return;
       }
@@ -483,8 +413,8 @@ void ShardWorld::run_windows(RealTime target, bool quiescence) {
     // Workers are spawned per run_* call; the caller's thread drives worker
     // 0, so a one-shard world runs the same loop inline with no threads.
     std::vector<std::thread> pool;
-    pool.reserve(shards_.size() - 1);
-    for (std::uint32_t s = 1; s < std::uint32_t(shards_.size()); ++s) {
+    pool.reserve(exec_.size() - 1);
+    for (std::uint32_t s = 1; s < std::uint32_t(exec_.size()); ++s) {
       pool.emplace_back(worker, s);
     }
     worker(0);
@@ -497,15 +427,17 @@ void ShardWorld::run_windows(RealTime target, bool quiescence) {
 
   if (!quiescence && !cut_) {
     // Serial run_until semantics: every clock reads `target` afterwards.
-    for (auto& shard : shards_) shard->advance_queues(target);
+    for (auto& shard : exec_) {
+      for (EventQueue& q : shard->queues) q.run_until(target);
+    }
     global_now_ = target;
   } else {
     // Quiescence and cut mode rest at the last dispatch: a migration cut
     // must not advance any clock to the cut instant (the adopting engine
     // owns it), and the exported `now` is then ≤ every pending `when`.
     RealTime last = global_now_;
-    for (const auto& shard : shards_) {
-      last = std::max(last, shard->last_queue_now());
+    for (const auto& shard : exec_) {
+      for (const EventQueue& q : shard->queues) last = std::max(last, q.now());
     }
     global_now_ = last;
   }
@@ -519,24 +451,24 @@ void ShardWorld::run_before(RealTime t) {
   cut_ = false;
 }
 
-WorldMigration ShardWorld::export_migration() {
-  // One-shot, mirroring World::export_migration: the run/schedule/
-  // inject_raw guards refuse further activity.
-  SSBFT_EXPECTS(!exported_);
-  exported_ = true;
-  WorldMigration m;
-  m.now = global_now_;
-  m.dispatched = dispatched();
-  m.world_seq = world_seq_;
-  m.forged_seq = network_.forged_seq();
-  m.stats = network_.stats();
-  m.world_rng = rng_;
-  for (const auto& shard : shards_) {
-    for (const EventQueue& q : shard->node_queues_) m.read_pending(q);
+void ShardWorld::drain_inboxes(std::uint32_t shard) {
+  // Key order makes the merge order unobservable; worker order keeps it
+  // deterministic anyway. Each parked message moves once more: straight
+  // into its Delivery slot.
+  for (auto& exec : exec_) {
+    for (Network::PendingDelivery& p : exec->outbox[shard]) {
+      node_queue(p.dest).emplace<Network::Delivery>(
+          p.when, p.key, &network_, p.dest, p.forged, std::move(p.msg));
+    }
+    exec->outbox[shard].clear();
   }
-  m.nodes = std::move(nodes_);
-  m.timers = std::move(timers_);
-  m.timers.recall_handed_over();  // their fire events die with the queues
+}
+
+WorldMigration ShardWorld::export_migration() {
+  WorldMigration m = export_core(world_seq_);
+  for (const auto& shard : exec_) {
+    for (const EventQueue& q : shard->queues) m.read_pending(q);
+  }
   return m;
 }
 

@@ -1,22 +1,22 @@
 // ShardWorld: the windowed simulation engine.
 //
-// Partitions one World's n nodes across S shards (contiguous equal blocks,
-// fixed for the engine's lifetime), each with one event queue PER NODE.
-// The node records (NodeState: clocks, behaviors, streams) sit in one
-// vector indexed by NodeId, and every timer in one engine-level TimerWheel
-// that plan time pumps into the node queues. All shards advance in
-// lock-step time windows of width λ = the network's minimum
-// link+processing delay (WorldConfig::lookahead). Within a window no node
-// can affect another node — every send lands at or after the window end,
-// only a node's own timers create same-window work — so dispatch is
-// node-major: at plan time each shard lists its nodes with runnable window
-// work, and S workers claim whole nodes (own shard first, then the busiest
-// peer) via atomic cursors and run each node's window batch in key order.
-// The wire is the engine's one Network (sim/network.hpp), the same wire
-// layer the serial World routes through: inside a window it parks every
-// copy in the executing worker's outbox (each shard drains its own at the
-// window barrier) and bumps that worker's counters (folded in at plan
-// time); outside a window copies land straight in their node queues.
+// An EngineCore (sim/world.hpp) — the node records, the one Network over
+// them and the one TimerWheel, shared with the serial World — whose n
+// nodes are partitioned across S shards: contiguous equal blocks, fixed for
+// the engine's lifetime, each node with its own event queue. Shard s is
+// worker s, so a shard's node block, queues and window state live in the
+// worker's own context (ExecContext). All shards advance in lock-step time
+// windows of width λ = the network's minimum link+processing delay
+// (WorldConfig::lookahead). Within a window no node can affect another
+// node — every send lands at or after the window end, only a node's own
+// timers create same-window work — so dispatch is node-major: at plan time
+// each shard lists its nodes with runnable window work, and S workers claim
+// whole nodes (own shard first, then the busiest peer) via atomic cursors
+// and run each node's window batch in key order. Inside a window the
+// Network parks every copy in the executing worker's outbox (each shard
+// drains its own at the window barrier) and bumps that worker's counters
+// (folded in at plan time); outside a window copies land straight in their
+// node queues.
 //
 // Determinism is the headline constraint. Three shared mechanisms make a
 // windowed run bit-identical to the serial World on the same Scenario+seed:
@@ -57,19 +57,17 @@
 #include <mutex>
 #include <vector>
 
-#include "sim/shard.hpp"
 #include "sim/world.hpp"
 
 namespace ssbft {
 
-class ShardWorld final : public WorldBase, private NodeHost {
+class ShardWorld final : public EngineCore {
  public:
   explicit ShardWorld(WorldConfig config);
   /// Adoption form: continue a serial segment's run from its exported
-  /// snapshot (see WorldMigration). The node records (each node's one
-  /// NodeContext) and the timer wheel move in whole; in-flight deliveries,
-  /// pending world actions and the wire/dispatch counters carry over; each
-  /// record is re-hosted here — behaviors are NOT re-started. The segment then
+  /// snapshot (see WorldMigration): the window clock and world channel
+  /// continue, then EngineCore::adopt_core, then each pending world action
+  /// parks in its target's queue under its original key. The segment then
   /// dispatches the exact (when, creator, seq) order the serial engine
   /// would have, and can itself be exported at the next cut (reverse
   /// migration).
@@ -82,7 +80,7 @@ class ShardWorld final : public WorldBase, private NodeHost {
   [[nodiscard]] static std::uint32_t effective_shards(const WorldConfig& config);
 
   [[nodiscard]] std::uint32_t shard_count() const {
-    return std::uint32_t(shards_.size());
+    return std::uint32_t(exec_.size());
   }
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
   /// Scheduler observability: windows, per-window imbalance and steal
@@ -90,11 +88,6 @@ class ShardWorld final : public WorldBase, private NodeHost {
   [[nodiscard]] const WindowStats& sched_stats() const {
     return sched_stats_;
   }
-
-  void set_behavior(NodeId id, std::unique_ptr<NodeBehavior> behavior) override;
-  [[nodiscard]] NodeBehavior* behavior(NodeId id) override;
-
-  void start() override;
 
   void run_until(RealTime t) override;
   void run_to_quiescence(RealTime hard_deadline) override;
@@ -109,30 +102,17 @@ class ShardWorld final : public WorldBase, private NodeHost {
   /// and cross-shard arrivals land ≥ window end).
   void run_before(RealTime t);
 
-  /// Hand the engine's state to a serial adopter: the node records and the
-  /// timer wheel move out whole, the deliveries and world actions pending
-  /// in the node queues are read out (shard, node, then heap order), and
-  /// the world-level counters are copied. One-shot: a second export, or any
-  /// run/schedule after it, is a hard precondition failure.
+  /// Hand the engine's state to a serial adopter: EngineCore::export_core
+  /// plus the deliveries and world actions pending in the node queues, read
+  /// out in shard, node, then heap order.
   [[nodiscard]] WorldMigration export_migration();
 
   [[nodiscard]] RealTime now() const override;
-  [[nodiscard]] LocalTime local_now(NodeId id) const override;
-  [[nodiscard]] RealTime real_at(NodeId id, LocalTime tau) const override;
-
-  [[nodiscard]] DriftingClock& clock(NodeId id) override;
-  [[nodiscard]] Rng& rng() override { return rng_; }
-  [[nodiscard]] Logger& log() override { return logger_; }
-
-  void scramble_node(NodeId id) override;
 
   void schedule(RealTime when, NodeId target,
                 std::function<void()> action) override;
-  void inject_raw(NodeId dest, WireMessage msg, Duration delay) override;
 
-  [[nodiscard]] NetworkStats net_stats() const override;
   [[nodiscard]] std::uint64_t dispatched() const override;
-  [[nodiscard]] const TimerWheel& timers() const override { return timers_; }
   /// Gauges summed over every node queue (also what DutyWorld reports in
   /// sharded segments).
   [[nodiscard]] QueueGauges queue_gauges() const;
@@ -142,16 +122,26 @@ class ShardWorld final : public WorldBase, private NodeHost {
   [[nodiscard]] EventQueue& queue() override;  // aborts: serial-only surface
 
  private:
-  friend class Shard;
-
-  /// Per-worker execution context for windows: the thread's private send
-  /// outbox (merged at the barrier in worker order), wire counters (folded
-  /// into the Network's at plan time), steal counters, and the logger every
-  /// node it runs writes to (node_log).
+  /// Worker s's context, which is also shard s: the owned node block and
+  /// its queues and window items (read by thieves during a window), then
+  /// what only the worker writes inside a window — its private send outbox
+  /// (merged at the barrier in worker order), wire counters (folded into
+  /// the Network's at plan time), steal counters, and the logger every node
+  /// it runs writes to (node_log). Each context is its own heap block.
   struct ExecContext {
-    ExecContext(LogLevel level, std::uint32_t shard_count)
-        : outbox(shard_count), logger(level) {}
-    std::vector<Shard::Mailbox> outbox;  // by destination shard
+    ExecContext(LogLevel level, std::uint32_t shard_count, NodeId first,
+                NodeId end)
+        : first(first), end(end), queues(end - first),
+          outbox(shard_count), logger(level) {}
+    NodeId first;                     // owned node block [first, end)
+    NodeId end;
+    std::vector<EventQueue> queues;   // one per owned node, by id − first
+    std::vector<NodeId> steal_items;  // owned nodes with work this window
+    std::uint64_t owner_dispatched = 0;  // at the last window's accounting
+    // By destination shard; each parked copy carries its full key, so the
+    // destination queue reproduces the serial order whichever barrier
+    // inserts it, and its pooled body moves on into the Delivery slot.
+    alignas(64) std::vector<std::vector<Network::PendingDelivery>> outbox;
     NetworkStats stats;
     std::uint64_t steals = 0;
     std::uint64_t stolen_events = 0;
@@ -159,16 +149,24 @@ class ShardWorld final : public WorldBase, private NodeHost {
     Logger logger;
   };
 
-  /// Owning shard, from the exact node → shard table built at construction
-  /// (the boundaries floor(s·n/S) have no closed-form inverse that is safe
-  /// to get subtly wrong — a mismapped node would abort or corrupt).
-  [[nodiscard]] Shard& shard_of(NodeId id) {
-    return *shards_[shard_index_[id]];
+  /// A node's event queue — its deliveries, timers and actions — found
+  /// through the exact node → shard table built at construction (the
+  /// boundaries floor(s·n/S) have no closed-form inverse that is safe to
+  /// get subtly wrong — a mismapped node would abort or corrupt).
+  [[nodiscard]] EventQueue& node_queue(NodeId id) {
+    ExecContext& shard = *exec_[shard_index_[id]];
+    return shard.queues[id - shard.first];
   }
 
-  // --- NodeHost: the engine side of every node's context -----------------
-  void send(NodeId from, NodeId dest, WireMessage msg) override;
-  void send_all(NodeId from, const WireMessage& msg) override;
+  [[nodiscard]] const RealTime* trace_clock() const override {
+    return &global_now_;
+  }
+  /// Does an event at `t` belong to the current window?
+  [[nodiscard]] bool within_window(RealTime t) const {
+    return window_inclusive_ ? t <= window_end_ : t < window_end_;
+  }
+
+  // --- NodeHost: what the windowed engine does its own way ----------------
   /// A fire inside the current window parks straight in the node's queue;
   /// any other goes to the wheel (heap path: always the node's queue).
   TimerHandle arm_timer(NodeState& node, LocalTime when,
@@ -189,17 +187,24 @@ class ShardWorld final : public WorldBase, private NodeHost {
   /// runs it unlocked.
   template <typename Op>
   decltype(auto) on_wheel(Op&& op) {
-    if (tl_exec_ != nullptr && shards_.size() > 1) {
+    if (tl_exec_ != nullptr && exec_.size() > 1) {
       const std::lock_guard<std::mutex> lock(timer_mutex_);
       return op(timers_);
     }
     return op(timers_);
   }
 
+  /// Park a world action in its target's queue. Serial phases only.
+  void place_action(RealTime when, EventKey key, NodeId target,
+                    std::function<void()> action);
+  /// Park a timer's fire event in its node's queue (the timer key's creator
+  /// is the owning node): plan time and serial phases, or inside a window
+  /// by the worker running that node.
+  void place_timer(const TimerWheel::Due& due);
   /// Hand every wheel timer due at or before `bound` to its node's queue.
   /// Plan time (all workers parked): mid-window pumping would race the
   /// workers, and early hand-over is unobservable — each node's dispatch
-  /// gate still holds the event for its window (Shard::run_node_window).
+  /// gate still holds the event for its window (run_steal_window).
   void pump_timers(RealTime bound);
 
   /// Advance all shards to `target` in lookahead windows. `quiescence`
@@ -217,8 +222,14 @@ class ShardWorld final : public WorldBase, private NodeHost {
   /// the imbalance metrics, and merge the exec-context counters.
   void account_window();
   /// One worker's window: run its own shard's items, then claim nodes
-  /// from the busiest shard until nothing runnable remains.
+  /// from the busiest shard until nothing runnable remains. Claiming a
+  /// node runs its whole window batch: its queue in key order up to the
+  /// window gate.
   void run_steal_window(std::uint32_t worker);
+  /// Move every worker outbox addressed to `shard` into its node queues,
+  /// in worker order. The window barrier guarantees the producers are
+  /// parked.
+  void drain_inboxes(std::uint32_t shard);
 
   /// The node queue whose clock is "now" for the executing thread inside
   /// a window; null otherwise (fall back to the global clock).
@@ -226,27 +237,15 @@ class ShardWorld final : public WorldBase, private NodeHost {
   /// The executing worker's context inside a window; null in serial phases.
   static thread_local ExecContext* tl_exec_;
 
-  Rng rng_;
-  Logger logger_;
   Duration lookahead_{};
-  std::vector<NodeState> nodes_;  // by NodeId; shard s owns its block
-  Network network_;               // the wire, over nodes_
-  TimerWheel timers_;
-  std::vector<TimerWheel::Due> due_batch_;  // advance() scratch, reused
   std::mutex timer_mutex_;  // wheel ops inside multi-shard windows
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::uint32_t> shard_index_;  // node id → owning shard
+  std::vector<std::unique_ptr<ExecContext>> exec_;  // by worker = shard
+  std::vector<std::uint32_t> shard_index_;          // node id → owning shard
+  std::vector<std::atomic<std::uint32_t>> steal_cursor_;  // per shard
   std::uint64_t world_seq_ = 0;
   std::uint64_t base_dispatched_ = 0;  // the serial prefix's, after a handoff
   RealTime global_now_{};
-  bool started_ = false;
-  bool exported_ = false;  // export_migration happened; the engine is dead
-
-  std::vector<std::uint64_t> last_shard_dispatched_;  // per-window deltas
   WindowStats sched_stats_;
-
-  std::vector<std::unique_ptr<ExecContext>> exec_;        // per worker
-  std::vector<std::atomic<std::uint32_t>> steal_cursor_;  // per shard
 
   // Window-loop shared state; written only in plan_next_window (all workers
   // held at the barrier) and read by workers after the barrier releases.

@@ -302,8 +302,8 @@ inline TimerHandle TimerWheel::schedule(RealTime when, EventKey key,
   return TimerHandle{index, r.generation};
 }
 
-/// Engine drain-loop policy, shared by the serial World and each Shard so
-/// the subtle bound choice lives in exactly one place: returns the time to
+/// The serial World's drain-loop policy, kept next to the wheel so the
+/// subtle bound choice lives in exactly one place: returns the time to
 /// advance the wheel to before the next dispatch, or RealTime::max() when
 /// no pump is needed. Pump when the wheel's next-due lower bound does not
 /// exceed the next heap event or the loop's limit (run target / window

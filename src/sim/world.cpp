@@ -49,7 +49,7 @@ WorldBase::WorldBase(const WorldConfig& config) : config_(config) {
 
 WorldBase::~WorldBase() = default;
 
-World::World(WorldConfig config)
+EngineCore::EngineCore(const WorldConfig& config)
     : WorldBase(config),
       rng_(config_.seed),
       logger_(config_.log_level),
@@ -59,33 +59,10 @@ World::World(WorldConfig config)
   network_.set_topology(config_.topology.resolved(config_.n));
 }
 
-World::World(WorldConfig config, WorldMigration&& migration)
-    : World(std::move(config)) {
-  SSBFT_EXPECTS(migration.nodes.size() == nodes_.size());
-  // Counter/clock positions first: the queue must be pristine.
-  queue_.adopt(migration.now, migration.world_seq, migration.dispatched);
-  network_.adopt_world_counters(migration.forged_seq, migration.stats);
-  rng_ = migration.world_rng;
-  // Node records and the wheel move in whole; the Network reads its
-  // per-sender streams from nodes_, so they continue too. Each context
-  // keeps its address (behaviors may have cached it) and is re-hosted.
-  nodes_ = std::move(migration.nodes);
-  timers_ = std::move(migration.timers);
-  for (NodeState& node : nodes_) node.rehost(*this);
-  for (const Network::PendingDelivery& pending : migration.deliveries) {
-    network_.adopt_delivery(pending);
-  }
-  for (WorldMigration::PendingAction& a : migration.actions) {
-    queue_.schedule(a.when, a.key, WorldAction{a.target, std::move(a.action)});
-  }
-  // Behaviors carry their started flags over — adoption never re-runs
-  // on_start (the cut is an engine-internal instant, not a deployment).
-  started_ = true;
-}
+EngineCore::~EngineCore() = default;
 
-World::~World() = default;
-
-void World::set_behavior(NodeId id, std::unique_ptr<NodeBehavior> behavior) {
+void EngineCore::set_behavior(NodeId id,
+                              std::unique_ptr<NodeBehavior> behavior) {
   SSBFT_EXPECTS(id < config_.n);
   NodeState& node = nodes_[id];
   node.behavior = std::move(behavior);
@@ -96,14 +73,14 @@ void World::set_behavior(NodeId id, std::unique_ptr<NodeBehavior> behavior) {
   }
 }
 
-NodeBehavior* World::behavior(NodeId id) {
+NodeBehavior* EngineCore::behavior(NodeId id) {
   SSBFT_EXPECTS(id < config_.n);
   return nodes_[id].behavior.get();
 }
 
-void World::start() {
+void EngineCore::start() {
   started_ = true;
-  const trace::Scope traced(config_.tracer, queue_.now_ptr());
+  const trace::Scope traced(config_.tracer, trace_clock());
   for (NodeId id = 0; id < config_.n; ++id) {
     NodeState& node = nodes_[id];
     if (node.behavior && !node.started) {
@@ -113,6 +90,94 @@ void World::start() {
   }
 }
 
+LocalTime EngineCore::local_now(NodeId id) const {
+  SSBFT_EXPECTS(id < config_.n);
+  return nodes_[id].clock.local_at(now());
+}
+
+RealTime EngineCore::real_at(NodeId id, LocalTime tau) const {
+  SSBFT_EXPECTS(id < config_.n);
+  return nodes_[id].clock.real_at(tau);
+}
+
+DriftingClock& EngineCore::clock(NodeId id) {
+  SSBFT_EXPECTS(id < config_.n);
+  return nodes_[id].clock;
+}
+
+void EngineCore::scramble_node(NodeId id) {
+  SSBFT_EXPECTS(id < config_.n);
+  NodeState& node = nodes_[id];
+  if (node.behavior) node.behavior->scramble(node, node.behavior_rng);
+}
+
+void EngineCore::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
+  SSBFT_EXPECTS(window_stats() == nullptr);  // serial phases only
+  SSBFT_EXPECTS(!exported_);
+  network_.inject_raw(dest, std::move(msg), delay);
+}
+
+void EngineCore::send(NodeId from, NodeId dest, WireMessage msg) {
+  network_.send(from, dest, std::move(msg));
+}
+
+void EngineCore::send_all(NodeId from, const WireMessage& msg) {
+  network_.send_all(from, msg);
+}
+
+WorldMigration EngineCore::export_core(std::uint64_t world_seq) {
+  SSBFT_EXPECTS(!exported_);
+  exported_ = true;
+  WorldMigration m;
+  m.now = now();
+  m.dispatched = dispatched();
+  m.world_seq = world_seq;
+  m.forged_seq = network_.forged_seq();
+  m.stats = network_.stats();
+  m.world_rng = rng_;
+  m.nodes = std::move(nodes_);
+  m.timers = std::move(timers_);
+  m.timers.recall_handed_over();  // their fire events die with the queues
+  return m;
+}
+
+void EngineCore::adopt_core(WorldMigration& migration) {
+  SSBFT_EXPECTS(migration.nodes.size() == nodes_.size());
+  // Stream and counter positions continue where the exporting engine
+  // stopped: the suffix mints the exact keys and draws an uninterrupted
+  // run would have. The Network reads its per-sender streams from nodes_,
+  // so they continue too.
+  network_.adopt_world_counters(migration.forged_seq, migration.stats);
+  rng_ = migration.world_rng;
+  nodes_ = std::move(migration.nodes);
+  timers_ = std::move(migration.timers);
+  for (NodeState& node : nodes_) node.rehost(*this);
+  // A chaos delivery may land well inside a windowed engine's first
+  // windows — that is fine: the conservative-window argument constrains
+  // only traffic GENERATED during a window, and the post-cut network is
+  // non-faulty (every new send respects λ).
+  for (const Network::PendingDelivery& pending : migration.deliveries) {
+    network_.adopt_delivery(pending);
+  }
+  // Behaviors carry their started flags over — adoption never re-runs
+  // on_start (the cut is an engine-internal instant, not a deployment).
+  started_ = true;
+}
+
+World::World(WorldConfig config) : EngineCore(config) {}
+
+World::World(WorldConfig config, WorldMigration&& migration)
+    : World(std::move(config)) {
+  // Clock and counter positions first: the queue must be pristine.
+  queue_.adopt(migration.now, migration.world_seq, migration.dispatched);
+  adopt_core(migration);
+  for (WorldMigration::PendingAction& a : migration.actions) {
+    queue_.schedule(a.when, a.key, WorldAction{a.target, std::move(a.action)});
+  }
+}
+
+World::~World() = default;
+
 void World::pump_timers(RealTime bound) {
   timers_.advance(bound, due_batch_);
   for (const TimerWheel::Due& due : due_batch_) {
@@ -120,17 +185,6 @@ void World::pump_timers(RealTime bound) {
     queue_.schedule(due.when, due.key,
                     [world, handle = due.handle] { world->fire_timer(handle); });
   }
-}
-
-void World::fire_timer(TimerHandle handle) {
-  NodeId node;
-  std::uint64_t cookie;
-  if (!timers_.claim(handle, node, cookie)) {
-    ++suppressed_timers_;  // cancelled after hand-over: a no-op pop
-    return;
-  }
-  NodeState& fired = nodes_[node];
-  if (fired.behavior) fired.behavior->on_timer(fired, cookie);
 }
 
 void World::dispatch_to(RealTime bound, bool inclusive) {
@@ -167,22 +221,8 @@ void World::run_to_quiescence(RealTime hard_deadline) {
 }
 
 WorldMigration World::export_migration() {
-  // One-shot: a second export, or an export after further activity (the
-  // run_*/schedule/network()/queue() guards), could only produce an
-  // inconsistent snapshot — refuse loudly instead.
-  SSBFT_EXPECTS(!exported_);
-  exported_ = true;
-  WorldMigration m;
-  m.now = queue_.now();
-  m.dispatched = dispatched();
-  m.world_seq = queue_.global_seq();
-  m.forged_seq = network_.forged_seq();
-  m.stats = network_.stats();
-  m.world_rng = rng_;
+  WorldMigration m = export_core(queue_.global_seq());
   m.read_pending(queue_);
-  m.nodes = std::move(nodes_);
-  m.timers = std::move(timers_);
-  m.timers.recall_handed_over();  // their fire events die with queue_
   return m;
 }
 
@@ -196,44 +236,11 @@ void World::collect_stats(StatsRegistry& reg) const {
   queue_gauges().report(reg);
 }
 
-LocalTime World::local_now(NodeId id) const {
-  SSBFT_EXPECTS(id < config_.n);
-  return nodes_[id].clock.local_at(queue_.now());
-}
-
-RealTime World::real_at(NodeId id, LocalTime tau) const {
-  SSBFT_EXPECTS(id < config_.n);
-  return nodes_[id].clock.real_at(tau);
-}
-
-DriftingClock& World::clock(NodeId id) {
-  SSBFT_EXPECTS(id < config_.n);
-  return nodes_[id].clock;
-}
-
-void World::scramble_node(NodeId id) {
-  SSBFT_EXPECTS(id < config_.n);
-  NodeState& node = nodes_[id];
-  if (node.behavior) node.behavior->scramble(node, node.behavior_rng);
-}
-
 void World::schedule(RealTime when, NodeId target,
                      std::function<void()> action) {
   SSBFT_EXPECTS(target < config_.n);
   // World-level creator key; the named type lets an export read it back.
   queue().schedule(when, WorldAction{target, std::move(action)});
-}
-
-void World::inject_raw(NodeId dest, WireMessage msg, Duration delay) {
-  network().inject_raw(dest, msg, delay);
-}
-
-void World::send(NodeId from, NodeId dest, WireMessage msg) {
-  network_.send(from, dest, std::move(msg));
-}
-
-void World::send_all(NodeId from, const WireMessage& msg) {
-  network_.send_all(from, msg);
 }
 
 TimerHandle World::arm_timer(NodeState& node, LocalTime when,
@@ -253,7 +260,5 @@ TimerHandle World::arm_timer(NodeState& node, LocalTime when,
   queue_.schedule(fire, key, [this, handle] { fire_timer(handle); });
   return handle;
 }
-
-bool World::cancel_timer(TimerHandle handle) { return timers_.cancel(handle); }
 
 }  // namespace ssbft

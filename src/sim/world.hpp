@@ -5,12 +5,15 @@
 // interface. Tests and the harness use the World's omniscient accessors to
 // check the paper's real-time bounds (skews, convergence times).
 //
-// Two engines implement the deployment surface (WorldBase), each over one
-// Network (sim/network.hpp) — the one wire layer both route through:
+// Two engines implement the deployment surface (WorldBase), both over one
+// engine core (EngineCore): the node records, the one Network
+// (sim/network.hpp) over them, the one TimerWheel, and everything the
+// engines do alike, written once — migration halves included:
 //   World       — the serial engine: one event queue.
 //   ShardWorld  — windowed (sim/shard_world.hpp): nodes are partitioned
 //                 across shards that advance in lock-step lookahead
 //                 windows, each node's window work dispatched as a batch.
+// DutyWorld (sim/duty_world.hpp) alternates the two across chaos windows.
 // Both derive every random stream from (seed, entity) and dispatch in
 // (when, creator, seq) key order, so for any Scenario with a positive
 // minimum network delay their observable histories are bit-identical.
@@ -318,23 +321,108 @@ class WorldBase {
   WorldConfig config_;  // delay models resolved at construction
 };
 
-/// The serial engine.
-class World final : public WorldBase, private NodeHost {
+/// The engine core both engines derive from: everything the serial World
+/// and the windowed ShardWorld own and do identically. One NodeState vector
+/// (each node's one NodeContext), one Network over it with the topology
+/// set, one TimerWheel, the world RNG and logger; the surface over those
+/// members; the node-facing send path; the timer fire; and the
+/// engine-independent halves of both migration directions. An engine adds
+/// only its queue(s) and clock, where a keyed copy or a workload action
+/// lands, how a timer is armed, and its run loops.
+class EngineCore : public WorldBase, private NodeHost {
  public:
-  explicit World(WorldConfig config);
-  /// Adoption form: continue a sharded segment's run from its exported
-  /// snapshot (the reverse migration — see WorldMigration). The node
-  /// records (each node's one NodeContext) and the timer wheel move in
-  /// whole, deliveries and world actions re-materialize under their
-  /// original keys, and each record is re-hosted here — behaviors are NOT
-  /// re-started.
-  World(WorldConfig config, WorldMigration&& migration);
-  ~World() override;
+  explicit EngineCore(const WorldConfig& config);
+  ~EngineCore() override;
+
+  using WorldBase::now;  // the engine's override serves NodeHost too
 
   void set_behavior(NodeId id, std::unique_ptr<NodeBehavior> behavior) override;
   [[nodiscard]] NodeBehavior* behavior(NodeId id) override;
 
+  /// Same node order on every engine: on_start handlers may send at once,
+  /// and those sends must mint the same keys and stream draws.
   void start() override;
+
+  [[nodiscard]] LocalTime local_now(NodeId id) const override;
+  [[nodiscard]] RealTime real_at(NodeId id, LocalTime tau) const override;
+  [[nodiscard]] DriftingClock& clock(NodeId id) override;
+  [[nodiscard]] Rng& rng() override { return rng_; }
+  [[nodiscard]] Logger& log() override { return logger_; }
+
+  void scramble_node(NodeId id) override;
+  /// Serial phases only (never from inside a windowed-engine window).
+  void inject_raw(NodeId dest, WireMessage msg, Duration delay) override;
+
+  [[nodiscard]] NetworkStats net_stats() const override {
+    return network_.stats();
+  }
+  [[nodiscard]] const TimerWheel& timers() const override { return timers_; }
+
+ protected:
+  /// The trace clock start() arms its scope with: the engine's "now" cell.
+  [[nodiscard]] virtual const RealTime* trace_clock() const = 0;
+
+  /// The engine-independent half of export_migration: mark the engine dead
+  /// (a second export, or any run/schedule/traffic after it, is a hard
+  /// precondition failure — it could only hand over a stale snapshot),
+  /// copy now, dispatched and the world-level counters, and move the node
+  /// records and the wheel out, with every handed-over record recalled
+  /// (their fire events die with the engine's queues). The engine adds the
+  /// pending deliveries and actions read out of its queues.
+  [[nodiscard]] WorldMigration export_core(std::uint64_t world_seq);
+  /// The engine-independent half of the adoption constructor: continue the
+  /// world-level counters and the world RNG, move the node records and the
+  /// wheel in whole (each context keeps its address — behaviors may have
+  /// cached it — and is re-hosted here; behaviors are NOT re-started), and
+  /// re-materialize every in-flight delivery under its original key. Call
+  /// once the engine's clock and world-channel positions are adopted; the
+  /// engine re-lands the pending actions after.
+  void adopt_core(WorldMigration& migration);
+
+  /// A timer's fire event: claim its record through `on_wheel` (the
+  /// windowed engine locks the wheel inside multi-shard windows) and run
+  /// on_timer, or count a suppressed pop when the timer was cancelled after
+  /// hand-over.
+  template <typename OnWheel>
+  void fire_timer(TimerHandle handle, OnWheel&& on_wheel) {
+    NodeId node;
+    std::uint64_t cookie;
+    const bool live = on_wheel([&](TimerWheel& timers) {
+      if (timers.claim(handle, node, cookie)) return true;
+      ++suppressed_timers_;  // cancelled after hand-over: a no-op pop
+      return false;
+    });
+    if (!live) return;
+    NodeState& fired = nodes_[node];
+    if (fired.behavior) fired.behavior->on_timer(fired, cookie);
+  }
+
+  Rng rng_;
+  Logger logger_;
+  std::vector<NodeState> nodes_;  // by NodeId; the Network draws from these
+  Network network_;               // the wire, over nodes_
+  TimerWheel timers_;
+  std::vector<TimerWheel::Due> due_batch_;  // advance() scratch, reused
+  std::uint64_t suppressed_timers_ = 0;     // cancelled-after-hand-over pops
+  bool started_ = false;
+  bool exported_ = false;  // export_migration happened; the engine is dead
+
+ private:
+  // --- NodeHost: the engine-independent part of every node's context ------
+  void send(NodeId from, NodeId dest, WireMessage msg) override;
+  void send_all(NodeId from, const WireMessage& msg) override;
+};
+
+/// The serial engine: one event queue.
+class World final : public EngineCore {
+ public:
+  explicit World(WorldConfig config);
+  /// Adoption form: continue a sharded segment's run from its exported
+  /// snapshot (the reverse migration — see WorldMigration): the queue
+  /// adopts the clock and counters, then EngineCore::adopt_core, then the
+  /// pending world actions re-land under their original keys.
+  World(WorldConfig config, WorldMigration&& migration);
+  ~World() override;
 
   void run_until(RealTime t) override;
   void run_to_quiescence(RealTime hard_deadline) override;
@@ -344,20 +432,14 @@ class World final : public WorldBase, private NodeHost {
   /// event an exported snapshot holds afterwards fires at or after `t`.
   void run_before(RealTime t);
 
-  /// Strip the world for the engine handoff: the node records and the
-  /// timer wheel move out, the in-flight deliveries and world actions are
-  /// read out of the queue, and the counters are copied. The world is dead
-  /// afterwards — destroy it (its remaining queue closures point at engine
-  /// internals the snapshot re-materializes on the new engine). A second
-  /// export, or any run/schedule/traffic after the first, is a hard
-  /// precondition failure: it could only hand over a stale snapshot.
+  /// Strip the world for the engine handoff (EngineCore::export_core plus
+  /// the deliveries and world actions read out of the queue). The world is
+  /// dead afterwards — destroy it (its remaining queue closures point at
+  /// engine internals the snapshot re-materializes on the new engine).
   [[nodiscard]] WorldMigration export_migration();
 
   [[nodiscard]] RealTime now() const override { return queue_.now(); }
-  [[nodiscard]] LocalTime local_now(NodeId id) const override;
-  [[nodiscard]] RealTime real_at(NodeId id, LocalTime tau) const override;
 
-  [[nodiscard]] DriftingClock& clock(NodeId id) override;
   /// Both abort after export_migration: traffic or scheduling through a
   /// dead world would be missing from the snapshot.
   [[nodiscard]] Network& network() override {
@@ -368,22 +450,13 @@ class World final : public WorldBase, private NodeHost {
     SSBFT_EXPECTS(!exported_);
     return queue_;
   }
-  [[nodiscard]] const TimerWheel& timers() const override { return timers_; }
   /// The one queue's gauges (also what DutyWorld reports in serial
   /// segments).
   [[nodiscard]] QueueGauges queue_gauges() const;
   void collect_stats(StatsRegistry& reg) const override;
-  [[nodiscard]] Rng& rng() override { return rng_; }
-  [[nodiscard]] Logger& log() override { return logger_; }
-
-  void scramble_node(NodeId id) override;
 
   void schedule(RealTime when, NodeId target,
                 std::function<void()> action) override;
-  void inject_raw(NodeId dest, WireMessage msg, Duration delay) override;
-  [[nodiscard]] NetworkStats net_stats() const override {
-    return network_.stats();
-  }
   [[nodiscard]] std::uint64_t dispatched() const override {
     // Net of suppressed timer fires: a timer cancelled after hand-over
     // still pops as a no-op, and hand-over timing is backend/engine
@@ -393,12 +466,16 @@ class World final : public WorldBase, private NodeHost {
   }
 
  private:
-  // --- NodeHost: the engine side of every node's context -----------------
-  void send(NodeId from, NodeId dest, WireMessage msg) override;
-  void send_all(NodeId from, const WireMessage& msg) override;
+  [[nodiscard]] const RealTime* trace_clock() const override {
+    return queue_.now_ptr();
+  }
+
+  // --- NodeHost: what the serial engine does its own way ------------------
   TimerHandle arm_timer(NodeState& node, LocalTime when,
                         std::uint64_t cookie) override;
-  bool cancel_timer(TimerHandle handle) override;
+  bool cancel_timer(TimerHandle handle) override {
+    return timers_.cancel(handle);
+  }
   Logger& node_log() override { return logger_; }
   /// Every copy lands in the one queue, and every counter is the Network's.
   void place_delivery(RealTime when, EventKey key, NodeId dest,
@@ -413,19 +490,12 @@ class World final : public WorldBase, private NodeHost {
   void dispatch_to(RealTime bound, bool inclusive);
   /// Hand every wheel timer due at or before `bound` to the event heap.
   void pump_timers(RealTime bound);
-  /// Scheduled-closure target: claim the record and run on_timer.
-  void fire_timer(TimerHandle handle);
+  /// Scheduled-closure target: the unlocked EngineCore::fire_timer.
+  void fire_timer(TimerHandle handle) {
+    EngineCore::fire_timer(handle, [this](auto&& op) { return op(timers_); });
+  }
 
-  Rng rng_;
-  Logger logger_;
   EventQueue queue_;
-  TimerWheel timers_;
-  std::vector<TimerWheel::Due> due_batch_;  // advance() scratch, reused
-  std::uint64_t suppressed_timers_ = 0;     // cancelled-after-hand-over pops
-  std::vector<NodeState> nodes_;            // the Network draws from these
-  Network network_;
-  bool started_ = false;
-  bool exported_ = false;  // export_migration happened; the world is dead
 };
 
 }  // namespace ssbft

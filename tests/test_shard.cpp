@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "adversary/adversaries.hpp"
 #include "harness/metrics.hpp"
 #include "harness/sweep.hpp"
 #include "sim/fault_injector.hpp"
@@ -293,6 +294,72 @@ TEST(ShardChaosHandoff, HorizonInsideChaosStaysSerialUntilTheCut) {
   const SweepRun serial = SweepRunner::run_cell(serial_sc, 5);
   EXPECT_EQ(evaluate_stack(cluster).digest, serial.digest);
   EXPECT_EQ(cluster.world().dispatched(), serial.events);
+}
+
+// set_behavior after start() is one engine-core method on every engine: a
+// mid-run Byzantine turnover — two silent nodes turning into spamming
+// Generals — must dispatch identically whether it lands in a windowed
+// stretch or inside a chaos window (the alternating engine's serial
+// segment).
+TEST(ShardChaosHandoff, MidRunBehaviorSwapMatchesSerial) {
+  struct Out {
+    std::uint64_t digest, events, sent;
+  };
+  const auto run = [](std::uint32_t shards, bool chaos, bool swap) {
+    Scenario sc;
+    sc.stack = StackKind::kAgree;
+    sc.n = 10;
+    sc.f = 3;
+    sc.with_tail_faults(3);
+    sc.adversary = AdversaryKind::kSilent;
+    sc.shards = shards;
+    sc.link_delay =
+        DelayModel::exp_truncated(sc.delta / 10, sc.delta / 5, sc.delta);
+    sc.with_proposal(milliseconds(2), 0, 42);
+    sc.with_proposal(milliseconds(40), 1, 43);
+    sc.run_for = milliseconds(150);
+    sc.seed = 17;
+    if (chaos) {
+      sc.chaos_first_start = milliseconds(30);
+      sc.chaos_period = milliseconds(10);
+    }
+    Cluster cluster(sc);
+    WorldBase& world = cluster.world();
+    auto* duty = dynamic_cast<DutyWorld*>(&world);
+    if (shards > 1) {
+      EXPECT_EQ(duty != nullptr, chaos);
+      EXPECT_EQ(dynamic_cast<ShardWorld*>(&world) != nullptr, !chaos);
+    }
+    const auto turn = [&](NodeId id) {
+      if (swap) {
+        world.set_behavior(id, std::make_unique<SpamGeneral>(milliseconds(3)));
+      }
+    };
+    cluster.start();
+    world.run_until(RealTime::zero() + milliseconds(20));
+    EXPECT_TRUE(duty == nullptr || duty->sharded_active());
+    turn(7);  // a windowed stretch
+    world.run_until(RealTime::zero() + milliseconds(35));
+    EXPECT_TRUE(duty == nullptr || !duty->sharded_active());
+    turn(8);  // inside the chaos window when chaos is on
+    world.run_until(RealTime::zero() + sc.run_for);
+    return Out{evaluate_stack(cluster).digest, world.dispatched(),
+               world.net_stats().sent};
+  };
+  for (const bool chaos : {false, true}) {
+    const Out serial = run(0, chaos, true);
+    // Anti-vacuity: the swapped-in Generals put traffic on the wire.
+    EXPECT_GT(serial.sent, run(0, chaos, false).sent) << "chaos " << chaos;
+    for (std::uint32_t shards : {2u, 4u}) {
+      const Out sharded = run(shards, chaos, true);
+      EXPECT_EQ(sharded.digest, serial.digest)
+          << "chaos " << chaos << " shards " << shards;
+      EXPECT_EQ(sharded.events, serial.events)
+          << "chaos " << chaos << " shards " << shards;
+      EXPECT_EQ(sharded.sent, serial.sent)
+          << "chaos " << chaos << " shards " << shards;
+    }
+  }
 }
 
 // --- engine selection / degradation ---------------------------------------

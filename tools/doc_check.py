@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""CI doc-lint gate: markdown link integrity + CLI flag/doc synchronization.
+"""CI doc-lint gate: markdown link integrity, CLI flag/doc synchronization,
+and test names that exist.
 
-Two checks, both stdlib-only so CI runs this straight from the checkout:
+Three checks, all stdlib-only so CI runs this straight from the checkout:
 
   * every intra-repo markdown link in the scanned ``*.md`` files must
     resolve to an existing file or directory (external ``http(s)://``,
@@ -15,6 +16,11 @@ Two checks, both stdlib-only so CI runs this straight from the checkout:
     ships undocumented is invisible; a doc that drifts from the binary
     misleads. The same check runs for any extra binaries passed via
     repeated ``--cli``.
+  * every backticked ``test_<name>`` in README.md or docs/ must name a
+    test file ``tests/test_<name>.cpp``: an invariant pinned by a test
+    that does not exist is pinned by nothing. Pages outside README.md and
+    docs/ (the change log and the roadmap among them) are not scanned:
+    they record history, names included.
 
 Usage:
   tools/doc_check.py --root . --cli build/tools/ssbft_cli
@@ -36,6 +42,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 # Link schemes that are not intra-repo paths.
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
+# A backticked test name, optionally with its .cpp suffix.
+TEST_NAME_RE = re.compile(r"`(test_[A-Za-z0-9_]+)(?:\.cpp)?`")
 # Directory names never scanned for markdown (build trees, VCS internals).
 SKIP_DIRS = {".git", ".github"}
 
@@ -81,10 +89,9 @@ def help_flags(help_text):
     return set(FLAG_RE.findall(help_text))
 
 
-def docs_corpus(root):
-    """README.md + docs/**.md concatenated — where flags must be
-    documented."""
-    chunks = []
+def doc_pages(root):
+    """README.md + docs/**.md: the pages flags and test names must be
+    right in."""
     candidates = [os.path.join(root, "README.md")]
     docs_dir = os.path.join(root, "docs")
     if os.path.isdir(docs_dir):
@@ -92,11 +99,29 @@ def docs_corpus(root):
             for name in sorted(filenames):
                 if name.endswith(".md"):
                     candidates.append(os.path.join(dirpath, name))
-    for path in candidates:
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as f:
-                chunks.append(f.read())
+    return [path for path in candidates if os.path.exists(path)]
+
+
+def docs_corpus(root):
+    """The doc pages concatenated — where flags must be documented."""
+    chunks = []
+    for path in doc_pages(root):
+        with open(path, encoding="utf-8") as f:
+            chunks.append(f.read())
     return "\n".join(chunks)
+
+
+def check_test_names(root):
+    """Every backticked test_<name> on a doc page must be a tests/ file."""
+    problems = []
+    for path in doc_pages(root):
+        with open(path, encoding="utf-8") as f:
+            names = sorted(set(TEST_NAME_RE.findall(f.read())))
+        for name in names:
+            if not os.path.exists(os.path.join(root, "tests", name + ".cpp")):
+                rel = os.path.relpath(path, root)
+                problems.append(f"{rel}: `{name}` names no tests/{name}.cpp")
+    return problems
 
 
 def check_flag_sync(cli_name, help_text, corpus):
@@ -125,7 +150,7 @@ def run_help(cli_path):
 
 
 def run_gate(args):
-    problems = check_links(args.root)
+    problems = check_links(args.root) + check_test_names(args.root)
     corpus = docs_corpus(args.root)
     for cli_path in args.cli:
         ok, text = run_help(cli_path)
@@ -139,7 +164,8 @@ def run_gate(args):
     if problems:
         print(f"doc_check: {len(problems)} problem(s)")
         return 1
-    print("doc_check: all links resolve, all CLI flags documented")
+    print("doc_check: all links resolve, all CLI flags documented, "
+          "all test names exist")
     return 0
 
 
@@ -179,7 +205,24 @@ def self_test():
         checks.append(("undocumented flag caught",
                        len(missing) == 1 and "--quantum" in missing[0]))
 
-        # 4. A help run that exits non-zero is itself a failure (the gate
+        # 4. Test names: an existing tests/ file passes (with or without
+        #    .cpp); a missing one fails, on README.md and docs/ alike.
+        os.makedirs(os.path.join(root, "tests"))
+        with open(os.path.join(root, "tests", "test_real.cpp"), "w") as f:
+            f.write("// a test\n")
+        with open(os.path.join(root, "docs", "guide.md"), "a") as f:
+            f.write("Pinned by `test_real` and `test_real.cpp`.\n")
+        checks.append(("existing test names pass",
+                       check_test_names(root) == []))
+        with open(os.path.join(root, "docs", "guide.md"), "a") as f:
+            f.write("Also by `test_gone`.\n")
+        dead = check_test_names(root)
+        checks.append(("missing test name caught",
+                       len(dead) == 1 and "test_gone" in dead[0]))
+        with open(os.path.join(root, "tests", "test_gone.cpp"), "w") as f:
+            f.write("// restored\n")
+
+        # 5. A help run that exits non-zero is itself a failure (the gate
         #    needs a --help that behaves).
         stub = os.path.join(root, "angry_cli.py")
         with open(stub, "w") as f:
@@ -188,7 +231,7 @@ def self_test():
         ok, _ = run_help(stub)
         checks.append(("non-zero --help caught", not ok))
 
-        # 5. End-to-end through the real CLI path: exit 1 on the broken
+        # 6. End-to-end through the real CLI path: exit 1 on the broken
         #    link planted in step 2, exit 0 once it is repaired.
         checks.append(("gate exits non-zero on problems",
                        main(["--root", root]) == 1))
