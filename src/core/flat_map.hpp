@@ -1,7 +1,8 @@
 // Sorted flat map — the cache-friendly replacement for the small
 // std::map tables in the hot protocol structs (initiator_accept's
 // per-value timestamp tables, msgd_broadcast's per-(p,m,k) instance
-// index, ss_byz_agree's per-value accept records).
+// index, ss_byz_agree's per-value accept records, the node's per-General
+// instance table).
 //
 // Entries live contiguously in one sorted vector ("arena-backed"): a
 // lookup is a binary search over a dense array instead of a pointer

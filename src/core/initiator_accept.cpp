@@ -142,17 +142,12 @@ void InitiatorAccept::on_message(NodeContext& ctx, const WireMessage& msg) {
 
 void InitiatorAccept::evaluate(NodeContext& ctx) {
   const LocalTime now = ctx.local_now();
-  std::vector<Value> candidates = log_.values_with(MsgKind::kSupport);
-  for (Value v : log_.values_with(MsgKind::kApprove)) {
-    if (std::find(candidates.begin(), candidates.end(), v) == candidates.end())
-      candidates.push_back(v);
-  }
-  for (Value v : log_.values_with(MsgKind::kReady)) {
-    if (std::find(candidates.begin(), candidates.end(), v) == candidates.end())
-      candidates.push_back(v);
-  }
-  add_keys(candidates, ready_since_);
-  for (Value m : candidates) {
+  candidates_.clear();
+  log_.append_values(MsgKind::kSupport, candidates_);
+  log_.append_values(MsgKind::kApprove, candidates_);
+  log_.append_values(MsgKind::kReady, candidates_);
+  add_keys(candidates_, ready_since_);
+  for (Value m : candidates_) {
     if (!ignoring(m, now)) evaluate_value(ctx, m, now);
   }
 }
@@ -160,9 +155,14 @@ void InitiatorAccept::evaluate(NodeContext& ctx) {
 void InitiatorAccept::evaluate_value(NodeContext& ctx, Value m,
                                      LocalTime now) {
   const Duration d = params_.d();
-  const ArrivalKey support{MsgKind::kSupport, m, kNoNode, 0};
-  const ArrivalKey approve{MsgKind::kApprove, m, kNoNode, 0};
-  const ArrivalKey ready{MsgKind::kReady, m, kNoNode, 0};
+  // One lookup per table: nothing below modifies the log before N4's
+  // erase_if, which follows the last query.
+  const SenderTable* support =
+      log_.find(ArrivalKey{MsgKind::kSupport, m, kNoNode, 0});
+  const SenderTable* approve =
+      log_.find(ArrivalKey{MsgKind::kApprove, m, kNoNode, 0});
+  const SenderTable* ready =
+      log_.find(ArrivalKey{MsgKind::kReady, m, kNoNode, 0});
 
   // --- Block L ---------------------------------------------------------
   // L1/L2: ≥ n−2f distinct supports within the shortest window α ≤ 4d;
@@ -177,7 +177,7 @@ void InitiatorAccept::evaluate_value(NodeContext& ctx, Value m,
   // L3/L4: ≥ n−f distinct supports within [τq−2d, τq] ⇒ approve.
   // The timestamp records that the line's condition held (the General's IG3
   // monitoring watches it); the duplicate-send suppression is orthogonal.
-  if (log_.distinct_in_window(support, now - 2 * d, now) >=
+  if (ArrivalLog::distinct_in_window(support, now - 2 * d, now) >=
       params_.q_high()) {
     rate_limited_send(ctx, MsgKind::kApprove, m);
     last_l4_ = now;
@@ -186,7 +186,7 @@ void InitiatorAccept::evaluate_value(NodeContext& ctx, Value m,
 
   // --- Block M ---------------------------------------------------------
   // M1/M2: ≥ n−2f approves within [τq−5d, τq] ⇒ ready flag.
-  if (log_.distinct_in_window(approve, now - 5 * d, now) >=
+  if (ArrivalLog::distinct_in_window(approve, now - 5 * d, now) >=
       params_.q_low()) {
     ready_since_[m] = now;
     touch(m, now);
@@ -194,7 +194,7 @@ void InitiatorAccept::evaluate_value(NodeContext& ctx, Value m,
   // M3/M4: ≥ n−f approves within [τq−3d, τq] ⇒ send ready. As with L4, the
   // timestamp records the condition holding — the ready may already be on
   // the wire via N2's amplification, which satisfies the same obligation.
-  if (log_.distinct_in_window(approve, now - 3 * d, now) >=
+  if (ArrivalLog::distinct_in_window(approve, now - 3 * d, now) >=
       params_.q_high()) {
     rate_limited_send(ctx, MsgKind::kReady, m);
     last_m4_ = now;
@@ -203,13 +203,13 @@ void InitiatorAccept::evaluate_value(NodeContext& ctx, Value m,
 
   // --- Block N (untimed: spread-out nodes must be able to collect) ------
   const bool is_ready = ready_since_.contains(m);
-  if (is_ready &&
-      log_.distinct_total(ready) >= params_.q_low()) {
+  const std::uint32_t readies = ArrivalLog::distinct_total(ready);
+  if (is_ready && readies >= params_.q_low()) {
     // N2: amplify.
     rate_limited_send(ctx, MsgKind::kReady, m);
     touch(m, now);
   }
-  if (is_ready && log_.distinct_total(ready) >= params_.q_high()) {
+  if (is_ready && readies >= params_.q_high()) {
     // N4: fix τG, clear the instance's IA state, I-accept.
     LocalTime tau_g;
     if (const auto it = i_values_.find(m); it != i_values_.end()) {

@@ -22,6 +22,7 @@
 #include <functional>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/flat_map.hpp"
 #include "core/message_log.hpp"
@@ -93,6 +94,8 @@ class InitiatorAccept {
   FlatMap<Value, LocalTime> ignore_until_;        // N4's 3d ignore window
   std::optional<LocalTime> last_support_sent_;    // any (support, G, *)
   FlatMap<std::pair<std::uint8_t, Value>, LocalTime> last_sent_;  // resend cap
+
+  std::vector<Value> candidates_;  // evaluate()'s reused candidate buffer
 
   std::optional<LocalTime> last_l4_;
   std::optional<LocalTime> last_m4_;

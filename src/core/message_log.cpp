@@ -6,34 +6,27 @@ namespace ssbft {
 
 void ArrivalLog::note(const ArrivalKey& key, NodeId sender, LocalTime at) {
   map_[key].note(sender, at);
+  bounds_.note(at);
 }
 
-std::uint32_t ArrivalLog::distinct_in_window(const ArrivalKey& key,
-                                             LocalTime from,
-                                             LocalTime to) const {
+const SenderTable* ArrivalLog::find(const ArrivalKey& key) const {
   const auto it = map_.find(key);
-  if (it == map_.end()) return 0;
-  std::uint32_t count = 0;
-  it->second.for_each([&](NodeId, LocalTime at) {
-    if (at >= from && at <= to) ++count;
-  });
-  return count;
+  return it == map_.end() ? nullptr : &it->second;
 }
 
-std::optional<Duration> ArrivalLog::shortest_window(const ArrivalKey& key,
+std::optional<Duration> ArrivalLog::shortest_window(const SenderTable* table,
                                                     std::uint32_t quorum,
                                                     LocalTime now,
                                                     Duration max_window) const {
   if (quorum == 0) return Duration::zero();
-  const auto it = map_.find(key);
-  if (it == map_.end() || it->second.size() < quorum) return std::nullopt;
+  if (table == nullptr || table->size() < quorum) return std::nullopt;
 
   // Windows end at `now`, so a window of size α contains a sender iff its
   // latest arrival is ≥ now−α; the quorum-th most recent latest-arrival
   // determines the minimal α.
-  std::vector<LocalTime> latest;
-  latest.reserve(it->second.size());
-  it->second.for_each([&](NodeId, LocalTime at) {
+  std::vector<LocalTime>& latest = scratch_;
+  latest.clear();
+  table->for_each([&](NodeId, LocalTime at) {
     if (at <= now && at >= now - max_window) latest.push_back(at);
   });
   if (latest.size() < quorum) return std::nullopt;
@@ -42,20 +35,13 @@ std::optional<Duration> ArrivalLog::shortest_window(const ArrivalKey& key,
   return now - latest[quorum - 1];
 }
 
-std::uint32_t ArrivalLog::distinct_total(const ArrivalKey& key) const {
-  const auto it = map_.find(key);
-  return it == map_.end() ? 0 : it->second.size();
-}
-
-std::vector<Value> ArrivalLog::values_with(MsgKind kind) const {
-  std::vector<Value> values;
+void ArrivalLog::append_values(MsgKind kind, std::vector<Value>& out) const {
   for (const auto& [key, senders] : map_) {
     if (key.kind != kind || senders.empty()) continue;
-    if (std::find(values.begin(), values.end(), key.value) == values.end()) {
-      values.push_back(key.value);
+    if (std::find(out.begin(), out.end(), key.value) == out.end()) {
+      out.push_back(key.value);
     }
   }
-  return values;
 }
 
 void ArrivalLog::erase_if(const std::function<bool(const ArrivalKey&)>& pred) {
@@ -69,17 +55,23 @@ void ArrivalLog::erase_if(const std::function<bool(const ArrivalKey&)>& pred) {
 }
 
 void ArrivalLog::decay(LocalTime now, Duration keep) {
+  if (bounds_.within(now, keep)) return;  // nothing stale or future-stamped
+  bounds_.reset();
   for (auto it = map_.begin(); it != map_.end();) {
     it->second.decay(now, keep);
     if (it->second.empty()) {
       it = map_.erase(it);
     } else {
+      it->second.for_each([this](NodeId, LocalTime at) { bounds_.note(at); });
       ++it;
     }
   }
 }
 
-void ArrivalLog::clear() { map_.clear(); }
+void ArrivalLog::clear() {
+  map_.clear();
+  bounds_.reset();
+}
 
 std::size_t ArrivalLog::total_arrivals() const {
   std::size_t total = 0;

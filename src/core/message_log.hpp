@@ -10,7 +10,9 @@
 //
 // Everything here decays (Fig. 2/3 cleanup): arrivals older than the keep
 // horizon — or stamped in the future, which can only happen after a
-// transient fault — are purged before every query.
+// transient fault — are purged by decay(), which the owner runs before
+// every query. The log tracks bounds over its live stamps (StampBounds), so
+// a decay that would erase nothing returns without touching the tables.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/stamp_bounds.hpp"
 #include "sim/wire.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -83,6 +86,15 @@ class SenderTable {
     }
   }
 
+  /// Senders whose latest arrival lies in [from, to].
+  [[nodiscard]] std::uint32_t count_in(LocalTime from, LocalTime to) const {
+    std::uint32_t count = 0;
+    for (const Slot& s : slots_) {
+      if (s.used && s.at >= from && s.at <= to) ++count;
+    }
+    return count;
+  }
+
   /// Drops entries with `at > now || at < now - keep`; rebuilds on erase.
   void decay(LocalTime now, Duration keep) {
     bool stale = false;
@@ -138,30 +150,53 @@ class ArrivalLog {
   /// because every window query ends at the caller's current time.
   void note(const ArrivalKey& key, NodeId sender, LocalTime at);
 
+  /// The sender table logged under `key`, or nullptr when there is none.
+  /// The pointer stays valid until the next erase_if, decay or clear
+  /// (note() never moves a table), so a caller can look a key up once and
+  /// run every window query of one evaluation against it.
+  [[nodiscard]] const SenderTable* find(const ArrivalKey& key) const;
+
   /// Distinct senders with an arrival in [from, to].
   [[nodiscard]] std::uint32_t distinct_in_window(const ArrivalKey& key,
                                                  LocalTime from,
-                                                 LocalTime to) const;
+                                                 LocalTime to) const {
+    return distinct_in_window(find(key), from, to);
+  }
+  [[nodiscard]] static std::uint32_t distinct_in_window(
+      const SenderTable* table, LocalTime from, LocalTime to) {
+    return table == nullptr ? 0 : table->count_in(from, to);
+  }
 
   /// Smallest α ≤ max_window such that [now−α, now] holds arrivals from
   /// ≥ `quorum` distinct senders; nullopt if no such α exists.
-  [[nodiscard]] std::optional<Duration> shortest_window(const ArrivalKey& key,
-                                                        std::uint32_t quorum,
-                                                        LocalTime now,
-                                                        Duration max_window) const;
+  [[nodiscard]] std::optional<Duration> shortest_window(
+      const ArrivalKey& key, std::uint32_t quorum, LocalTime now,
+      Duration max_window) const {
+    return shortest_window(find(key), quorum, now, max_window);
+  }
+  [[nodiscard]] std::optional<Duration> shortest_window(
+      const SenderTable* table, std::uint32_t quorum, LocalTime now,
+      Duration max_window) const;
 
   /// Distinct senders irrespective of time (Block N; decay still applies).
-  [[nodiscard]] std::uint32_t distinct_total(const ArrivalKey& key) const;
+  [[nodiscard]] std::uint32_t distinct_total(const ArrivalKey& key) const {
+    return distinct_total(find(key));
+  }
+  [[nodiscard]] static std::uint32_t distinct_total(const SenderTable* table) {
+    return table == nullptr ? 0 : table->size();
+  }
 
-  /// All values that currently have arrivals of `kind` (candidate set for
-  /// per-value rule evaluation).
-  [[nodiscard]] std::vector<Value> values_with(MsgKind kind) const;
+  /// Appends to `out`, in map order, every value that has arrivals of
+  /// `kind` and is not in `out` yet (the candidate set for per-value rule
+  /// evaluation, built in a buffer the caller reuses).
+  void append_values(MsgKind kind, std::vector<Value>& out) const;
 
   /// Remove every record whose key satisfies `pred` (N4's "remove all (G,m)
   /// messages", per-value resets).
   void erase_if(const std::function<bool(const ArrivalKey&)>& pred);
 
-  /// Cleanup: drop arrivals older than now−keep or later than now.
+  /// Cleanup: drop arrivals older than now−keep or later than now. Returns
+  /// at once when the stamp bounds show nothing is due.
   void decay(LocalTime now, Duration keep);
 
   void clear();
@@ -172,13 +207,16 @@ class ArrivalLog {
                 std::uint32_t entries);
 
  private:
-  // The outer index stays an unordered_map on purpose: values_with()
+  // The outer index stays an unordered_map on purpose: append_values()
   // exposes its iteration order to Initiator-Accept's candidate loop
   // (visit order decides send order, which decides digests), and that
-  // order is a function of the key insert/erase sequence alone — which
-  // this refactor leaves untouched. The hot per-message work (window
-  // counts, decay sweeps) all lives in the flat SenderTable values.
+  // order is a function of the key insert/erase sequence alone. A skipped
+  // decay erases nothing, so it leaves that sequence untouched too. The
+  // hot per-message work (window counts, decay sweeps) all lives in the
+  // flat SenderTable values.
   std::unordered_map<ArrivalKey, SenderTable, ArrivalKeyHash> map_;
+  StampBounds bounds_;  // over every live arrival stamp
+  mutable std::vector<LocalTime> scratch_;  // shortest_window's selection
 };
 
 }  // namespace ssbft

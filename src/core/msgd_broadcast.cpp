@@ -52,6 +52,7 @@ void MsgdBroadcast::on_message(NodeContext& ctx, const WireMessage& msg) {
   const Key key{msg.broadcaster, msg.value, msg.round};
   auto& inst = insts_[key];
   inst.last_activity = now;
+  bounds_.note(now);
   switch (msg.kind) {
     case MsgKind::kBcastInit:
       // Only the claimed broadcaster itself can authenticate an init; the
@@ -147,11 +148,14 @@ void MsgdBroadcast::cleanup(LocalTime now) {
   // Fig. 3 cleanup: remove anything older than (2f+3)·Φ (future-stamped
   // activity can only exist after a transient fault — drop it too).
   const Duration keep = params_.bcast_cleanup();
+  if (bounds_.within(now, keep)) return;  // nothing stale or future-stamped
+  bounds_.reset();
   for (auto it = insts_.begin(); it != insts_.end();) {
     if (it->second.last_activity < now - keep ||
         it->second.last_activity > now) {
       it = insts_.erase(it);
     } else {
+      bounds_.note(it->second.last_activity);
       ++it;
     }
   }
@@ -160,6 +164,7 @@ void MsgdBroadcast::cleanup(LocalTime now) {
 void MsgdBroadcast::reset() {
   tau_g_.reset();
   insts_.clear();
+  bounds_.reset();
   broadcasters_.clear();
 }
 
@@ -177,6 +182,7 @@ void MsgdBroadcast::scramble(NodeContext& ctx, Rng& rng) {
     auto& inst = insts_[key];
     inst.last_activity =
         now + Duration{rng.next_in(-params_.bcast_cleanup().ns(), 0)};
+    bounds_.note(inst.last_activity);
     inst.init_from_p = rng.next_bool(0.5);
     inst.accepted = rng.next_bool(0.3);
     const auto senders = rng.next_below(ctx.n() + 1);

@@ -26,6 +26,7 @@
 #include "core/flat_map.hpp"
 #include "core/node_set.hpp"
 #include "core/params.hpp"
+#include "core/stamp_bounds.hpp"
 #include "sim/node.hpp"
 #include "util/types.hpp"
 
@@ -94,6 +95,7 @@ class MsgdBroadcast {
   // Instance records live contiguously in one sorted arena (FlatMap):
   // evaluate_all walks them in the exact Key order the std::map had.
   FlatMap<Key, Instance> insts_;
+  StampBounds bounds_;  // over every insts_ last_activity
   NodeSet broadcasters_;
 };
 

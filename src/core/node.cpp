@@ -72,7 +72,7 @@ SsByzAgree& SsByzNode::get_instance(GeneralId general) {
         [this](TimerHandle handle) {
           return ctx_ != nullptr && ctx_->cancel_timer(handle);
         });
-    it = instances_.emplace(general, std::move(inst)).first;
+    it = instances_.try_emplace(general, std::move(inst)).first;
   }
   return *it->second;
 }
@@ -82,7 +82,7 @@ SsByzAgree& SsByzNode::instance(GeneralId general) {
 }
 
 bool SsByzNode::has_instance(GeneralId general) const {
-  return instances_.count(general) != 0;
+  return instances_.contains(general);
 }
 
 void SsByzNode::on_message(NodeContext& ctx, const WireMessage& msg) {

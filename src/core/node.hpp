@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 
+#include "core/flat_map.hpp"
 #include "core/params.hpp"
 #include "core/ss_byz_agree.hpp"
 #include "sim/node.hpp"
@@ -119,7 +120,10 @@ class SsByzNode : public NodeBehavior {
   DecisionSink tap_;
   NodeContext* ctx_ = nullptr;  // set at on_start; stable for node lifetime
 
-  std::map<GeneralId, std::unique_ptr<SsByzAgree>> instances_;
+  // Sorted by General. Nothing iterates or erases it, and a lookup per
+  // message is a binary search over a dense array (a table indexed by node
+  // id would not scale to n = 4096).
+  FlatMap<GeneralId, std::unique_ptr<SsByzAgree>> instances_;
 
   // General-role pacing state, per concurrent-invocation index (footnote
   // 9). Scramble targets it like everything else.

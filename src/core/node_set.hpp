@@ -2,13 +2,21 @@
 // replacement for the per-instance std::set<NodeId> in the hot protocol
 // structs (msgd-broadcast echo/init tracking, ss-Byz-Agree accept records).
 //
-// Small sets (the common case per broadcast instance at small n, and for
-// adversarial instances that never gather a quorum) live in an inline
-// sorted array — no allocation at all. Past kInlineCapacity distinct ids
-// the set promotes to a dynamic bitset whose word array is sized once to
-// the highest id seen (rounded to 64) and grows on demand; membership is
-// a single bit test, thresholds come from a cached cardinality that a
-// popcount sweep (`popcount_words()`) can audit at any time.
+// Three representations, all inside one 64-byte object until the last:
+//   list   up to kInlineCapacity ids, sorted ascending, packed two per
+//          64-bit inline word — small sets (the common case per broadcast
+//          instance at small n, and adversarial instances that never
+//          gather a quorum) allocate nothing;
+//   bits   past kInlineCapacity distinct ids, while every id is below
+//          kInlineBitIds, the same four inline words hold a membership
+//          bitmap — still no allocation;
+//   heap   an id ≥ kInlineBitIds moves the bitmap to a heap word array
+//          sized to the highest id seen (rounded to 64) that grows on
+//          demand.
+// In both bitmap forms membership is a single bit test, and thresholds come
+// from a cached cardinality that a popcount sweep (`popcount_words()`) can
+// audit at any time. The inline words are only ever read and written as
+// integers (shift and mask), never reinterpreted.
 //
 // Iteration (`for_each`) is always in ascending id order — identical to
 // the std::set iteration order it replaces, so consumers that walk the
@@ -26,24 +34,28 @@ namespace ssbft {
 
 class NodeSet {
  public:
-  /// Distinct ids held inline before promoting to the bitset.
+  /// Distinct ids held in the sorted inline list before promoting.
   static constexpr std::uint32_t kInlineCapacity = 8;
+  /// Promoted sets whose ids are all below this keep their bits inline.
+  static constexpr NodeId kInlineBitIds = 256;
 
   /// Inserts `id`; returns true when it was not already present.
   bool insert(NodeId id) {
-    if (!promoted()) {
+    if (mode_ == Mode::kList) {
       std::uint32_t pos = 0;
-      while (pos < count_ && inline_[pos] < id) ++pos;
-      if (pos < count_ && inline_[pos] == id) return false;
+      while (pos < count_ && list_at(pos) < id) ++pos;
+      if (pos < count_ && list_at(pos) == id) return false;
       if (count_ < kInlineCapacity) {
         for (std::uint32_t i = count_; i > pos; --i) {
-          inline_[i] = inline_[i - 1];
+          list_set(i, list_at(i - 1));
         }
-        inline_[pos] = id;
+        list_set(pos, id);
         ++count_;
         return true;
       }
       promote(id);
+    } else if (mode_ == Mode::kBits && id >= kInlineBitIds) {
+      spill(id);
     }
     std::uint64_t& word = word_for(id);
     const std::uint64_t mask = std::uint64_t{1} << (id & 63u);
@@ -55,15 +67,15 @@ class NodeSet {
 
   /// std::set-compatible membership probe: 1 when present, else 0.
   [[nodiscard]] std::uint32_t count(NodeId id) const {
-    if (!promoted()) {
+    if (mode_ == Mode::kList) {
       for (std::uint32_t i = 0; i < count_; ++i) {
-        if (inline_[i] == id) return 1;
+        if (list_at(i) == id) return 1;
       }
       return 0;
     }
     const std::uint32_t w = id >> 6;
-    if (w >= words_.size()) return 0;
-    return (words_[w] >> (id & 63u)) & 1u;
+    if (w >= word_count()) return 0;
+    return (words()[w] >> (id & 63u)) & 1u;
   }
 
   [[nodiscard]] bool contains(NodeId id) const { return count(id) != 0; }
@@ -75,27 +87,32 @@ class NodeSet {
   /// The popcount form of size(), for threshold checks that want to read
   /// straight off the bit words (and for auditing the cached count).
   [[nodiscard]] std::uint32_t popcount_words() const {
-    if (!promoted()) return count_;
+    if (mode_ == Mode::kList) return count_;
     std::uint32_t total = 0;
-    for (const std::uint64_t w : words_) total += std::popcount(w);
+    for (std::uint32_t w = 0; w < word_count(); ++w) {
+      total += std::uint32_t(std::popcount(words()[w]));
+    }
     return total;
   }
 
   void clear() {
-    words_.clear();
-    words_.shrink_to_fit();
+    heap_.clear();
+    heap_.shrink_to_fit();
+    for (std::uint64_t& w : inline_) w = 0;
     count_ = 0;
+    mode_ = Mode::kList;
   }
 
   /// Visits members in ascending id order (the std::set iteration order).
   template <class F>
   void for_each(F&& f) const {
-    if (!promoted()) {
-      for (std::uint32_t i = 0; i < count_; ++i) f(inline_[i]);
+    if (mode_ == Mode::kList) {
+      for (std::uint32_t i = 0; i < count_; ++i) f(list_at(i));
       return;
     }
-    for (std::uint32_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t bits = words_[w];
+    const std::uint64_t* const bits_of = words();
+    for (std::uint32_t w = 0; w < word_count(); ++w) {
+      std::uint64_t bits = bits_of[w];
       while (bits != 0) {
         const int b = std::countr_zero(bits);
         f(NodeId((w << 6) + std::uint32_t(b)));
@@ -105,28 +122,72 @@ class NodeSet {
   }
 
  private:
-  [[nodiscard]] bool promoted() const { return !words_.empty(); }
+  enum class Mode : std::uint8_t { kList, kBits, kHeap };
+  static constexpr std::uint32_t kInlineWords = kInlineBitIds / 64;
+  static_assert(kInlineWords * 2 == kInlineCapacity,
+                "the sorted list packs two 32-bit ids per inline word");
+
+  [[nodiscard]] NodeId list_at(std::uint32_t i) const {
+    return NodeId(inline_[i >> 1] >> ((i & 1u) * 32));
+  }
+  void list_set(std::uint32_t i, NodeId id) {
+    const std::uint32_t shift = (i & 1u) * 32;
+    std::uint64_t& word = inline_[i >> 1];
+    word = (word & ~(std::uint64_t{0xFFFFFFFF} << shift)) |
+           (std::uint64_t{id} << shift);
+  }
+
+  [[nodiscard]] const std::uint64_t* words() const {
+    return mode_ == Mode::kHeap ? heap_.data() : inline_;
+  }
+  [[nodiscard]] std::uint32_t word_count() const {
+    return mode_ == Mode::kHeap ? std::uint32_t(heap_.size()) : kInlineWords;
+  }
 
   std::uint64_t& word_for(NodeId id) {
     const std::uint32_t w = id >> 6;
-    if (w >= words_.size()) words_.resize(w + 1, 0);
-    return words_[w];
+    if (mode_ == Mode::kBits) return inline_[w];  // id < kInlineBitIds
+    if (w >= heap_.size()) heap_.resize(w + 1, 0);
+    return heap_[w];
   }
 
+  /// list → bitmap: inline bits when `incoming` and every listed id fit,
+  /// else heap words sized to the largest of them.
   void promote(NodeId incoming) {
+    NodeId ids[kInlineCapacity] = {};
     NodeId max_id = incoming;
     for (std::uint32_t i = 0; i < count_; ++i) {
-      if (inline_[i] > max_id) max_id = inline_[i];
+      ids[i] = list_at(i);
+      if (ids[i] > max_id) max_id = ids[i];
     }
-    words_.resize((max_id >> 6) + 1, 0);
+    for (std::uint64_t& w : inline_) w = 0;
+    if (max_id < kInlineBitIds) {
+      mode_ = Mode::kBits;
+    } else {
+      mode_ = Mode::kHeap;
+      heap_.resize((max_id >> 6) + 1, 0);
+    }
     for (std::uint32_t i = 0; i < count_; ++i) {
-      words_[inline_[i] >> 6] |= std::uint64_t{1} << (inline_[i] & 63u);
+      word_for(ids[i]) |= std::uint64_t{1} << (ids[i] & 63u);
     }
   }
 
-  NodeId inline_[kInlineCapacity] = {};
-  std::vector<std::uint64_t> words_;  // empty until promoted
+  /// inline bits → heap words, to make room for `incoming` ≥ kInlineBitIds.
+  void spill(NodeId incoming) {
+    heap_.assign((incoming >> 6) + 1, 0);
+    for (std::uint32_t w = 0; w < kInlineWords; ++w) {
+      heap_[w] = inline_[w];
+      inline_[w] = 0;
+    }
+    mode_ = Mode::kHeap;
+  }
+
+  std::uint64_t inline_[kInlineWords] = {};  // sorted id list, or bits
+  std::vector<std::uint64_t> heap_;          // bits once an id ≥ 256 joins
   std::uint32_t count_ = 0;
+  Mode mode_ = Mode::kList;
 };
+
+static_assert(sizeof(NodeSet) <= 64, "NodeSet keeps its 64-byte footprint");
 
 }  // namespace ssbft

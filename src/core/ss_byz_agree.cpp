@@ -128,6 +128,7 @@ void SsByzAgree::on_bcast_accept(NodeId p, Value m, std::uint32_t k) {
   auto& rec = accepts_[m];
   rec.rounds[k].insert(p);
   rec.last_update = ctx.local_now();
+  accept_bounds_.note(rec.last_update);
   trace::instant(TraceLayer::kProtocol, TraceName::kQuorumProgress, ctx.id(),
                  std::int64_t(k));
   if (!returned_ && tau_g_.has_value()) check_block_s(ctx);
@@ -233,6 +234,7 @@ void SsByzAgree::on_timer(NodeContext& ctx, TimerKind kind,
       tau_g_.reset();
       ia_value_.reset();
       accepts_.clear();
+      accept_bounds_.reset();
       returned_ = false;
       break;
   }
@@ -298,10 +300,13 @@ void SsByzAgree::do_return(NodeContext& ctx, Value value) {
 void SsByzAgree::cleanup(LocalTime now) {
   // Fig. 1 cleanup: erase values/messages older than (2f+1)Φ + 3d.
   const Duration keep = params_.agree_cleanup();
+  if (accept_bounds_.within(now, keep)) return;  // nothing stale or future
+  accept_bounds_.reset();
   for (auto it = accepts_.begin(); it != accepts_.end();) {
     if (it->second.last_update < now - keep || it->second.last_update > now) {
       it = accepts_.erase(it);
     } else {
+      accept_bounds_.note(it->second.last_update);
       ++it;
     }
   }
@@ -314,6 +319,7 @@ void SsByzAgree::reset() {
   tau_g_.reset();
   ia_value_.reset();
   accepts_.clear();
+  accept_bounds_.reset();
   returned_ = false;
   last_result_.reset();
 }
@@ -342,6 +348,7 @@ void SsByzAgree::scramble(NodeContext& ctx, Rng& rng) {
   for (std::uint32_t i = 0; i < count; ++i) {
     auto& rec = accepts_[rng.next_below(4)];
     rec.last_update = now - Duration{rng.next_in(0, params_.agree_cleanup().ns())};
+    accept_bounds_.note(rec.last_update);
     rec.rounds[std::uint32_t(rng.next_below(params_.f() + 2)) + 1].insert(
         NodeId(rng.next_below(ctx.n())));
   }

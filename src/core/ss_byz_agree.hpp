@@ -28,6 +28,7 @@
 #include "core/initiator_accept.hpp"
 #include "core/msgd_broadcast.hpp"
 #include "core/params.hpp"
+#include "core/stamp_bounds.hpp"
 #include "sim/node.hpp"
 #include "util/types.hpp"
 
@@ -87,6 +88,8 @@ class SsByzAgree {
   }
 
   [[nodiscard]] InitiatorAccept& initiator_accept() { return ia_; }
+  /// Values with accepted-broadcast records (introspection for tests).
+  [[nodiscard]] std::size_t accept_count() const { return accepts_.size(); }
   [[nodiscard]] MsgdBroadcast& broadcastp() { return bc_; }
 
   void reset();
@@ -141,6 +144,7 @@ class SsByzAgree {
     LocalTime last_update{};
   };
   FlatMap<Value, AcceptRec> accepts_;
+  StampBounds accept_bounds_;  // over every last_update in accepts_
 };
 
 }  // namespace ssbft

@@ -1,6 +1,7 @@
 #include "core/timed_var.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace ssbft {
 
@@ -45,15 +46,16 @@ void TimedVar::cleanup(LocalTime now, Duration expiry, Duration history_keep) {
     value_ = std::nullopt;
     record(expired_at, value_);
   }
-  while (!history_.empty() && history_.front().at < now - history_keep) {
-    // Keep at least one change at/before the horizon so value_at stays
-    // correct for queries within [now - history_keep, now].
-    if (history_.size() >= 2 && history_[1].at <= now - history_keep) {
-      history_.pop_front();
-    } else {
-      break;
-    }
+  // Trim history older than the horizon, but keep at least one change
+  // at/before it so value_at stays correct for queries within
+  // [now - history_keep, now].
+  const LocalTime horizon = now - history_keep;
+  std::size_t drop = 0;
+  while (drop + 1 < history_.size() && history_[drop].at < horizon &&
+         history_[drop + 1].at <= horizon) {
+    ++drop;
   }
+  history_.erase(history_.begin(), history_.begin() + std::ptrdiff_t(drop));
 }
 
 void TimedVar::scramble(Rng& rng, LocalTime now, Duration span) {

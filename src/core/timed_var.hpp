@@ -6,10 +6,15 @@
 // rules of Fig. 2 (expiry after a deadline; removal of clearly-wrong, i.e.
 // future, timestamps). It is also a scramble target: a transient fault may
 // load it with an arbitrary change history.
+//
+// The history is a plain vector: an empty one allocates nothing (a
+// std::deque allocates in its constructor, and the protocol creates a
+// TimedVar per live value), and cleanup() trims the expired prefix with
+// one erase.
 #pragma once
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -50,7 +55,7 @@ class TimedVar {
   void record(LocalTime at, std::optional<LocalTime> value);
 
   std::optional<LocalTime> value_;
-  std::deque<Change> history_;
+  std::vector<Change> history_;
 };
 
 }  // namespace ssbft

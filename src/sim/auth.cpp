@@ -22,11 +22,14 @@ std::uint64_t mix(std::uint64_t x) {
 
 }  // namespace
 
+Authenticator::Authenticator(AuthKind kind, std::uint64_t key_seed)
+    : kind_(kind), key_mix_(mix(key_seed)) {}
+
 std::uint64_t Authenticator::tag(const WireMessage& msg) const {
   if (kind_ == AuthKind::kNull) return 0;
   // Per-sender key: forging another sender's tag requires that sender's
   // key, which only the network's signing path holds.
-  std::uint64_t h = mix(mix(key_seed_) ^ msg.sender);
+  std::uint64_t h = mix(key_mix_ ^ msg.sender);
   h = mix(h ^ std::uint64_t(msg.kind));
   h = mix(h ^ msg.sender);
   h = mix(h ^ msg.general.node);

@@ -43,8 +43,7 @@ class Authenticator {
  public:
   /// Default: the null scheme (everything verifies).
   Authenticator() = default;
-  Authenticator(AuthKind kind, std::uint64_t key_seed)
-      : kind_(kind), key_seed_(key_seed) {}
+  Authenticator(AuthKind kind, std::uint64_t key_seed);
 
   [[nodiscard]] AuthKind kind() const { return kind_; }
 
@@ -61,7 +60,7 @@ class Authenticator {
 
  private:
   AuthKind kind_ = AuthKind::kNull;
-  std::uint64_t key_seed_ = 0;
+  std::uint64_t key_mix_ = 0;  // mix(key_seed), the tag chain's first link
 };
 
 }  // namespace ssbft

@@ -1,9 +1,20 @@
-// Unit tests: core bookkeeping — Params, TimedVar, ArrivalLog, wire format.
+// Unit tests: core bookkeeping — Params, TimedVar, ArrivalLog, the cleanup
+// sweeps of msgd-broadcast and ss-Byz-Agree, wire format, authenticator.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <tuple>
+#include <vector>
+
 #include "core/message_log.hpp"
+#include "core/msgd_broadcast.hpp"
 #include "core/params.hpp"
+#include "core/ss_byz_agree.hpp"
 #include "core/timed_var.hpp"
+#include "mock_context.hpp"
+#include "sim/auth.hpp"
+#include "sim/payload.hpp"
 #include "sim/wire.hpp"
 
 namespace ssbft {
@@ -134,6 +145,34 @@ TEST(TimedVarTest, ScrambleThenCleanupHeals) {
   }
 }
 
+TEST(TimedVarTest, ValueAtUnchangedAcrossHistoryTrims) {
+  // The trim keeps one change at/before the horizon, so every query inside
+  // [now − keep, now] answers exactly as the untrimmed history does.
+  Rng rng(0x7173);
+  const Duration keep = microseconds(500);
+  const Duration never = seconds(1000);  // no expiry: isolate the trim
+  TimedVar trimmed;
+  TimedVar full;
+  LocalTime now{1'000'000};
+  for (int op = 0; op < 2000; ++op) {
+    now += microseconds(rng.next_in(0, 60));
+    if (rng.next_bool(0.3)) {
+      trimmed.reset(now);
+      full.reset(now);
+    } else {
+      const LocalTime v = now - microseconds(rng.next_in(0, 100));
+      trimmed.set(now, v);
+      full.set(now, v);
+    }
+    if (rng.next_bool(0.5)) trimmed.cleanup(now, never, keep);
+    for (int q = 0; q < 8; ++q) {
+      const LocalTime at = now - microseconds(rng.next_in(0, 500));
+      ASSERT_EQ(trimmed.value_at(at), full.value_at(at)) << "op " << op;
+    }
+    ASSERT_EQ(trimmed.value_at(now), full.value_at(now));
+  }
+}
+
 // ------------------------------------------------------------ ArrivalLog --
 
 ArrivalKey support_key(Value m) {
@@ -235,15 +274,21 @@ TEST(ArrivalLogTest, EraseIfRemovesMatchingValues) {
   EXPECT_EQ(log.distinct_total(support_key(2)), 1u);
 }
 
+std::vector<Value> values_of(const ArrivalLog& log, MsgKind kind) {
+  std::vector<Value> values;
+  log.append_values(kind, values);
+  return values;
+}
+
 TEST(ArrivalLogTest, ValuesWithKind) {
   ArrivalLog log;
   log.note(support_key(1), 0, LocalTime{100});
   log.note(support_key(7), 0, LocalTime{100});
   log.note(ArrivalKey{MsgKind::kReady, 9, kNoNode, 0}, 0, LocalTime{100});
-  const auto values = log.values_with(MsgKind::kSupport);
+  const auto values = values_of(log, MsgKind::kSupport);
   EXPECT_EQ(values.size(), 2u);
-  EXPECT_EQ(log.values_with(MsgKind::kReady).size(), 1u);
-  EXPECT_TRUE(log.values_with(MsgKind::kApprove).empty());
+  EXPECT_EQ(values_of(log, MsgKind::kReady).size(), 1u);
+  EXPECT_TRUE(values_of(log, MsgKind::kApprove).empty());
 }
 
 TEST(ArrivalLogTest, BroadcastKeysDistinguishRoundAndBroadcaster) {
@@ -269,6 +314,104 @@ TEST(ArrivalLogTest, ScrambleThenDecayBoundsState) {
   EXPECT_EQ(log.total_arrivals(), 0u);
 }
 
+// --------------------------------------------- msgd-broadcast cleanup --
+
+WireMessage echo_for(NodeId p, Value m, std::uint32_t k, NodeId sender) {
+  WireMessage msg;
+  msg.kind = MsgKind::kBcastEcho;
+  msg.general = GeneralId{1};
+  msg.broadcaster = p;
+  msg.value = m;
+  msg.round = k;
+  msg.sender = sender;
+  return msg;
+}
+
+TEST(MsgdBroadcastCleanupTest, DropsStaleAndFutureRecordsLikeAFullSweep) {
+  // Every message runs the Fig. 3 cleanup first. The model sweeps on every
+  // message; the instance may skip a sweep only when nothing is due, so the
+  // instance counts must agree after every step — including after the
+  // clock jumps back and recent records turn future-stamped.
+  const Params params{7, 2, milliseconds(1)};
+  const Duration keep = params.bcast_cleanup();
+  MockContext ctx(0, 7);
+  MsgdBroadcast bc(params, GeneralId{1}, [](NodeId, Value, std::uint32_t) {});
+  std::map<std::tuple<NodeId, Value, std::uint32_t>, LocalTime> model;
+  Rng rng(0xbca5);
+  LocalTime now = ctx.local_now();
+  for (int step = 0; step < 3000; ++step) {
+    if (rng.next_below(10) == 0) {
+      now = now - keep / 4 + Duration{rng.next_in(0, (keep / 4).ns())};
+    } else {
+      now += Duration{rng.next_in(0, (keep / 8).ns())};
+    }
+    ctx.set_now(now);
+    const auto p = NodeId(rng.next_below(3));
+    const Value m = rng.next_below(3);
+    const auto k = std::uint32_t(rng.next_below(3)) + 1;
+    bc.on_message(ctx, echo_for(p, m, k, NodeId(rng.next_below(7))));
+    std::erase_if(model, [&](const auto& e) {
+      return e.second < now - keep || e.second > now;
+    });
+    model[{p, m, k}] = now;
+    ASSERT_EQ(bc.instance_count(), model.size()) << "step " << step;
+  }
+}
+
+TEST(MsgdBroadcastCleanupTest, DropsScrambledRecordsOnceStaleOrFuture) {
+  const Params params{7, 2, milliseconds(1)};
+  const Duration keep = params.bcast_cleanup();
+  Rng rng(0x5c7a);
+  for (int trial = 0; trial < 40; ++trial) {
+    for (const bool forward : {true, false}) {
+      MockContext ctx(0, 7);
+      MsgdBroadcast bc(params, GeneralId{1},
+                       [](NodeId, Value, std::uint32_t) {});
+      const LocalTime t = ctx.local_now();
+      bc.scramble(ctx, rng);  // activity stamped in [t − keep, t]
+      const std::size_t planted = bc.instance_count();
+      // Still inside the horizon: a message keeps every planted record.
+      ctx.set_now(t);
+      bc.on_message(ctx, echo_for(6, 9, 9, 1));
+      ASSERT_EQ(bc.instance_count(), planted + 1);
+      // Past it (or before all of it): only the probe's own record stays.
+      ctx.set_now(forward ? t + keep + Duration{1} : t - keep - Duration{1});
+      bc.on_message(ctx, echo_for(6, 9, 8, 1));
+      ASSERT_EQ(bc.instance_count(), 1u) << "trial " << trial;
+    }
+  }
+}
+
+// ------------------------------------------------ ss-Byz-Agree cleanup --
+
+TEST(SsByzAgreeCleanupTest, DropsScrambledAcceptsOnceStaleOrFuture) {
+  // Fig. 1 cleanup: accept records older than (2f+1)Φ + 3d, or stamped in
+  // the future, go on the next event. A message of another protocol only
+  // runs the cleanup.
+  const Params params{7, 2, milliseconds(1)};
+  const Duration keep = params.agree_cleanup();
+  WireMessage other;
+  other.kind = MsgKind::kTpsGeneral;
+  Rng rng(0xa9ee);
+  std::size_t planted_total = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    for (const bool forward : {true, false}) {
+      MockContext ctx(0, 7);
+      SsByzAgree agree(params, GeneralId{1}, [](const AgreeResult&) {});
+      const LocalTime t = ctx.local_now();
+      agree.scramble(ctx, rng);  // accepts stamped in [t − keep, t]
+      const std::size_t planted = agree.accept_count();
+      planted_total += planted;
+      agree.on_message(ctx, other);
+      ASSERT_EQ(agree.accept_count(), planted);
+      ctx.set_now(forward ? t + keep + Duration{1} : t - keep - Duration{1});
+      agree.on_message(ctx, other);
+      ASSERT_EQ(agree.accept_count(), 0u) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(planted_total, 0u);  // the scrambles did plant records
+}
+
 // ----------------------------------------------------------------- wire --
 
 TEST(WireTest, KindNamesAreStable) {
@@ -291,6 +434,30 @@ TEST(WireTest, MessageToStringMentionsFields) {
   EXPECT_NE(s.find("G=3"), std::string::npos);
   EXPECT_NE(s.find("m=42"), std::string::npos);
   EXPECT_NE(s.find("from=5"), std::string::npos);
+}
+
+// -------------------------------------------------------- authenticator --
+
+TEST(AuthenticatorGoldenTest, TagIsPinned) {
+  // Tags from a fixed key and message, pinned: any change to the tag chain
+  // (its hoisted key link included) breaks HMAC runs' digests.
+  WireMessage msg;
+  msg.kind = MsgKind::kApprove;
+  msg.sender = 6;
+  msg.general = GeneralId{2};
+  msg.value = 0x5eed;
+  msg.broadcaster = 4;
+  msg.round = 3;
+  msg.payload = make_patterned_payload(300, 9);
+  constexpr std::uint64_t kGolden = 0x9385ea3a216e2350;
+  EXPECT_EQ(Authenticator(AuthKind::kHmac, 20240601).tag(msg), kGolden);
+
+  WireMessage forged = msg;
+  forged.sender = 70000;
+  forged.kind = MsgKind(200);
+  constexpr std::uint64_t kForgedGolden = 0x170021e9389cab1e;
+  EXPECT_EQ(Authenticator(AuthKind::kHmac, 20240601).tag(forged),
+            kForgedGolden);
 }
 
 }  // namespace
